@@ -3,12 +3,17 @@
 With the projections held fixed, the transfer objective reduces to
 1/2 z^T Bq z over z = (alpha; beta) with Bq = [[K_ss, -K_su], [-K_su^T, 0]],
 subject to box bounds [0, 1] and per-class mean constraints mean(w) = delta
-in each domain. The zero lower-right block makes Bq indefinite, so the
-solver is projected gradient descent with exact per-group projection onto
+in each domain. Bq is kept in factored form: K_ss is a diagonal plus
+F_s^T F_s and K_su = F_s^T F_u, where the factors are scaled copies of the
+embedded data with r = d * (1 + shared classes) rows, so the weight step
+stores O(r * n) numbers and every product with Bq costs O(r * n).
+
+The zero lower-right block makes Bq indefinite, so the solver is projected
+gradient descent with exact per-group projection onto
 {[0,1]^m, mean = delta}, followed by alternating exact coordinate passes
-(a linear program in beta, a convex QP in alpha) that can only improve the
-objective. Classes present in a single domain keep their weights pinned at
-delta.
+(a linear program in beta, a convex QP in alpha solved by accelerated
+projected gradient) that can only improve the objective. Classes present in
+a single domain keep their weights pinned at delta.
 """
 
 import warnings
@@ -48,29 +53,80 @@ def uniform_weights(n_s: int, n_u: int, delta: float) -> LandmarkWeights:
 
 @dataclass(frozen=True)
 class QpInstance:
-    """Quadratic program data plus the per-class index bookkeeping.
+    """Quadratic program data in factored form, plus the per-class bookkeeping.
+
+    The blocks of Bq are never stored densely: K_ss = F_s^T F_s + diag(diag_s)
+    and K_su = F_s^T F_u, with F_s (r x n_s) and F_u (r x n_u) for
+    r = d * (1 + number of classes present in both domains). Products with
+    Bq, K_ss, K_su and K_su^T cost O(r * n). The dense `Bq`, `K_ss` and `K_su`
+    are built lazily for inspection and tests; the solver never touches them.
 
     V is the (n_s + n_u) x 2C class-indicator matrix and G the equality
     targets delta * n^c; `groups` lists (global indices, free) per class and
     domain, where pinned groups (class in one domain only) are not free.
     """
 
-    Bq: np.ndarray
+    F_s: np.ndarray
+    F_u: np.ndarray
+    diag_s: np.ndarray
     V: np.ndarray
     G: np.ndarray
     delta: float
-    n_s: int
-    n_u: int
     groups: tuple
-    box: tuple = (0.0, 1.0)
 
     @property
+    def n_s(self):
+        return self.F_s.shape[1]
+
+    @property
+    def n_u(self):
+        return self.F_u.shape[1]
+
+    def kss_matvec(self, a):
+        """K_ss @ a."""
+        return self.F_s.T @ (self.F_s @ a) + self.diag_s * a
+
+    def ksu_matvec(self, b):
+        """K_su @ b."""
+        return self.F_s.T @ (self.F_u @ b)
+
+    def ksu_rmatvec(self, a):
+        """K_su^T @ a."""
+        return self.F_u.T @ (self.F_s @ a)
+
+    def matvec(self, z):
+        """Bq @ z for z = (alpha; beta)."""
+        a, b = z[: self.n_s], z[self.n_s:]
+        p = self.F_s @ a
+        top = self.F_s.T @ (p - self.F_u @ b) + self.diag_s * a
+        return np.concatenate([top, -(self.F_u.T @ p)])
+
+    @cached_property
+    def norm_bq(self):
+        """Power-iteration estimate of ||Bq||_2."""
+        return _spectral_norm_estimate(self.matvec, self.n_s + self.n_u)
+
+    @cached_property
+    def norm_kss(self):
+        """Power-iteration estimate of ||K_ss||_2."""
+        return _spectral_norm_estimate(self.kss_matvec, self.n_s)
+
+    @cached_property
     def K_ss(self):
-        return self.Bq[: self.n_s, : self.n_s]
+        return self.F_s.T @ self.F_s + np.diag(self.diag_s)
 
-    @property
+    @cached_property
     def K_su(self):
-        return -self.Bq[: self.n_s, self.n_s:]
+        return self.F_s.T @ self.F_u
+
+    @cached_property
+    def Bq(self):
+        n_s = self.n_s
+        Bq = np.zeros((n_s + self.n_u, n_s + self.n_u))
+        Bq[:n_s, :n_s] = self.K_ss
+        Bq[:n_s, n_s:] = -self.K_su
+        Bq[n_s:, :n_s] = -self.K_su.T
+        return Bq
 
     def _projection_meta(self, source_only):
         free, pinned = [], []
@@ -99,12 +155,15 @@ class QpInstance:
 
 
 def build_qp(Z_s, Z_u, labels_s, pseudo_labels_u, delta, num_classes=None) -> QpInstance:
-    """Coefficient matrices of the weight subproblem from embedded data.
+    """Factored coefficient matrices of the weight subproblem from embedded data.
 
     K_ss[i, j] multiplies alpha_i * alpha_j and aggregates the marginal and
     (same-class) conditional contributions; K_su likewise for
     alpha_i * beta_j. Gradients of 1/2 z^T Bq z match the alpha-gradient of
-    the weighted MMD exactly.
+    the weighted MMD exactly. The factors are scaled copies of Z_s and Z_u:
+    one row block for the marginal term and one per class present in both
+    domains, zero outside that class's samples; the class blocks' own
+    diagonal term goes to diag_s.
     """
     Z_s = np.asarray(Z_s, dtype=np.float64)
     Z_u = np.asarray(Z_u, dtype=np.float64)
@@ -118,11 +177,11 @@ def build_qp(Z_s, Z_u, labels_s, pseudo_labels_u, delta, num_classes=None) -> Qp
     if num_classes is None:
         num_classes = int(max(labels_s.max(), labels_u.max())) + 1
 
-    Gs = Z_s.T @ Z_s
-    Gsu = Z_s.T @ Z_u
-    K_ss = 2.0 * Gs / (delta**2 * n_s**2)
-    K_su = 2.0 * Gsu / (delta**2 * n_s * n_u)
-
+    scale = np.sqrt(2.0) / delta
+    blocks_s = [(scale / n_s) * Z_s]
+    blocks_u = [(scale / n_u) * Z_u]
+    diag_s = np.zeros(n_s)
+    sq_norms = np.einsum("ij,ij->j", Z_s, Z_s)
     groups = []
     for c in range(num_classes):
         si = np.flatnonzero(labels_s == c)
@@ -131,19 +190,17 @@ def build_qp(Z_s, Z_u, labels_s, pseudo_labels_u, delta, num_classes=None) -> Qp
             raise ValueError(f"class {c} is absent from both domains")
         both = si.size > 0 and ui.size > 0
         if both:
-            K_ss[np.ix_(si, si)] += 2.0 * Gs[np.ix_(si, si)] / (delta**2 * si.size**2)
-            K_ss[si, si] += 2.0 * Gs[si, si] / (delta**2 * si.size)
-            K_su[np.ix_(si, ui)] += 4.0 * Gsu[np.ix_(si, ui)] / (delta**2 * si.size * ui.size)
+            block_s = np.zeros_like(Z_s)
+            block_s[:, si] = (scale / si.size) * Z_s[:, si]
+            block_u = np.zeros_like(Z_u)
+            block_u[:, ui] = (2.0 * scale / ui.size) * Z_u[:, ui]
+            blocks_s.append(block_s)
+            blocks_u.append(block_u)
+            diag_s[si] = 2.0 * sq_norms[si] / (delta**2 * si.size)
         if si.size:
             groups.append((si, both))
         if ui.size:
             groups.append((n_s + ui, both))
-
-    K_ss = (K_ss + K_ss.T) / 2.0
-    Bq = np.zeros((n_s + n_u, n_s + n_u))
-    Bq[:n_s, :n_s] = K_ss
-    Bq[:n_s, n_s:] = -K_su
-    Bq[n_s:, :n_s] = -K_su.T
 
     V = np.zeros((n_s + n_u, 2 * num_classes))
     V[np.arange(n_s), labels_s] = 1.0
@@ -153,7 +210,8 @@ def build_qp(Z_s, Z_u, labels_s, pseudo_labels_u, delta, num_classes=None) -> Qp
         G[c] = delta * np.count_nonzero(labels_s == c)
         G[num_classes + c] = delta * np.count_nonzero(labels_u == c)
     return QpInstance(
-        Bq=Bq, V=V, G=G, delta=delta, n_s=n_s, n_u=n_u, groups=tuple(groups)
+        F_s=np.vstack(blocks_s), F_u=np.vstack(blocks_u), diag_s=diag_s,
+        V=V, G=G, delta=delta, groups=tuple(groups),
     )
 
 
@@ -260,20 +318,19 @@ def project_feasible(qp: QpInstance, weights: LandmarkWeights) -> LandmarkWeight
     return LandmarkWeights(z[: qp.n_s], z[qp.n_s:], qp.delta)
 
 
-def _objective(Bq, z):
-    return 0.5 * float(z @ (Bq @ z))
+def _objective(qp: QpInstance, z):
+    return 0.5 * float(z @ qp.matvec(z))
 
 
-def _spectral_norm_estimate(Bq):
-    n = Bq.shape[0]
+def _spectral_norm_estimate(matvec, n):
     v = np.ones(n) / np.sqrt(n)
     for _ in range(30):
-        w = Bq @ v
+        w = matvec(v)
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
         v = w / norm
-    return float(np.linalg.norm(Bq @ v))
+    return float(np.linalg.norm(matvec(v)))
 
 
 def _greedy_linear_min(coef, delta, m):
@@ -290,47 +347,61 @@ def _greedy_linear_min(coef, delta, m):
     return v
 
 
+def _alpha_pass(qp: QpInstance, z, lin, step):
+    """Accelerated projected gradient on the convex alpha subproblem.
+
+    Minimizes 1/2 a^T K_ss a + lin . a over the source groups' polytope with
+    FISTA momentum (Beck & Teboulle 2009). A step that does not lower the
+    objective ends the pass, keeping the better point, so the value never
+    rises.
+    """
+    n_s = qp.n_s
+    a = z[:n_s].copy()
+    Ka = qp.kss_matvec(a)
+    f_a = 0.5 * a @ Ka + lin @ a
+    y, Ky = a, Ka
+    t = 1.0
+    full = z.copy()
+    for _ in range(100):
+        full[:n_s] = y - step * (Ky + lin)
+        a_new = _project(full, qp, source_only=True)[:n_s]
+        Ka_new = qp.kss_matvec(a_new)
+        f_new = 0.5 * a_new @ Ka_new + lin @ a_new
+        if f_new > f_a - 1e-12 * max(abs(f_a), 1e-30):
+            return a_new if f_new < f_a else a
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        mom = (t - 1.0) / t_next
+        y = a_new + mom * (a_new - a)
+        Ky = Ka_new + mom * (Ka_new - Ka)
+        a, Ka, f_a, t = a_new, Ka_new, f_new, t_next
+    return a
+
+
 def _alternating_polish(qp: QpInstance, z, trace, max_rounds=6, tol=1e-10):
     """Exact coordinate passes: linear in beta, convex quadratic in alpha."""
-    Bq = qp.Bq
     n_s = qp.n_s
-    K_ss, K_su = qp.K_ss, qp.K_su
-    L = _spectral_norm_estimate(K_ss)
-    f = _objective(Bq, z)
+    L = qp.norm_kss
+    f = _objective(qp, z)
     for _ in range(max_rounds):
         improved = False
         # beta enters linearly: minimize (-K_su^T alpha) . beta per group
-        coef = -K_su.T @ z[:n_s]
+        coef = -qp.ksu_rmatvec(z[:n_s])
         cand = z.copy()
         for idx, both in qp.groups:
             if not both or idx[0] < n_s:
                 continue
             local = idx - n_s
             cand[idx] = _greedy_linear_min(coef[local], qp.delta, idx.size)
-        f_cand = _objective(Bq, cand)
+        f_cand = _objective(qp, cand)
         if f_cand < f - tol * max(abs(f), 1e-30):
             z, f = cand, f_cand
             trace.append(f)
             improved = True
-        # alpha subproblem is convex: run projected gradient to tolerance
+        # alpha subproblem is convex: solve it to tolerance
         if L > 0.0:
-            lin = -K_su @ z[n_s:]
-            a = z[:n_s].copy()
-            step = 1.0 / L
-            f_a = 0.5 * a @ (K_ss @ a) + lin @ a
-            for _ in range(100):
-                grad = K_ss @ a + lin
-                full = z.copy()
-                full[:n_s] = a - step * grad
-                a_new = _project(full, qp, source_only=True)[:n_s]
-                f_new = 0.5 * a_new @ (K_ss @ a_new) + lin @ a_new
-                if f_new > f_a - 1e-12 * max(abs(f_a), 1e-30):
-                    a = a_new if f_new < f_a else a
-                    break
-                a, f_a = a_new, f_new
             cand = z.copy()
-            cand[:n_s] = a
-            f_cand = _objective(Bq, cand)
+            cand[:n_s] = _alpha_pass(qp, z, -qp.ksu_matvec(z[n_s:]), 1.0 / L)
+            f_cand = _objective(qp, cand)
             if f_cand < f - tol * max(abs(f), 1e-30):
                 z, f = cand, f_cand
                 trace.append(f)
@@ -346,13 +417,14 @@ def solve_qp(qp: QpInstance, init: LandmarkWeights | None = None,
 
     Projected gradient descent with backtracking from a 1/||Bq||_2 step,
     starting at `init` (default: the uniform feasible point), followed by
-    alternating exact passes. The returned point is always feasible and its
-    objective never exceeds the initial one. Deterministic given init.
+    alternating exact passes. Uses only the instance's factored products.
+    The returned point is always feasible and its objective never exceeds
+    the initial one. Deterministic given init.
     """
     if init is None:
         init = uniform_weights(qp.n_s, qp.n_u, qp.delta)
     z = init.stacked()
-    if z.size != qp.Bq.shape[0]:
+    if z.size != qp.n_s + qp.n_u:
         raise ValueError("init size does not match the QP")
     feas = _project(z, qp)
     if np.max(np.abs(feas - z)) > 1e-6:
@@ -361,11 +433,10 @@ def solve_qp(qp: QpInstance, init: LandmarkWeights | None = None,
 
     if qp.delta >= 1.0 or qp.delta <= 0.0:
         # the box and mean constraints pin every weight
-        return _finalize(qp, z, [_objective(qp.Bq, z)], True, 0, full_output)
+        return _finalize(qp, z, [_objective(qp, z)], True, 0, full_output)
 
-    Bq = qp.Bq
-    L = _spectral_norm_estimate(Bq)
-    f = _objective(Bq, z)
+    L = qp.norm_bq
+    f = _objective(qp, z)
     trace = [f]
     if L <= 0.0:
         return _finalize(qp, z, trace, True, 0, full_output)
@@ -380,15 +451,16 @@ def solve_qp(qp: QpInstance, init: LandmarkWeights | None = None,
     while iters < max_iter:
         burst_end = min(iters + 100, max_iter)
         stalled = False
+        g = qp.matvec(z)
         while iters < burst_end:
             iters += 1
-            g = Bq @ z
             t = t0
             accepted = False
             for _ in range(40):
                 z_new = _project(z - t * g, qp)
                 step_vec = z_new - z
-                f_new = _objective(Bq, z_new)
+                g_new = qp.matvec(z_new)
+                f_new = 0.5 * float(z_new @ g_new)
                 slack = 1e-12 * max(abs(f), 1.0e-30)
                 if f_new <= f + g @ step_vec + step_vec @ step_vec / (2.0 * t) + slack:
                     accepted = True
@@ -398,7 +470,7 @@ def solve_qp(qp: QpInstance, init: LandmarkWeights | None = None,
                 stalled = True
                 break
             rel_drop = (f - f_new) / max(abs(f), 1e-30)
-            z, f = z_new, f_new
+            z, f, g = z_new, f_new, g_new
             trace.append(f)
             if rel_drop < tol:
                 stalled = True

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lpjt import landmark
 from lpjt.landmark import (
     LandmarkWeights,
     QpInstance,
@@ -95,6 +96,84 @@ class TestBuildQp:
             assert abs(fd - grad[i]) <= 1e-6 * max(1.0, abs(fd))
 
 
+def dense_blocks(Z_s, Z_u, ys, yu, delta, C):
+    """K_ss and K_su from the explicit per-class formulas."""
+    n_s, n_u = Z_s.shape[1], Z_u.shape[1]
+    Gs = Z_s.T @ Z_s
+    Gsu = Z_s.T @ Z_u
+    K_ss = 2.0 * Gs / (delta**2 * n_s**2)
+    K_su = 2.0 * Gsu / (delta**2 * n_s * n_u)
+    for c in range(C):
+        si = np.flatnonzero(ys == c)
+        ui = np.flatnonzero(yu == c)
+        if si.size and ui.size:
+            K_ss[np.ix_(si, si)] += 2.0 * Gs[np.ix_(si, si)] / (delta**2 * si.size**2)
+            K_ss[si, si] += 2.0 * Gs[si, si] / (delta**2 * si.size)
+            K_su[np.ix_(si, ui)] += 4.0 * Gsu[np.ix_(si, ui)] / (delta**2 * si.size * ui.size)
+    return K_ss, K_su
+
+
+class TestFactoredOperators:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_products_match_dense_formulas(self, seed):
+        rng = np.random.default_rng(seed)
+        C = int(rng.integers(2, 5))
+        n_s, n_u = int(rng.integers(C + 1, 40)), int(rng.integers(C + 1, 40))
+        d = int(rng.integers(1, 5))
+        ys = rng.integers(0, C, n_s); ys[:C] = np.arange(C)
+        yu = rng.integers(0, C, n_u); yu[:C] = np.arange(C)
+        yu[yu == C - 1] = 0     # the last class is present in the source only
+        delta = float(rng.choice([0.3, 0.5, 0.8]))
+        Z_s = rng.normal(size=(d, n_s))
+        Z_u = rng.normal(size=(d, n_u))
+        qp = build_qp(Z_s, Z_u, ys, yu, delta, C)
+        K_ss, K_su = dense_blocks(Z_s, Z_u, ys, yu, delta, C)
+        a, b = rng.uniform(0, 1, n_s), rng.uniform(0, 1, n_u)
+        z = np.concatenate([a, b])
+
+        def close(got, want):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+        close(qp.kss_matvec(a), K_ss @ a)
+        close(qp.ksu_matvec(b), K_su @ b)
+        close(qp.ksu_rmatvec(a), K_su.T @ a)
+        close(qp.matvec(z), np.concatenate([K_ss @ a - K_su @ b, -K_su.T @ a]))
+
+        solve_qp(qp, full_output=True)
+        assert not {"Bq", "K_ss", "K_su"} & set(vars(qp))
+
+
+def plain_alpha_pass(qp, z, lin, step):
+    """Projected gradient on the alpha subproblem, without momentum."""
+    n_s = qp.n_s
+    a = z[:n_s].copy()
+    f_a = 0.5 * a @ qp.kss_matvec(a) + lin @ a
+    for _ in range(100):
+        full = z.copy()
+        full[:n_s] = a - step * (qp.kss_matvec(a) + lin)
+        a_new = landmark._project(full, qp, source_only=True)[:n_s]
+        f_new = 0.5 * a_new @ qp.kss_matvec(a_new) + lin @ a_new
+        if f_new > f_a - 1e-12 * max(abs(f_a), 1e-30):
+            return a_new if f_new < f_a else a
+        a, f_a = a_new, f_new
+    return a
+
+
+class TestAcceleratedAlphaPass:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_reaches_plain_gradient_objective(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed + 100)
+        C = int(rng.integers(2, 5))
+        qp, *_ = random_qp(seed + 100, n_s=int(rng.integers(100, 160)),
+                           n_u=int(rng.integers(100, 160)), C=C,
+                           d=int(rng.integers(1, 4)))
+        _, fast = solve_qp(qp, full_output=True)
+        monkeypatch.setattr(landmark, "_alpha_pass", plain_alpha_pass)
+        _, ref = solve_qp(qp, full_output=True)
+        f_fast, f_ref = fast["objective_trace"][-1], ref["objective_trace"][-1]
+        assert f_fast <= f_ref + 1e-9 * abs(f_ref)
+
+
 class TestSolveQp:
     def test_one_sample_per_class_fully_determined(self):
         qp, *_ = random_qp(4, n_s=2, n_u=2, C=2)
@@ -104,15 +183,13 @@ class TestSolveQp:
 
     def test_identity_quadratic_symmetric_optimum(self):
         # 1/2 (a1^2 + a2^2) s.t. mean = 0.5: optimum at (0.5, 0.5)
-        Bq = np.zeros((3, 3))
-        Bq[:2, :2] = np.eye(2)
         qp = QpInstance(
-            Bq=Bq,
+            F_s=np.zeros((1, 2)),
+            F_u=np.zeros((1, 1)),
+            diag_s=np.array([1.0, 1.0]),
             V=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
             G=np.array([1.0, 0.5]),
             delta=0.5,
-            n_s=2,
-            n_u=1,
             groups=((np.array([0, 1]), True), (np.array([2]), True)),
         )
         w = solve_qp(qp)
