@@ -14,7 +14,8 @@ from .core import (
     zscore_normalize,
 )
 from .eigsolve import EigProblem, EigSolution, SolverError, assemble_problem, kernelize, solve
-from .graph import WeightedGraph, build_intrinsic_graph, build_penalty_graph, laplacian
+from .graph import (WeightedGraph, build_intrinsic_graph, build_penalty_graph, laplacian,
+                    pairwise_sqdist)
 from .landmark import LandmarkWeights, QpInstance, build_qp, solve_qp
 from .labelprop import PropagationResult, classify, propagate, similarity_matrix
 from .mmd import MmdBlocks, MmdCoeffs, assemble_M, mmd_value, multisource_mmd
@@ -41,6 +42,7 @@ __all__ = [
     "build_intrinsic_graph",
     "build_penalty_graph",
     "laplacian",
+    "pairwise_sqdist",
     "LandmarkWeights",
     "QpInstance",
     "build_qp",

@@ -49,15 +49,12 @@ def _build_parser():
     for verb in ("fit", "predict", "eval", "trace"):
         p = sub.add_parser(verb)
         p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the config output_dir")
     return parser
 
 
 def _load_run(args) -> RunConfig:
     cfg = dataio.parse_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
     if args.out is not None:
         cfg.output_dir = args.out
     return cfg
@@ -114,7 +111,6 @@ def cmd_fit(args) -> int:
         hyper=cfg.hyper,
         mode=cfg.mode,
         init_strategy=cfg.init_strategy,
-        seed=cfg.seed,
         normalize=cfg.normalize,
         homogeneous=cfg.homogeneous,
         embed_norm=cfg.embed_norm,

@@ -209,7 +209,6 @@ _HYPER_KEYS = {
 }
 _RUN_KEYS = {
     "mode": str,
-    "seed": int,
     "normalize": str,
     "init_strategy": str,
     "homogeneous": bool,
@@ -228,7 +227,6 @@ KNOWN_KEYS = {**_HYPER_KEYS, **_RUN_KEYS}
 class RunConfig:
     hyper: Hyperparams
     mode: str = "unsupervised"
-    seed: int = 0
     normalize: str = "zscore"
     init_strategy: str = "labelprop_raw"
     homogeneous: bool = False

@@ -2,7 +2,9 @@
 
 The intrinsic graph connects nearest same-class pairs, the penalty graph
 nearest different-class pairs; both are weighted with the heat kernel
-exp(-||x_i - x_j||^2 / 2) and symmetrized by OR. Sandwiching a graph
+exp(-||x_i - x_j||^2 / 2) and symmetrized by OR. Every k-NN graph, label
+propagation's included, comes from `knn_heat_graph` given squared
+distances, which `fit` computes once per domain. Sandwiching a graph
 Laplacian between the data, S = X L X^T, turns the graph objective into a
 quadratic form in feature space.
 """
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import FeatureMatrix, Hyperparams, as_features
+from .core import Hyperparams, as_features
 
 
 @dataclass(frozen=True)
@@ -69,71 +71,73 @@ def heat_kernel_weight(x_i, x_j, connected: bool) -> float:
     return float(np.exp(-diff.dot(diff) / 2.0))
 
 
-def _heat_weights(sqdist):
-    return np.exp(-sqdist / 2.0)
+def pairwise_sqdist(X) -> np.ndarray:
+    """Squared Euclidean distances between all pairs of samples of X."""
+    X = as_features(X)
+    return cdist(X.data.T, X.data.T, "sqeuclidean")
 
 
-def _symmetrized_weights(sqdist, adjacency):
-    """OR-symmetrize a directed adjacency and weight the surviving edges."""
-    adj = adjacency | adjacency.T
+def knn_heat_graph(sqdist, allowed, k: int) -> np.ndarray:
+    """Heat-kernel weights of a masked k-nearest-neighbor graph.
+
+    Row i keeps its min(k, number of allowed pairs) nearest allowed columns,
+    ties to the lowest index as a stable sort would order them. The edges
+    are OR-symmetrized (an edge exists if either endpoint selected the
+    other), the diagonal is cleared and each edge weighted with
+    exp(-sqdist / 2).
+    """
+    sqdist = np.asarray(sqdist, dtype=np.float64)
+    n = sqdist.shape[0]
+    k = min(max(int(k), 0), n)
+    adj = np.zeros((n, n), dtype=bool)
+    if k > 0:
+        masked = np.where(allowed, sqdist, np.inf)
+        kth = np.partition(masked, k - 1, axis=1)[:, [k - 1]]
+        adj = masked < kth
+        tied = allowed & (masked == kth)
+        # rows with more ties at the k-th value than places left keep the
+        # lowest-index ones
+        take = k - adj.sum(axis=1)
+        over = np.flatnonzero(tied.sum(axis=1) > take)
+        tied[over] &= np.cumsum(tied[over], axis=1) <= take[over, None]
+        adj |= tied
+    adj |= adj.T
     np.fill_diagonal(adj, False)
-    W = np.where(adj, _heat_weights(sqdist), 0.0)
+    W = np.where(adj, np.exp(-sqdist / 2.0), 0.0)
     # exact symmetry: sqdist may differ across the diagonal by rounding
-    W = np.minimum(W, W.T)
-    return W
+    return np.minimum(W, W.T)
 
 
-def build_intrinsic_graph(X, labels, k_w: int) -> WeightedGraph:
+def _same_label(sqdist, labels) -> np.ndarray:
+    labels = np.asarray(labels, dtype=np.int64).ravel()
+    if labels.shape[0] != np.shape(sqdist)[0]:
+        raise ValueError("labels length must equal the sample count")
+    return labels[:, None] == labels[None, :]
+
+
+def build_intrinsic_graph(sqdist, labels, k_w: int) -> WeightedGraph:
     """Connect each sample to its k_w nearest same-label neighbors.
 
-    k_w is clamped per class to the class size minus one. Symmetrization is
-    by OR: an edge exists if either endpoint selected the other.
+    `sqdist` holds the squared distances between the samples. k_w is
+    clamped per class to the class size minus one.
     """
-    X = as_features(X)
-    labels = np.asarray(labels, dtype=np.int64).ravel()
-    if labels.shape[0] != X.n:
-        raise ValueError("labels length must equal the sample count")
-    n = X.n
-    sqdist = cdist(X.data.T, X.data.T, "sqeuclidean")
-    adj = np.zeros((n, n), dtype=bool)
-    for c in np.unique(labels):
-        idx = np.flatnonzero(labels == c)
-        if idx.size < 2:
-            continue
-        k = min(k_w, idx.size - 1)
-        sub = sqdist[np.ix_(idx, idx)].copy()
-        np.fill_diagonal(sub, np.inf)
-        order = np.argsort(sub, axis=1, kind="stable")[:, :k]
-        rows = np.repeat(idx, k)
-        adj[rows, idx[order].ravel()] = True
-    return WeightedGraph(_symmetrized_weights(sqdist, adj))
+    same = _same_label(sqdist, labels)
+    np.fill_diagonal(same, False)
+    return WeightedGraph(knn_heat_graph(sqdist, same, k_w))
 
 
-def build_penalty_graph(X, labels, k_b: int) -> WeightedGraph:
+def build_penalty_graph(sqdist, labels, k_b: int) -> WeightedGraph:
     """Connect each sample to its k_b nearest different-label neighbors.
 
-    With a single class present there are no cross-class pairs; an empty
-    graph flagged `degenerate` is returned and a warning is emitted.
+    `sqdist` holds the squared distances between the samples. With a single
+    class present there are no cross-class pairs; an empty graph flagged
+    `degenerate` is returned and a warning is emitted.
     """
-    X = as_features(X)
-    labels = np.asarray(labels, dtype=np.int64).ravel()
-    if labels.shape[0] != X.n:
-        raise ValueError("labels length must equal the sample count")
-    n = X.n
-    if np.unique(labels).size < 2:
+    same = _same_label(sqdist, labels)
+    if same.all():
         warnings.warn("penalty graph is empty: only one class present")
-        return WeightedGraph(np.zeros((n, n)), degenerate=True)
-    sqdist = cdist(X.data.T, X.data.T, "sqeuclidean")
-    masked = np.where(labels[:, None] != labels[None, :], sqdist, np.inf)
-    adj = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        candidates = np.flatnonzero(np.isfinite(masked[i]))
-        if candidates.size == 0:
-            continue
-        k = min(k_b, candidates.size)
-        order = np.argsort(masked[i, candidates], kind="stable")[:k]
-        adj[i, candidates[order]] = True
-    return WeightedGraph(_symmetrized_weights(sqdist, adj))
+        return WeightedGraph(np.zeros(same.shape), degenerate=True)
+    return WeightedGraph(knn_heat_graph(sqdist, ~same, k_b))
 
 
 def laplacian(G: WeightedGraph) -> np.ndarray:
@@ -142,23 +146,30 @@ def laplacian(G: WeightedGraph) -> np.ndarray:
     return np.diag(W.sum(axis=1)) - W
 
 
-def scatter_matrices(X_s, labels_s, X_u, pseudo_labels_u, hyper: Hyperparams) -> ScatterSet:
+def _sandwich(X, G: WeightedGraph) -> np.ndarray:
+    """Scatter matrix X L X^T of graph G over samples X, symmetrized."""
+    X = as_features(X)
+    S = X.data @ laplacian(G) @ X.data.T
+    return (S + S.T) / 2.0
+
+
+def locality_scatters(X, sqdist, labels, hyper: Hyperparams):
+    """(S_w, S_b) of one domain: its intrinsic and penalty graphs sandwiched."""
+    return (_sandwich(X, build_intrinsic_graph(sqdist, labels, hyper.k_w)),
+            _sandwich(X, build_penalty_graph(sqdist, labels, hyper.k_b)))
+
+
+def scatter_matrices(X_s, sqdist_s, labels_s, X_u, sqdist_u, pseudo_labels_u,
+                     hyper: Hyperparams) -> ScatterSet:
     """Build all four graph scatter matrices and the target covariance.
 
     Source graphs use the ground-truth labels, target graphs the current
-    pseudo labels. S_h_u = X_u (I - 11^T/n_u) X_u^T.
+    pseudo labels; `sqdist_*` are the squared distances within each domain
+    (`pairwise_sqdist`). S_h_u = X_u (I - 11^T/n_u) X_u^T.
     """
-    X_s = as_features(X_s)
     X_u = as_features(X_u)
-
-    def sandwich(X: FeatureMatrix, G: WeightedGraph):
-        S = X.data @ laplacian(G) @ X.data.T
-        return (S + S.T) / 2.0
-
-    S_w_s = sandwich(X_s, build_intrinsic_graph(X_s, labels_s, hyper.k_w))
-    S_b_s = sandwich(X_s, build_penalty_graph(X_s, labels_s, hyper.k_b))
-    S_w_u = sandwich(X_u, build_intrinsic_graph(X_u, pseudo_labels_u, hyper.k_w))
-    S_b_u = sandwich(X_u, build_penalty_graph(X_u, pseudo_labels_u, hyper.k_b))
+    S_w_s, S_b_s = locality_scatters(X_s, sqdist_s, labels_s, hyper)
+    S_w_u, S_b_u = locality_scatters(X_u, sqdist_u, pseudo_labels_u, hyper)
 
     centered = X_u.data - X_u.data.mean(axis=1, keepdims=True)
     S_h_u = centered @ centered.T

@@ -6,11 +6,13 @@ Y(t+1) = sigma * S * Y(t) + (1 - sigma) * Y(0), whose fixed point is
 per-iteration refresh, and as the final classifier in the learned subspace.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from . import graph
 from .core import FeatureMatrix, Hyperparams, LabeledDataset, as_features
 
 
@@ -21,32 +23,19 @@ class PropagationResult:
     iterations_used: int
 
 
-def similarity_matrix(Z, k: int, fully_connected: bool = False) -> np.ndarray:
+def similarity_matrix(Z, k: int) -> np.ndarray:
     """Normalized similarity S = D^{-1/2} W D^{-1/2} of a k-NN heat graph.
 
-    The k-NN adjacency is OR-symmetrized and weighted with
-    exp(-||z_i - z_j||^2 / 2). Nodes whose incident weights underflow to
-    zero end up with zero rows rather than NaNs.
+    W is `graph.knn_heat_graph` over every pair but self: OR-symmetrized
+    k-NN edges weighted with exp(-||z_i - z_j||^2 / 2). Nodes whose incident
+    weights underflow to zero end up with zero rows rather than NaNs.
     """
     Z = as_features(Z)
     n = Z.n
     if n < 2:
         raise ValueError("need at least two samples to build a graph")
     sqdist = cdist(Z.data.T, Z.data.T, "sqeuclidean")
-    if fully_connected:
-        adj = np.ones((n, n), dtype=bool)
-    else:
-        k = min(max(int(k), 0), n - 1)
-        adj = np.zeros((n, n), dtype=bool)
-        if k > 0:
-            masked = sqdist.copy()
-            np.fill_diagonal(masked, np.inf)
-            order = np.argsort(masked, axis=1, kind="stable")[:, :k]
-            adj[np.repeat(np.arange(n), k), order.ravel()] = True
-        adj |= adj.T
-    np.fill_diagonal(adj, False)
-    W = np.where(adj, np.exp(-sqdist / 2.0), 0.0)
-    W = np.minimum(W, W.T)
+    W = graph.knn_heat_graph(sqdist, ~np.eye(n, dtype=bool), k)
     deg = W.sum(axis=1)
     with np.errstate(divide="ignore"):
         dinv = np.where(deg > 0.0, 1.0 / np.sqrt(deg), 0.0)
@@ -92,7 +81,9 @@ def classify(train: LabeledDataset, test, hyper: Hyperparams) -> np.ndarray:
     """Propagate training labels to test samples over a joint graph.
 
     Both sets must live in the same (sub)space. Returns hard labels for the
-    test columns only.
+    test columns only. A test sample whose scores are all zero (no graph
+    path to a labeled sample, or weights that underflowed) gets class 0;
+    one RuntimeWarning reports how many did.
     """
     test = as_features(test)
     if train.features.dim != test.dim:
@@ -105,5 +96,12 @@ def classify(train: LabeledDataset, test, hyper: Hyperparams) -> np.ndarray:
     Y0 = np.zeros((joint.n, train.num_classes))
     Y0[np.arange(n_train), train.labels] = 1.0
     # the diffusion fixed point, evaluated directly; identical to iterating
-    Y = closed_form(S, Y0, hyper.sigma_lp)
-    return np.argmax(Y[n_train:], axis=1)
+    Y = closed_form(S, Y0, hyper.sigma_lp)[n_train:]
+    unreached = np.count_nonzero(~Y.any(axis=1))
+    if unreached:
+        warnings.warn(
+            f"{unreached} of {test.n} test samples have all-zero label scores "
+            "(no graph path to a labeled sample) and are given class 0",
+            RuntimeWarning,
+        )
+    return np.argmax(Y, axis=1)

@@ -49,7 +49,6 @@ class FitConfig:
     hyper: Hyperparams = field(default_factory=Hyperparams)
     mode: str = "unsupervised"
     init_strategy: str = "labelprop_raw"
-    seed: int = 0
     normalize: str = "zscore"
     homogeneous: bool = False
     embed_norm: bool = True
@@ -130,17 +129,6 @@ def _ratio_objective(sol: eigsolve.EigSolution) -> float:
     return sol.P.shape[1] / lam
 
 
-def _refresh_target_scatters(scat, Xu: FeatureMatrix, labels, hyper: Hyperparams):
-    W_w = graph.build_intrinsic_graph(Xu, labels, hyper.k_w)
-    W_b = graph.build_penalty_graph(Xu, labels, hyper.k_b)
-
-    def sandwich(G):
-        S = Xu.data @ graph.laplacian(G) @ Xu.data.T
-        return (S + S.T) / 2.0
-
-    return dataclasses.replace(scat, S_w_u=sandwich(W_w), S_b_u=sandwich(W_b))
-
-
 def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
         cfg: FitConfig | None = None) -> SubspaceModel:
     """Train projections A, B plus landmark weights on a transfer problem.
@@ -193,8 +181,11 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
         raise ValueError(f"subspace dim {hyper.d} exceeds d_s + d_t = {d_s + d_t}")
     homogeneous = cfg.homogeneous and d_s == d_t and Q_s is None and Q_u is None
 
+    # the graph distances of each domain, fixed for the whole fit
+    sqdist_s = graph.pairwise_sqdist(Xs)
+    sqdist_u = graph.pairwise_sqdist(Xu)
     weights = landmark.uniform_weights(n_s, n_u, hyper.delta)
-    scat = graph.scatter_matrices(Xs, y_s, Xu, labels_cur, hyper)
+    scat = graph.scatter_matrices(Xs, sqdist_s, y_s, Xu, sqdist_u, labels_cur, hyper)
     coeffs = mmd.build_coeffs(weights.alpha, weights.beta, y_s, labels_cur,
                               hyper.delta, C)
     blocks = mmd.assemble_M(Xs, Xu, coeffs)
@@ -216,7 +207,8 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
         ):
             # damping: keep the previous pseudo labels for this iteration
             labels_cur = labels_prev
-            scat = _refresh_target_scatters(scat, Xu, labels_cur, hyper)
+            S_w_u, S_b_u = graph.locality_scatters(Xu, sqdist_u, labels_cur, hyper)
+            scat = dataclasses.replace(scat, S_w_u=S_w_u, S_b_u=S_b_u)
             coeffs = mmd.build_coeffs(weights.alpha, weights.beta, y_s,
                                       labels_cur, hyper.delta, C)
             blocks = mmd.assemble_M(Xs, Xu, coeffs)
@@ -252,7 +244,8 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
 
         labels_prev = labels_cur
         labels_cur = new_labels
-        scat = _refresh_target_scatters(scat, Xu, labels_cur, hyper)
+        S_w_u, S_b_u = graph.locality_scatters(Xu, sqdist_u, labels_cur, hyper)
+        scat = dataclasses.replace(scat, S_w_u=S_w_u, S_b_u=S_b_u)
         coeffs = mmd.build_coeffs(weights.alpha, weights.beta, y_s, labels_cur,
                                   hyper.delta, C)
         blocks = mmd.assemble_M(Xs, Xu, coeffs)

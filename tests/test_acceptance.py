@@ -16,6 +16,7 @@ from lpjt.graph import (
     build_intrinsic_graph,
     build_penalty_graph,
     laplacian,
+    pairwise_sqdist,
     scatter_matrices,
 )
 from lpjt.labelprop import closed_form, propagate, similarity_matrix
@@ -272,13 +273,14 @@ def test_08_kernel_consistency():
         beta = rng.uniform(0.2, 1.0, n_u)
         hyper = Hyperparams(gamma=0.2, mu=0.3, eps_reg=1e-10, kernel="linear")
         coeffs = build_coeffs(alpha, beta, ys, yu, 0.5, C)
-        scat = scatter_matrices(X_s, ys, X_u, yu, hyper)
+        scat = scatter_matrices(X_s, pairwise_sqdist(X_s), ys,
+                                X_u, pairwise_sqdist(X_u), yu, hyper)
         primal = assemble_problem(assemble_M(X_s, X_u, coeffs), scat, hyper)
         laps = (
-            laplacian(build_intrinsic_graph(X_s, ys, hyper.k_w)),
-            laplacian(build_penalty_graph(X_s, ys, hyper.k_b)),
-            laplacian(build_intrinsic_graph(X_u, yu, hyper.k_w)),
-            laplacian(build_penalty_graph(X_u, yu, hyper.k_b)),
+            laplacian(build_intrinsic_graph(pairwise_sqdist(X_s), ys, hyper.k_w)),
+            laplacian(build_penalty_graph(pairwise_sqdist(X_s), ys, hyper.k_b)),
+            laplacian(build_intrinsic_graph(pairwise_sqdist(X_u), yu, hyper.k_w)),
+            laplacian(build_penalty_graph(pairwise_sqdist(X_u), yu, hyper.k_b)),
         )
         dual = kernelize(X_s, X_u, "linear", coeffs, laps, hyper)
         lam_p = solve(primal, d).eigenvalues

@@ -112,6 +112,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="not_a_key"):
             parse_config(path)
 
+    def test_seed_is_not_an_option(self, tmp_path):
+        path = write_config(tmp_path / "c.cfg", seed=1)
+        with pytest.raises(ConfigError, match="unknown key 'seed'"):
+            parse_config(path)
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--config", path, "--seed", "1"])
+        assert exc.value.code == 2
+
     def test_values_typed(self, tmp_path):
         path = write_config(tmp_path / "c.cfg", gamma=0.25, d=7, mode="semisupervised",
                             lambda_couple="auto", homogeneous="true")

@@ -8,31 +8,47 @@ from lpjt.graph import (
     build_penalty_graph,
     heat_kernel_weight,
     laplacian,
+    pairwise_sqdist,
     scatter_matrices,
 )
 
 
-def brute_force_same_label(X, labels, k):
-    """O(n^2) reference: k nearest same-label neighbors, OR-symmetrized."""
+def brute_force_knn(X, k, connects):
+    """O(n^2) reference: each sample's k nearest candidates j with
+    connects(i, j), equal distances to the lower index, OR-symmetrized."""
     n = X.shape[1]
     adj = np.zeros((n, n), dtype=bool)
     for i in range(n):
-        cand = [j for j in range(n) if j != i and labels[j] == labels[i]]
+        cand = [j for j in range(n) if connects(i, j)]
         cand.sort(key=lambda j: (np.sum((X[:, i] - X[:, j]) ** 2), j))
         for j in cand[:k]:
             adj[i, j] = adj[j, i] = True
     return adj
+
+
+def brute_force_same_label(X, labels, k):
+    return brute_force_knn(X, k, lambda i, j: j != i and labels[j] == labels[i])
 
 
 def brute_force_diff_label(X, labels, k):
-    n = X.shape[1]
-    adj = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        cand = [j for j in range(n) if labels[j] != labels[i]]
-        cand.sort(key=lambda j: (np.sum((X[:, i] - X[:, j]) ** 2), j))
-        for j in cand[:k]:
-            adj[i, j] = adj[j, i] = True
-    return adj
+    return brute_force_knn(X, k, lambda i, j: labels[j] != labels[i])
+
+
+def tie_heavy_instance(kind, seed, n=24):
+    """Inputs whose distances tie exactly: points on a small integer grid,
+    or every point repeated three times; labels include singleton classes."""
+    rng = np.random.default_rng(seed)
+    if kind == "grid":
+        X = rng.integers(0, 3, size=(2, n)).astype(float)
+    else:
+        X = np.repeat(rng.integers(-2, 3, size=(2, n // 3)).astype(float), 3, axis=1)
+    labels = rng.integers(0, 3, n)
+    labels[:2] = [3, 4]     # two singleton classes
+    return X, labels
+
+
+TIE_CASES = [(kind, seed, k) for kind in ("grid", "duplicates")
+             for seed in range(3) for k in (1, 2, 4, 30)]
 
 
 class TestHeatKernel:
@@ -54,19 +70,19 @@ class TestHeatKernel:
 class TestIntrinsicGraph:
     def test_two_samples_same_label(self):
         X = np.array([[0.0, 1.0]])
-        g = build_intrinsic_graph(X, [0, 0], k_w=1)
+        g = build_intrinsic_graph(pairwise_sqdist(X), [0, 0], k_w=1)
         assert_allclose(g.W[0, 1], np.exp(-0.5))
         assert g.W[0, 0] == 0.0
 
     def test_two_samples_different_labels(self):
-        g = build_intrinsic_graph(np.array([[0.0, 1.0]]), [0, 1], k_w=1)
+        g = build_intrinsic_graph(pairwise_sqdist(np.array([[0.0, 1.0]])), [0, 1], k_w=1)
         assert np.all(g.W == 0.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(2, 6))
         labels = np.array([0, 0, 0, 1, 1, 1])
-        g = build_intrinsic_graph(X, labels, k_w=1)
+        g = build_intrinsic_graph(pairwise_sqdist(X), labels, k_w=1)
         assert np.array_equal(g.W > 0, brute_force_same_label(X, labels, 1))
 
     @pytest.mark.parametrize("seed", range(5))
@@ -74,19 +90,30 @@ class TestIntrinsicGraph:
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(3, 20))
         labels = rng.integers(0, 3, 20)
-        g = build_intrinsic_graph(X, labels, k_w=2)
+        g = build_intrinsic_graph(pairwise_sqdist(X), labels, k_w=2)
         assert np.array_equal(g.W > 0, brute_force_same_label(X, labels, 2))
+
+    @pytest.mark.parametrize("kind,seed,k", TIE_CASES)
+    def test_tie_rule_matches_brute_force(self, kind, seed, k):
+        # k = 30 exceeds every class's candidate count
+        X, labels = tie_heavy_instance(kind, seed)
+        D = pairwise_sqdist(X)
+        g = build_intrinsic_graph(D, labels, k_w=k)
+        adj = brute_force_same_label(X, labels, k)
+        assert np.array_equal(g.W > 0, adj)
+        assert np.array_equal(g.W[adj], np.exp(-D[adj] / 2.0))
+        assert not g.W[:2].any()    # singleton classes stay isolated
 
     def test_k_clamped_to_class_size(self):
         X = np.array([[0.0, 1.0, 2.0]])
-        g = build_intrinsic_graph(X, [0, 0, 0], k_w=10)
+        g = build_intrinsic_graph(pairwise_sqdist(X), [0, 0, 0], k_w=10)
         assert np.count_nonzero(g.W) > 0   # no crash, edges capped at n_c - 1
 
     def test_edges_only_within_classes(self):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(2, 15))
         labels = rng.integers(0, 2, 15)
-        g = build_intrinsic_graph(X, labels, k_w=3)
+        g = build_intrinsic_graph(pairwise_sqdist(X), labels, k_w=3)
         for i in range(15):
             for j in range(15):
                 if g.W[i, j] > 0:
@@ -95,12 +122,12 @@ class TestIntrinsicGraph:
 
 class TestPenaltyGraph:
     def test_two_samples_one_edge(self):
-        g = build_penalty_graph(np.array([[0.0, 1.0]]), [0, 1], k_b=1)
+        g = build_penalty_graph(pairwise_sqdist(np.array([[0.0, 1.0]])), [0, 1], k_b=1)
         assert g.W[0, 1] > 0
 
     def test_single_class_empty_with_warning(self):
         with pytest.warns(UserWarning, match="one class"):
-            g = build_penalty_graph(np.array([[0.0, 1.0]]), [0, 0], k_b=1)
+            g = build_penalty_graph(pairwise_sqdist(np.array([[0.0, 1.0]])), [0, 0], k_b=1)
         assert g.degenerate and np.all(g.W == 0.0)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -108,14 +135,24 @@ class TestPenaltyGraph:
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(2, 6))
         labels = np.array([0, 1, 0, 1, 0, 1])
-        g = build_penalty_graph(X, labels, k_b=1)
+        g = build_penalty_graph(pairwise_sqdist(X), labels, k_b=1)
         assert np.array_equal(g.W > 0, brute_force_diff_label(X, labels, 1))
+
+    @pytest.mark.parametrize("kind,seed,k", TIE_CASES)
+    def test_tie_rule_matches_brute_force(self, kind, seed, k):
+        # k = 30 exceeds every sample's candidate count
+        X, labels = tie_heavy_instance(kind, seed)
+        D = pairwise_sqdist(X)
+        g = build_penalty_graph(D, labels, k_b=k)
+        adj = brute_force_diff_label(X, labels, k)
+        assert np.array_equal(g.W > 0, adj)
+        assert np.array_equal(g.W[adj], np.exp(-D[adj] / 2.0))
 
     def test_edges_only_across_classes(self):
         rng = np.random.default_rng(12)
         X = rng.normal(size=(2, 15))
         labels = rng.integers(0, 3, 15)
-        g = build_penalty_graph(X, labels, k_b=2)
+        g = build_penalty_graph(pairwise_sqdist(X), labels, k_b=2)
         for i in range(15):
             for j in range(15):
                 if g.W[i, j] > 0:
@@ -124,18 +161,20 @@ class TestPenaltyGraph:
 
 class TestLaplacian:
     def test_single_edge(self):
-        g = build_intrinsic_graph(np.array([[0.0, 0.0]]), [0, 0], k_w=1)
+        g = build_intrinsic_graph(pairwise_sqdist(np.array([[0.0, 0.0]])), [0, 0], k_w=1)
         assert_allclose(laplacian(g), np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
     def test_annihilates_ones(self):
         rng = np.random.default_rng(4)
-        g = build_intrinsic_graph(rng.normal(size=(3, 10)), np.zeros(10, int), k_w=3)
+        X = rng.normal(size=(3, 10))
+        g = build_intrinsic_graph(pairwise_sqdist(X), np.zeros(10, int), k_w=3)
         L = laplacian(g)
         assert np.max(np.abs(L @ np.ones(10))) <= 1e-12
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(5)
-        g = build_intrinsic_graph(rng.normal(size=(2, 8)), np.zeros(8, int), k_w=3)
+        X = rng.normal(size=(2, 8))
+        g = build_intrinsic_graph(pairwise_sqdist(X), np.zeros(8, int), k_w=3)
         assert np.linalg.eigvalsh(laplacian(g)).min() >= -1e-10
 
 
@@ -155,20 +194,23 @@ class TestScatterMatrices:
         X_u = rng.normal(size=(3, 10))
         X_u -= X_u.mean(axis=1, keepdims=True)
         X_s, ys, _, yu = self._build()
-        S = scatter_matrices(X_s, ys, X_u, yu[:10], Hyperparams())
+        S = scatter_matrices(X_s, pairwise_sqdist(X_s), ys, X_u, pairwise_sqdist(X_u), yu[:10],
+                             Hyperparams())
         assert_allclose(S.S_h_u, X_u @ X_u.T, atol=1e-10)
 
     def test_single_target_sample_zero_covariance(self):
         X_s, ys, _, _ = self._build()
         with pytest.warns(UserWarning):
-            S = scatter_matrices(X_s, ys, np.ones((4, 1)), [0], Hyperparams())
+            S = scatter_matrices(X_s, pairwise_sqdist(X_s), ys, np.ones((4, 1)), np.zeros((1, 1)),
+                                 [0], Hyperparams())
         assert_allclose(S.S_h_u, 0.0)
 
     def test_covariance_against_two_pass_oracle(self):
         rng = np.random.default_rng(14)
         X_u = rng.normal(size=(4, 12))
         X_s, ys, _, yu = self._build()
-        S = scatter_matrices(X_s, ys, X_u, yu, Hyperparams())
+        S = scatter_matrices(X_s, pairwise_sqdist(X_s), ys, X_u, pairwise_sqdist(X_u), yu,
+                             Hyperparams())
         mean = X_u.mean(axis=1)
         oracle = sum(
             np.outer(X_u[:, j] - mean, X_u[:, j] - mean) for j in range(12)
@@ -177,7 +219,8 @@ class TestScatterMatrices:
 
     def test_all_symmetric_and_psd(self):
         X_s, ys, X_u, yu = self._build(seed=15)
-        S = scatter_matrices(X_s, ys, X_u, yu, Hyperparams())
+        S = scatter_matrices(X_s, pairwise_sqdist(X_s), ys, X_u, pairwise_sqdist(X_u), yu,
+                             Hyperparams())
         for M in (S.S_w_s, S.S_b_s, S.S_w_u, S.S_b_u, S.S_h_u):
             assert np.max(np.abs(M - M.T)) <= 1e-10
             assert np.linalg.eigvalsh(M).min() >= -1e-8

@@ -6,6 +6,19 @@ from lpjt.core import FeatureMatrix, Hyperparams, LabeledDataset
 from lpjt.labelprop import classify, closed_form, propagate, similarity_matrix
 
 
+def brute_force_any_pair(Z, k):
+    """O(n^2) reference: each sample's k nearest other samples, equal
+    distances to the lower index, OR-symmetrized."""
+    n = Z.shape[1]
+    adj = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        cand = sorted((j for j in range(n) if j != i),
+                      key=lambda j: (np.sum((Z[:, i] - Z[:, j]) ** 2), j))
+        for j in cand[:k]:
+            adj[i, j] = adj[j, i] = True
+    return adj
+
+
 def random_similarity(rng, n, k=3):
     Z = rng.normal(size=(2, n))
     return similarity_matrix(Z, k)
@@ -34,11 +47,17 @@ class TestSimilarityMatrix:
         assert np.all(np.diagonal(S) == 0.0)
         assert_allclose(S, S.T)
 
-    def test_fully_connected_option(self):
-        rng = np.random.default_rng(6)
-        S = similarity_matrix(rng.normal(size=(2, 6)), k=1, fully_connected=True)
-        off_diag = S[~np.eye(6, dtype=bool)]
-        assert np.all(off_diag > 0.0)
+    @pytest.mark.parametrize("k", [1, 2, 4, 30])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", ["grid", "duplicates"])
+    def test_tie_rule_matches_brute_force(self, kind, seed, k):
+        # exact distance ties; k = 30 exceeds the 23 candidates per sample
+        rng = np.random.default_rng(seed)
+        if kind == "grid":
+            Z = rng.integers(0, 3, size=(2, 24)).astype(float)
+        else:
+            Z = np.repeat(rng.integers(-2, 3, size=(2, 8)).astype(float), 3, axis=1)
+        assert np.array_equal(similarity_matrix(Z, k) > 0, brute_force_any_pair(Z, k))
 
     def test_single_sample_rejected(self):
         with pytest.raises(ValueError):
@@ -152,6 +171,15 @@ class TestClassify:
         )
         pred = classify(train, np.array([[0.0]]), self._hyper(k_w=2))
         assert pred[0] == 0
+
+    def test_unreachable_samples_warned(self):
+        # the test points are too far for any heat weight to the training
+        # points: their scores are all zero and argmax makes them class 0,
+        # a class no training sample has
+        train = LabeledDataset(FeatureMatrix(np.array([[0.0, 1.0, 2.0]])), [2, 2, 1], 3)
+        with pytest.warns(RuntimeWarning, match="2 of 2 test samples"):
+            pred = classify(train, np.array([[100.0, 101.0]]), self._hyper())
+        assert np.array_equal(pred, [0, 0])
 
     def test_dimension_mismatch(self):
         train = LabeledDataset(FeatureMatrix(np.ones((3, 4))), [0, 1, 0, 1], 2)

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.spatial.distance import cdist
 
+from lpjt import graph
 from lpjt.core import FeatureMatrix, Hyperparams, LabeledDataset, SubspaceModel
 from lpjt.dataio import synth_gauss_shift, synth_hetero_map, synth_rotated
 from lpjt.landmark import check_feasible
@@ -42,6 +43,19 @@ class TestFitBasics:
         assert model.trace.mmd.shape == (3,)
         assert model.trace.label_changes.shape == (3,)
 
+    def test_graph_distances_computed_once_per_domain(self, monkeypatch):
+        calls = []
+
+        def counting_cdist(*args, **kwargs):
+            calls.append(args[0].shape)
+            return cdist(*args, **kwargs)
+
+        monkeypatch.setattr(graph, "cdist", counting_cdist)
+        Xs, ys, Xt, _ = synth_rotated(20, 3, 0)
+        src = LabeledDataset(FeatureMatrix(Xs), ys, 3)
+        fit(src, Xt, None, FitConfig(hyper=Hyperparams(d=2, T=3)))
+        assert calls == [(60, 2), (60, 2)]
+
     def test_final_weights_feasible(self):
         Xs, ys, Xt, _ = synth_rotated(30, 3, 0)
         src = LabeledDataset(FeatureMatrix(Xs), ys, 3)
@@ -52,7 +66,7 @@ class TestFitBasics:
     def test_deterministic_given_inputs(self):
         Xs, ys, Xt, _ = synth_rotated(30, 3, 1)
         src = LabeledDataset(FeatureMatrix(Xs), ys, 3)
-        cfg = FitConfig(hyper=Hyperparams(d=2, T=2), seed=7)
+        cfg = FitConfig(hyper=Hyperparams(d=2, T=2))
         m1 = fit(src, Xt, None, cfg)
         m2 = fit(src, Xt, None, cfg)
         assert np.array_equal(m1.A, m2.A)
