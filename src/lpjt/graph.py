@@ -4,15 +4,18 @@ The intrinsic graph connects nearest same-class pairs, the penalty graph
 nearest different-class pairs; both are weighted with the heat kernel
 exp(-||x_i - x_j||^2 / 2) and symmetrized by OR. Every k-NN graph, label
 propagation's included, comes from `knn_heat_graph` given squared
-distances, which `fit` computes once per domain. Sandwiching a graph
-Laplacian between the data, S = X L X^T, turns the graph objective into a
-quadratic form in feature space.
+distances, which `fit` computes once per domain. The builder returns a
+sparse CSR array; the locality graphs are densified per domain, label
+propagation keeps it sparse. Sandwiching a graph Laplacian between the
+data, S = X L X^T, turns the graph objective into a quadratic form in
+feature space.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
 from .core import Hyperparams, as_features
@@ -59,32 +62,20 @@ class ScatterSet:
     S_h_u: np.ndarray
 
 
-def heat_kernel_weight(x_i, x_j, connected: bool) -> float:
-    """Edge weight exp(-||x_i - x_j||^2 / 2) if connected, else 0."""
-    x_i = np.asarray(x_i, dtype=np.float64).ravel()
-    x_j = np.asarray(x_j, dtype=np.float64).ravel()
-    if x_i.shape != x_j.shape:
-        raise ValueError("vectors must have the same length")
-    if not connected:
-        return 0.0
-    diff = x_i - x_j
-    return float(np.exp(-diff.dot(diff) / 2.0))
-
-
 def pairwise_sqdist(X) -> np.ndarray:
     """Squared Euclidean distances between all pairs of samples of X."""
     X = as_features(X)
     return cdist(X.data.T, X.data.T, "sqeuclidean")
 
 
-def knn_heat_graph(sqdist, allowed, k: int) -> np.ndarray:
-    """Heat-kernel weights of a masked k-nearest-neighbor graph.
+def knn_heat_graph(sqdist, allowed, k: int) -> sp.csr_array:
+    """Heat-kernel weights of a masked k-nearest-neighbor graph, as CSR.
 
     Row i keeps its min(k, number of allowed pairs) nearest allowed columns,
     ties to the lowest index as a stable sort would order them. The edges
     are OR-symmetrized (an edge exists if either endpoint selected the
     other), the diagonal is cleared and each edge weighted with
-    exp(-sqdist / 2).
+    exp(-sqdist / 2). Only the selected pairs are stored.
     """
     sqdist = np.asarray(sqdist, dtype=np.float64)
     n = sqdist.shape[0]
@@ -103,9 +94,12 @@ def knn_heat_graph(sqdist, allowed, k: int) -> np.ndarray:
         adj |= tied
     adj |= adj.T
     np.fill_diagonal(adj, False)
-    W = np.where(adj, np.exp(-sqdist / 2.0), 0.0)
+    rows, cols = np.nonzero(adj)
     # exact symmetry: sqdist may differ across the diagonal by rounding
-    return np.minimum(W, W.T)
+    weights = np.minimum(np.exp(-sqdist[rows, cols] / 2.0),
+                         np.exp(-sqdist[cols, rows] / 2.0))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return sp.csr_array((weights, cols, indptr), shape=(n, n))
 
 
 def _same_label(sqdist, labels) -> np.ndarray:
@@ -123,7 +117,7 @@ def build_intrinsic_graph(sqdist, labels, k_w: int) -> WeightedGraph:
     """
     same = _same_label(sqdist, labels)
     np.fill_diagonal(same, False)
-    return WeightedGraph(knn_heat_graph(sqdist, same, k_w))
+    return WeightedGraph(knn_heat_graph(sqdist, same, k_w).toarray())
 
 
 def build_penalty_graph(sqdist, labels, k_b: int) -> WeightedGraph:
@@ -137,7 +131,7 @@ def build_penalty_graph(sqdist, labels, k_b: int) -> WeightedGraph:
     if same.all():
         warnings.warn("penalty graph is empty: only one class present")
         return WeightedGraph(np.zeros(same.shape), degenerate=True)
-    return WeightedGraph(knn_heat_graph(sqdist, ~same, k_b))
+    return WeightedGraph(knn_heat_graph(sqdist, ~same, k_b).toarray())
 
 
 def laplacian(G: WeightedGraph) -> np.ndarray:

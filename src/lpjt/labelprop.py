@@ -4,12 +4,15 @@ Labels diffuse over a normalized similarity graph by iterating
 Y(t+1) = sigma * S * Y(t) + (1 - sigma) * Y(0), whose fixed point is
 (1 - sigma) (I - sigma S)^{-1} Y(0). Used for pseudo-label initialization,
 per-iteration refresh, and as the final classifier in the learned subspace.
+S stays sparse from the k-NN graph to the fixed-point solve.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 from scipy.spatial.distance import cdist
 
 from . import graph
@@ -23,12 +26,14 @@ class PropagationResult:
     iterations_used: int
 
 
-def similarity_matrix(Z, k: int) -> np.ndarray:
+def similarity_matrix(Z, k: int) -> sp.csr_array:
     """Normalized similarity S = D^{-1/2} W D^{-1/2} of a k-NN heat graph.
 
     W is `graph.knn_heat_graph` over every pair but self: OR-symmetrized
-    k-NN edges weighted with exp(-||z_i - z_j||^2 / 2). Nodes whose incident
-    weights underflow to zero end up with zero rows rather than NaNs.
+    k-NN edges weighted with exp(-||z_i - z_j||^2 / 2). S is returned as a
+    `scipy.sparse` CSR array with W's sparsity pattern (at most 2k nonzeros
+    per row), exactly symmetric. Nodes whose incident weights underflow to
+    zero end up with zero rows rather than NaNs.
     """
     Z = as_features(Z)
     n = Z.n
@@ -36,10 +41,13 @@ def similarity_matrix(Z, k: int) -> np.ndarray:
         raise ValueError("need at least two samples to build a graph")
     sqdist = cdist(Z.data.T, Z.data.T, "sqeuclidean")
     W = graph.knn_heat_graph(sqdist, ~np.eye(n, dtype=bool), k)
-    deg = W.sum(axis=1)
+    rows = np.repeat(np.arange(n), np.diff(W.indptr))
+    deg = np.bincount(rows, weights=W.data, minlength=n)
     with np.errstate(divide="ignore"):
         dinv = np.where(deg > 0.0, 1.0 / np.sqrt(deg), 0.0)
-    return dinv[:, None] * W * dinv[None, :]
+    # dinv_i * dinv_j first, so that S is exactly symmetric
+    W.data *= dinv[rows] * dinv[W.indices]
+    return W
 
 
 def propagate(S, Y0, sigma: float, tol: float = 1e-9, max_iter: int = 1000) -> PropagationResult:
@@ -47,11 +55,11 @@ def propagate(S, Y0, sigma: float, tol: float = 1e-9, max_iter: int = 1000) -> P
 
     Stops when the max-norm update falls below `tol` or after `max_iter`
     sweeps. Y0 holds one-hot rows for labeled samples and zero rows for
-    unlabeled ones.
+    unlabeled ones. S may be dense or `scipy.sparse`.
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError("sigma must lie in (0, 1)")
-    S = np.asarray(S, dtype=np.float64)
+    S = sp.csr_array(S, dtype=np.float64)
     Y0 = np.asarray(Y0, dtype=np.float64)
     Y = Y0.copy()
     base = (1.0 - sigma) * Y0
@@ -70,11 +78,17 @@ def propagate(S, Y0, sigma: float, tol: float = 1e-9, max_iter: int = 1000) -> P
 
 
 def closed_form(S, Y0, sigma: float) -> np.ndarray:
-    """Fixed point (1 - sigma) (I - sigma S)^{-1} Y0 by direct solve."""
-    S = np.asarray(S, dtype=np.float64)
+    """Fixed point (1 - sigma) (I - sigma S)^{-1} Y0 by direct solve.
+
+    S may be dense or `scipy.sparse`; I - sigma S is factored by a sparse
+    LU (SuperLU), so a k-NN graph costs about its nonzeros plus fill, not
+    n^3.
+    """
+    S = sp.csc_array(S, dtype=np.float64)
     Y0 = np.asarray(Y0, dtype=np.float64)
     n = S.shape[0]
-    return (1.0 - sigma) * np.linalg.solve(np.eye(n) - sigma * S, Y0)
+    lu = splu(sp.identity(n, format="csc") - sigma * S)
+    return (1.0 - sigma) * lu.solve(Y0)
 
 
 def classify(train: LabeledDataset, test, hyper: Hyperparams) -> np.ndarray:

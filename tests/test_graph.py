@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from lpjt.core import Hyperparams
 from lpjt.graph import (
     build_intrinsic_graph,
     build_penalty_graph,
-    heat_kernel_weight,
+    knn_heat_graph,
     laplacian,
     pairwise_sqdist,
     scatter_matrices,
@@ -51,20 +52,30 @@ TIE_CASES = [(kind, seed, k) for kind in ("grid", "duplicates")
              for seed in range(3) for k in (1, 2, 4, 30)]
 
 
-class TestHeatKernel:
-    def test_coincident_points(self):
-        assert heat_kernel_weight([1.0, 2.0], [1.0, 2.0], True) == 1.0
+class TestKnnHeatGraph:
+    @staticmethod
+    def dense_heat_graph(sqdist, adj):
+        """The dense weighting the sparse builder replaced."""
+        W = np.where(adj, np.exp(-sqdist / 2.0), 0.0)
+        return np.minimum(W, W.T)
 
-    def test_squared_distance_two(self):
-        w = heat_kernel_weight([0.0, 0.0], [1.0, 1.0], True)
-        assert_allclose(w, np.exp(-1.0), rtol=1e-12)
-
-    def test_disconnected_is_zero(self):
-        assert heat_kernel_weight([0.0], [5.0], False) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            heat_kernel_weight([0.0], [0.0, 1.0], True)
+    @pytest.mark.parametrize("mask", ["same", "diff", "any"])
+    @pytest.mark.parametrize("kind,seed,k", TIE_CASES)
+    def test_csr_equals_dense_formula(self, kind, seed, k, mask):
+        X, labels = tie_heavy_instance(kind, seed)
+        same = labels[:, None] == labels[None, :]
+        off = ~np.eye(labels.size, dtype=bool)
+        allowed, connects = {
+            "same": (same & off, lambda i, j: j != i and labels[j] == labels[i]),
+            "diff": (~same, lambda i, j: labels[j] != labels[i]),
+            "any": (off, lambda i, j: j != i),
+        }[mask]
+        D = pairwise_sqdist(X)
+        W = knn_heat_graph(D, allowed, k)
+        assert isinstance(W, sp.csr_array) and W.has_canonical_format
+        expected = self.dense_heat_graph(D, brute_force_knn(X, k, connects))
+        assert W.nnz == np.count_nonzero(expected)
+        assert np.array_equal(W.toarray(), expected)
 
 
 class TestIntrinsicGraph:

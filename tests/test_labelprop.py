@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from lpjt.core import FeatureMatrix, Hyperparams, LabeledDataset
@@ -24,26 +25,32 @@ def random_similarity(rng, n, k=3):
     return similarity_matrix(Z, k)
 
 
+def dense_closed_form(S, Y0, sigma):
+    """Reference fixed point by a dense LU on the densified graph."""
+    n = S.shape[0]
+    return (1.0 - sigma) * np.linalg.solve(np.eye(n) - sigma * S.toarray(), Y0)
+
+
 class TestSimilarityMatrix:
     def test_two_identical_points(self):
-        S = similarity_matrix(np.zeros((2, 2)), k=1)
+        S = similarity_matrix(np.zeros((2, 2)), k=1).toarray()
         assert_allclose(S, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_underflowed_weights_leave_zero_rows(self):
         # distance so large that exp(-d^2/2) underflows to exactly 0
         Z = np.array([[0.0, 60.0]])
-        S = similarity_matrix(Z, k=1)
+        S = similarity_matrix(Z, k=1).toarray()
         assert np.all(S == 0.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_spectral_radius_at_most_one(self, seed):
         rng = np.random.default_rng(seed)
-        S = random_similarity(rng, 10)
+        S = random_similarity(rng, 10).toarray()
         assert np.abs(np.linalg.eigvalsh(S)).max() <= 1.0 + 1e-10
 
     def test_zero_diagonal_and_symmetry(self):
         rng = np.random.default_rng(5)
-        S = random_similarity(rng, 12, k=4)
+        S = random_similarity(rng, 12, k=4).toarray()
         assert np.all(np.diagonal(S) == 0.0)
         assert_allclose(S, S.T)
 
@@ -57,11 +64,59 @@ class TestSimilarityMatrix:
             Z = rng.integers(0, 3, size=(2, 24)).astype(float)
         else:
             Z = np.repeat(rng.integers(-2, 3, size=(2, 8)).astype(float), 3, axis=1)
-        assert np.array_equal(similarity_matrix(Z, k) > 0, brute_force_any_pair(Z, k))
+        assert np.array_equal(similarity_matrix(Z, k).toarray() > 0, brute_force_any_pair(Z, k))
 
     def test_single_sample_rejected(self):
         with pytest.raises(ValueError):
             similarity_matrix(np.ones((2, 1)), k=1)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sparse_structure(self, seed, k):
+        rng = np.random.default_rng(seed)
+        n = 40
+        S = random_similarity(rng, n, k)
+        assert isinstance(S, sp.csr_array)
+        assert S.nnz <= 2 * k * n
+        assert np.all(S.diagonal() == 0.0)
+        assert (S != S.T).nnz == 0
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("sigma", [0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_solve_on_random_graphs(self, seed, sigma):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 80))
+        S = random_similarity(rng, n, k=int(rng.integers(1, 6)))
+        Y0 = np.zeros((n, 3))
+        labeled = rng.choice(n, size=max(1, n // 4), replace=False)
+        Y0[labeled, rng.integers(0, 3, labeled.size)] = 1.0
+        assert_allclose(closed_form(S, Y0, sigma), dense_closed_form(S, Y0, sigma),
+                        rtol=0, atol=1e-12)
+
+    def test_disconnected_components(self):
+        # three 6-point clusters too far apart for any 2-NN edge between
+        # them; the last cluster holds no labeled sample
+        rng = np.random.default_rng(8)
+        Z = np.hstack([rng.normal(size=(2, 6)) + 100.0 * c for c in range(3)])
+        S = similarity_matrix(Z, k=2)
+        Y0 = np.zeros((18, 2))
+        Y0[0, 0] = Y0[6, 1] = 1.0
+        Y = closed_form(S, Y0, 0.9)
+        assert_allclose(Y, dense_closed_form(S, Y0, 0.9), rtol=0, atol=1e-12)
+        assert np.all(Y[12:] == 0.0)
+        assert np.all(Y[:6, 1] == 0.0) and np.all(Y[6:12, 0] == 0.0)
+
+    def test_underflowed_graph_returns_scaled_seeds(self):
+        # every heat weight underflows: S has all-zero rows
+        Z = np.array([[0.0, 60.0, 120.0, 180.0]])
+        S = similarity_matrix(Z, k=1)
+        Y0 = np.zeros((4, 2))
+        Y0[0, 1] = Y0[2, 0] = 1.0
+        Y = closed_form(S, Y0, 0.9)
+        assert_allclose(Y, dense_closed_form(S, Y0, 0.9), rtol=0, atol=1e-12)
+        assert_allclose(Y, 0.1 * Y0, rtol=0, atol=1e-12)
 
 
 class TestPropagate:
