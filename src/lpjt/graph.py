@@ -5,10 +5,10 @@ nearest different-class pairs; both are weighted with the heat kernel
 exp(-||x_i - x_j||^2 / 2) and symmetrized by OR. Every k-NN graph, label
 propagation's included, comes from `knn_heat_graph` given squared
 distances, which `fit` computes once per domain. The builder returns a
-sparse CSR array; the locality graphs are densified per domain, label
-propagation keeps it sparse. Sandwiching a graph Laplacian between the
-data, S = X L X^T, turns the graph objective into a quadratic form in
-feature space.
+sparse CSR array and every graph stays sparse. Sandwiching a graph
+Laplacian between the data, S = X L X^T, turns the graph objective into a
+quadratic form in feature space; it is formed from the edges in
+O(nnz * d) plus O(n * d^2), never as a dense n x n Laplacian.
 """
 
 import warnings
@@ -23,23 +23,23 @@ from .core import Hyperparams, as_features
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Symmetric nonnegative weight matrix with a zero diagonal."""
+    """Symmetric nonnegative weight matrix with a zero diagonal, as CSR."""
 
-    W: np.ndarray
+    W: sp.csr_array
     degenerate: bool = False    # set when no valid pair existed
 
     def __post_init__(self):
-        W = np.asarray(self.W, dtype=np.float64)
+        W = sp.csr_array(self.W, dtype=np.float64)
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise ValueError("weight matrix must be square")
-        if not np.array_equal(W, W.T):
+        if (W != W.T).nnz:
             raise ValueError("weight matrix must be exactly symmetric")
-        if np.any(np.diagonal(W) != 0.0):
+        if np.any(W.diagonal() != 0.0):
             raise ValueError("weight matrix must have a zero diagonal")
-        if W.size and (W.min() < 0.0 or W.max() > 1.0):
+        if W.nnz and (W.data.min() < 0.0 or W.data.max() > 1.0):
             raise ValueError("weights must lie in [0, 1]")
-        W = np.ascontiguousarray(W)
-        W.setflags(write=False)
+        for part in (W.data, W.indices, W.indptr):
+            part.setflags(write=False)
         object.__setattr__(self, "W", W)
 
     @property
@@ -82,10 +82,13 @@ def knn_heat_graph(sqdist, allowed, k: int) -> sp.csr_array:
     k = min(max(int(k), 0), n)
     adj = np.zeros((n, n), dtype=bool)
     if k > 0:
+        # the one private copy is partitioned in place, so the comparisons
+        # below read the distances themselves
         masked = np.where(allowed, sqdist, np.inf)
-        kth = np.partition(masked, k - 1, axis=1)[:, [k - 1]]
-        adj = masked < kth
-        tied = allowed & (masked == kth)
+        masked.partition(k - 1, axis=1)
+        kth = masked[:, [k - 1]]
+        adj = allowed & (sqdist < kth)
+        tied = allowed & (sqdist == kth)
         # rows with more ties at the k-th value than places left keep the
         # lowest-index ones
         take = k - adj.sum(axis=1)
@@ -117,7 +120,7 @@ def build_intrinsic_graph(sqdist, labels, k_w: int) -> WeightedGraph:
     """
     same = _same_label(sqdist, labels)
     np.fill_diagonal(same, False)
-    return WeightedGraph(knn_heat_graph(sqdist, same, k_w).toarray())
+    return WeightedGraph(knn_heat_graph(sqdist, same, k_w))
 
 
 def build_penalty_graph(sqdist, labels, k_b: int) -> WeightedGraph:
@@ -130,20 +133,24 @@ def build_penalty_graph(sqdist, labels, k_b: int) -> WeightedGraph:
     same = _same_label(sqdist, labels)
     if same.all():
         warnings.warn("penalty graph is empty: only one class present")
-        return WeightedGraph(np.zeros(same.shape), degenerate=True)
-    return WeightedGraph(knn_heat_graph(sqdist, ~same, k_b).toarray())
+        return WeightedGraph(sp.csr_array(same.shape), degenerate=True)
+    return WeightedGraph(knn_heat_graph(sqdist, ~same, k_b))
+
+
+def _degrees(G: WeightedGraph) -> np.ndarray:
+    # a column matrix on scipy < 1.11
+    return np.asarray(G.W.sum(axis=1)).ravel()
 
 
 def laplacian(G: WeightedGraph) -> np.ndarray:
-    """Graph Laplacian L = D - W with D_ii the i-th weighted degree."""
-    W = G.W
-    return np.diag(W.sum(axis=1)) - W
+    """Dense graph Laplacian L = D - W with D_ii the i-th weighted degree."""
+    return np.diag(_degrees(G)) - G.W.toarray()
 
 
 def _sandwich(X, G: WeightedGraph) -> np.ndarray:
-    """Scatter matrix X L X^T of graph G over samples X, symmetrized."""
-    X = as_features(X)
-    S = X.data @ laplacian(G) @ X.data.T
+    """Scatter matrix X (D - W) X^T of graph G over samples X, symmetrized."""
+    X = as_features(X).data
+    S = (X * _degrees(G)) @ X.T - X @ (G.W @ X.T)
     return (S + S.T) / 2.0
 
 

@@ -19,6 +19,7 @@ a single domain keep their weights pinned at delta.
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +50,19 @@ class LandmarkWeights:
 def uniform_weights(n_s: int, n_u: int, delta: float) -> LandmarkWeights:
     """The uniform feasible point alpha = beta = delta * 1."""
     return LandmarkWeights(np.full(n_s, delta), np.full(n_u, delta), delta)
+
+
+class _ProjectionMeta(NamedTuple):
+    """Per-instance constants of `_project` for one set of groups."""
+
+    act: np.ndarray          # free coordinates, group by group
+    gid: np.ndarray          # group of each free coordinate
+    targets: np.ndarray      # delta * group size
+    pinned: np.ndarray       # coordinates pinned at delta
+    ev_gid: np.ndarray       # group of each breakpoint event, smallest uint dtype
+    slope_delta: np.ndarray  # +1 where a coordinate starts rising, -1 where it saturates
+    counts: np.ndarray       # events per group
+    starts: np.ndarray       # first event of each group
 
 
 @dataclass(frozen=True)
@@ -143,7 +157,14 @@ class QpInstance:
             gid = np.zeros(0, dtype=np.int64)
             sizes = np.zeros(0)
         pin = np.concatenate(pinned) if pinned else np.zeros(0, dtype=np.int64)
-        return act, gid, sizes, pin
+        counts = (2 * sizes).astype(np.int64)
+        # numpy radix-sorts integers of 16 bits or fewer
+        ev_gid = np.concatenate([gid, gid]).astype(np.min_scalar_type(max(sizes.size - 1, 0)))
+        return _ProjectionMeta(
+            act=act, gid=gid, targets=self.delta * sizes, pinned=pin, ev_gid=ev_gid,
+            slope_delta=np.concatenate([np.ones(act.size), -np.ones(act.size)]),
+            counts=counts, starts=np.concatenate([[0], np.cumsum(counts)[:-1]]),
+        )
 
     @cached_property
     def _meta_all(self):
@@ -254,10 +275,12 @@ def _project(z, qp: QpInstance, source_only: bool = False):
     sweep locates the segment where the sum crosses delta * m. Same result
     as per-group bisection, without the iteration loop.
     """
-    act, gid, sizes, pinned = qp._meta_source if source_only else qp._meta_all
+    meta = qp._meta_source if source_only else qp._meta_all
+    act, gid, targets, counts, starts = (meta.act, meta.gid, meta.targets,
+                                         meta.counts, meta.starts)
     out = z.copy()
-    if pinned.size:
-        out[pinned] = qp.delta
+    if meta.pinned.size:
+        out[meta.pinned] = qp.delta
     if act.size == 0:
         return out
     delta = qp.delta
@@ -267,18 +290,16 @@ def _project(z, qp: QpInstance, source_only: bool = False):
     if delta >= 1.0:
         out[act] = 1.0
         return out
-    n_groups = sizes.size
-    targets = delta * sizes
+    n_groups = targets.size
     x = z[act]
 
+    # events sorted by group, then by breakpoint; equal breakpoints add only
+    # exact zeros to the sweep, so their order does not matter
     bp = np.concatenate([-x, 1.0 - x])
-    slope_delta = np.concatenate([np.ones(x.size), -np.ones(x.size)])
-    ev_gid = np.concatenate([gid, gid])
-    order = np.lexsort((bp, ev_gid))
-    bp, slope_delta, ev_gid = bp[order], slope_delta[order], ev_gid[order]
+    order = np.argsort(bp)
+    order = order[np.argsort(meta.ev_gid[order], kind="stable")]
+    bp, slope_delta = bp[order], meta.slope_delta[order]
 
-    counts = (2 * sizes).astype(np.int64)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
     # within-group cumulative slope right after each event
     cums = np.cumsum(slope_delta)
     slope_after = cums - np.repeat(cums[starts] - slope_delta[starts], counts)

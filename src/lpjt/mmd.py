@@ -1,4 +1,4 @@
-"""Landmark-weighted MMD coefficient matrices and their feature-space blocks.
+"""Landmark-weighted MMD terms and their feature-space blocks.
 
 The marginal term compares the weighted domain means, the conditional term
 compares class-wise weighted means and additionally penalizes the pairwise
@@ -7,15 +7,20 @@ quadratic form
 
     E = tr(A^T M_ss A) + tr(B^T M_uu B) - 2 tr(A^T M_su B)
 
-whose coefficient matrices are assembled here. `mmd_value` evaluates the
-literal sums and is kept independent of the matrix path so each can check
-the other. Constants follow the convention that the cross-class block
-carries a built-in factor 2, paired with the -2 coupling above; the
-explicit-sum equality pins every constant.
+with M = X H X^T for sample-indexed coefficient matrices H. Every H is a
+sum of rank-one mean differences plus a per-sample diagonal, so
+`assemble_M` forms the blocks from weighted domain and class sums and
+(X diag(w)) X^T in O(d^2 n), never building an n x n matrix;
+`marginal_coeffs` and `conditional_coeffs` build the dense H as the
+reference. `mmd_value` evaluates the literal sums and is kept independent
+of both paths so each can check the other. Constants follow the convention
+that the cross-class block carries a built-in factor 2, paired with the -2
+coupling above; the explicit-sum equality pins every constant.
 """
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,14 +29,38 @@ from .core import as_features
 
 @dataclass(frozen=True)
 class MmdCoeffs:
-    """Sample-indexed coefficient matrices (m = marginal, c = conditional)."""
+    """The landmark weights, labels and delta that define the MMD terms.
 
-    H_sm: np.ndarray
-    H_um: np.ndarray
-    H_sum: np.ndarray
-    H_sc: np.ndarray
-    H_uc: np.ndarray
-    H_suc: np.ndarray
+    `classes` holds the (source, target) sample indices of each class
+    present in both domains, the only classes the conditional term
+    compares. The six sample-indexed coefficient matrices (m = marginal,
+    c = conditional) are lazily built dense views for `kernelize` and the
+    tests; `assemble_M` never touches them.
+    """
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    labels_s: np.ndarray
+    labels_u: np.ndarray
+    delta: float
+    num_classes: int
+    classes: tuple
+
+    @cached_property
+    def _marginal(self):
+        return marginal_coeffs(self.alpha, self.beta, self.delta)
+
+    @cached_property
+    def _conditional(self):
+        return conditional_coeffs(self.alpha, self.beta, self.labels_s, self.labels_u,
+                                  self.delta, self.num_classes)
+
+    H_sm = property(lambda self: self._marginal[0])
+    H_um = property(lambda self: self._marginal[1])
+    H_sum = property(lambda self: self._marginal[2])
+    H_sc = property(lambda self: self._conditional[0])
+    H_uc = property(lambda self: self._conditional[1])
+    H_suc = property(lambda self: self._conditional[2])
 
 
 @dataclass(frozen=True)
@@ -67,6 +96,30 @@ def marginal_coeffs(alpha, beta, delta):
     return H_sm, H_um, H_sum
 
 
+def _check_labels(alpha, beta, labels_s, pseudo_labels_u):
+    labels_s = np.asarray(labels_s, dtype=np.int64).ravel()
+    labels_u = np.asarray(pseudo_labels_u, dtype=np.int64).ravel()
+    if labels_s.size != alpha.size or labels_u.size != beta.size:
+        raise ValueError("label vectors must match weight vectors")
+    return labels_s, labels_u
+
+
+def _shared_classes(labels_s, labels_u, num_classes):
+    """(source, target) indices of each class present in both domains.
+
+    A class present in one domain only is skipped with a warning.
+    """
+    shared = []
+    for c in range(num_classes):
+        si = np.flatnonzero(labels_s == c)
+        ui = np.flatnonzero(labels_u == c)
+        if si.size and ui.size:
+            shared.append((si, ui))
+        elif si.size != ui.size:
+            warnings.warn(f"class {c} missing from one domain; skipped")
+    return tuple(shared)
+
+
 def conditional_coeffs(alpha, beta, labels_s, pseudo_labels_u, delta, num_classes):
     """Per-class coefficient matrices scattered to global sample positions.
 
@@ -74,21 +127,12 @@ def conditional_coeffs(alpha, beta, labels_s, pseudo_labels_u, delta, num_classe
     classes are skipped with a warning and leave zero blocks behind.
     """
     alpha, beta = _check_weights(alpha, beta, delta)
-    labels_s = np.asarray(labels_s, dtype=np.int64).ravel()
-    labels_u = np.asarray(pseudo_labels_u, dtype=np.int64).ravel()
-    if labels_s.size != alpha.size or labels_u.size != beta.size:
-        raise ValueError("label vectors must match weight vectors")
+    labels_s, labels_u = _check_labels(alpha, beta, labels_s, pseudo_labels_u)
     n_s, n_u = alpha.size, beta.size
     H_sc = np.zeros((n_s, n_s))
     H_uc = np.zeros((n_u, n_u))
     H_suc = np.zeros((n_s, n_u))
-    for c in range(num_classes):
-        si = np.flatnonzero(labels_s == c)
-        ui = np.flatnonzero(labels_u == c)
-        if si.size == 0 or ui.size == 0:
-            if si.size != ui.size:
-                warnings.warn(f"class {c} missing from one domain; skipped")
-            continue
+    for si, ui in _shared_classes(labels_s, labels_u, num_classes):
         a, b = alpha[si], beta[ui]
         H_sc[np.ix_(si, si)] += np.outer(a, a) / (delta**2 * si.size**2)
         H_sc[si, si] += a * a / (delta**2 * si.size)
@@ -99,27 +143,54 @@ def conditional_coeffs(alpha, beta, labels_s, pseudo_labels_u, delta, num_classe
 
 
 def build_coeffs(alpha, beta, labels_s, pseudo_labels_u, delta, num_classes) -> MmdCoeffs:
-    """Convenience wrapper assembling all six coefficient matrices."""
-    H_sm, H_um, H_sum = marginal_coeffs(alpha, beta, delta)
-    H_sc, H_uc, H_suc = conditional_coeffs(
-        alpha, beta, labels_s, pseudo_labels_u, delta, num_classes
-    )
-    return MmdCoeffs(H_sm=H_sm, H_um=H_um, H_sum=H_sum, H_sc=H_sc, H_uc=H_uc, H_suc=H_suc)
+    """Validate and collect what defines both MMD terms; builds no matrix."""
+    alpha, beta = _check_weights(alpha, beta, delta)
+    labels_s, labels_u = _check_labels(alpha, beta, labels_s, pseudo_labels_u)
+    return MmdCoeffs(alpha=alpha, beta=beta, labels_s=labels_s, labels_u=labels_u,
+                     delta=delta, num_classes=num_classes,
+                     classes=_shared_classes(labels_s, labels_u, num_classes))
+
+
+def _mean_factors(X, w, groups, delta):
+    """One domain's weighted-mean columns and per-sample diagonal weights.
+
+    Column 0 of the returned d x (1 + len(groups)) matrix is the mean of
+    the columns of X w / delta over the domain, column j + 1 their mean over
+    the samples in groups[j]. The returned vector holds w_i^2 / (delta^2 n_c)
+    for the samples of those groups and 0 elsewhere.
+    """
+    n = w.size
+    E = np.zeros((n, 1 + len(groups)))
+    E[:, 0] = w / (delta * n)
+    diag = np.zeros(n)
+    for j, idx in enumerate(groups):
+        E[idx, j + 1] = w[idx] / (delta * idx.size)
+        diag[idx] = w[idx] ** 2 / (delta**2 * idx.size)
+    return X @ E, diag
 
 
 def assemble_M(X_s, X_u, coeffs: MmdCoeffs) -> MmdBlocks:
-    """Sandwich the coefficient matrices between the data: M = X H X^T."""
+    """The blocks M = X H X^T, formed from weighted means in O(d^2 n).
+
+    With S, U the weighted-mean columns of each domain (domain mean first,
+    then one per shared class) and w the per-sample diagonal weights:
+    M_ss = S S^T + X_s diag(w_s) X_s^T, M_uu likewise, and
+    M_su = S diag(1, 2, ..., 2) U^T.
+    """
     Xs = as_features(X_s).data
     Xu = as_features(X_u).data
-    if coeffs.H_sm.shape[0] != Xs.shape[1] or coeffs.H_um.shape[0] != Xu.shape[1]:
+    if coeffs.alpha.size != Xs.shape[1] or coeffs.beta.size != Xu.shape[1]:
         raise ValueError("coefficient shapes do not match sample counts")
-    M_ss = Xs @ (coeffs.H_sm + coeffs.H_sc) @ Xs.T
-    M_uu = Xu @ (coeffs.H_um + coeffs.H_uc) @ Xu.T
-    M_su = Xs @ (coeffs.H_sum + coeffs.H_suc) @ Xu.T
+    S, w_s = _mean_factors(Xs, coeffs.alpha, [si for si, _ in coeffs.classes], coeffs.delta)
+    U, w_u = _mean_factors(Xu, coeffs.beta, [ui for _, ui in coeffs.classes], coeffs.delta)
+    M_ss = S @ S.T + (Xs * w_s) @ Xs.T
+    M_uu = U @ U.T + (Xu * w_u) @ Xu.T
+    cross = np.full(S.shape[1], 2.0)
+    cross[0] = 1.0
     return MmdBlocks(
         M_ss=(M_ss + M_ss.T) / 2.0,
         M_uu=(M_uu + M_uu.T) / 2.0,
-        M_su=M_su,
+        M_su=(S * cross) @ U.T,
     )
 
 

@@ -190,6 +190,14 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
                               hyper.delta, C)
     blocks = mmd.assemble_M(Xs, Xu, coeffs)
 
+    def refresh(labels, weights):
+        """Target scatters and MMD blocks for new pseudo labels and weights."""
+        S_w_u, S_b_u = graph.locality_scatters(Xu, sqdist_u, labels, hyper)
+        coeffs = mmd.build_coeffs(weights.alpha, weights.beta, y_s, labels,
+                                  hyper.delta, C)
+        return (dataclasses.replace(scat, S_w_u=S_w_u, S_b_u=S_b_u),
+                mmd.assemble_M(Xs, Xu, coeffs))
+
     objective_tr, mmd_tr, change_tr = [], [], []
     prev_obj = None
     labels_prev = None
@@ -207,11 +215,7 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
         ):
             # damping: keep the previous pseudo labels for this iteration
             labels_cur = labels_prev
-            S_w_u, S_b_u = graph.locality_scatters(Xu, sqdist_u, labels_cur, hyper)
-            scat = dataclasses.replace(scat, S_w_u=S_w_u, S_b_u=S_b_u)
-            coeffs = mmd.build_coeffs(weights.alpha, weights.beta, y_s,
-                                      labels_cur, hyper.delta, C)
-            blocks = mmd.assemble_M(Xs, Xu, coeffs)
+            scat, blocks = refresh(labels_cur, weights)
             problem = eigsolve.assemble_problem(blocks, scat, hyper, homogeneous)
             sol = eigsolve.solve(problem, hyper.d)
             obj = _ratio_objective(sol)
@@ -244,11 +248,7 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
 
         labels_prev = labels_cur
         labels_cur = new_labels
-        S_w_u, S_b_u = graph.locality_scatters(Xu, sqdist_u, labels_cur, hyper)
-        scat = dataclasses.replace(scat, S_w_u=S_w_u, S_b_u=S_b_u)
-        coeffs = mmd.build_coeffs(weights.alpha, weights.beta, y_s, labels_cur,
-                                  hyper.delta, C)
-        blocks = mmd.assemble_M(Xs, Xu, coeffs)
+        scat, blocks = refresh(labels_cur, weights)
 
         objective_tr.append(obj)
         change_tr.append(changes)

@@ -22,7 +22,6 @@ from lpjt.graph import (
 from lpjt.labelprop import closed_form, propagate, similarity_matrix
 from lpjt.landmark import build_qp, check_feasible, solve_qp
 from lpjt.mmd import (
-    MmdCoeffs,
     assemble_M,
     build_coeffs,
     conditional_coeffs,
@@ -64,12 +63,10 @@ def test_01_mmd_oracle_equivalence():
         e_mg, e_cd = mmd_value(X_s, X_u, A, B, alpha, beta, ys, yu, delta)
 
         def tr_of(H_s, H_u, H_su):
-            co = MmdCoeffs(H_sm=H_s, H_um=H_u, H_sum=H_su,
-                           H_sc=np.zeros((n_s, n_s)), H_uc=np.zeros((n_u, n_u)),
-                           H_suc=np.zeros((n_s, n_u)))
-            M = assemble_M(X_s, X_u, co)
-            return (np.trace(A.T @ M.M_ss @ A) + np.trace(B.T @ M.M_uu @ B)
-                    - 2 * np.trace(A.T @ M.M_su @ B))
+            # M = X H X^T from the dense coefficient matrices
+            M_ss, M_uu, M_su = X_s @ H_s @ X_s.T, X_u @ H_u @ X_u.T, X_s @ H_su @ X_u.T
+            return (np.trace(A.T @ M_ss @ A) + np.trace(B.T @ M_uu @ B)
+                    - 2 * np.trace(A.T @ M_su @ B))
 
         gap_mg = abs(e_mg - tr_of(*marginal_coeffs(alpha, beta, delta)))
         gap_cd = abs(e_cd - tr_of(*conditional_coeffs(alpha, beta, ys, yu, delta, C)))

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 
 from lpjt.core import Hyperparams
 from lpjt.graph import (
+    WeightedGraph,
     build_intrinsic_graph,
     build_penalty_graph,
     knn_heat_graph,
@@ -77,24 +78,53 @@ class TestKnnHeatGraph:
         assert W.nnz == np.count_nonzero(expected)
         assert np.array_equal(W.toarray(), expected)
 
+    def test_read_only_sqdist_left_unchanged(self):
+        X, labels = tie_heavy_instance("grid", 0)
+        D = pairwise_sqdist(X)
+        D.setflags(write=False)
+        before = D.copy()
+        W = knn_heat_graph(D, labels[:, None] != labels[None, :], 4)
+        assert np.array_equal(D, before)
+        assert W.nnz > 0
+
+
+class TestWeightedGraph:
+    @pytest.mark.parametrize("W,match", [
+        ([[0.0, 0.5], [0.4, 0.0]], "symmetric"),
+        ([[0.1, 0.5], [0.5, 0.0]], "diagonal"),
+        ([[0.0, 1.5], [1.5, 0.0]], r"\[0, 1\]"),
+        ([[0.0, -0.5], [-0.5, 0.0]], r"\[0, 1\]"),
+        ([[0.0, 0.5, 0.0], [0.5, 0.0, 0.0]], "square"),
+    ])
+    def test_sparse_checks_reject(self, W, match):
+        for form in (np.array(W), sp.csr_array(np.array(W))):
+            with pytest.raises(ValueError, match=match):
+                WeightedGraph(form)
+
+    def test_read_only_csr(self):
+        g = WeightedGraph(np.array([[0.0, 0.5], [0.5, 0.0]]))
+        assert isinstance(g.W, sp.csr_array) and g.W.nnz == 2
+        with pytest.raises(ValueError):
+            g.W.data[0] = 1.0
+
 
 class TestIntrinsicGraph:
     def test_two_samples_same_label(self):
         X = np.array([[0.0, 1.0]])
         g = build_intrinsic_graph(pairwise_sqdist(X), [0, 0], k_w=1)
-        assert_allclose(g.W[0, 1], np.exp(-0.5))
-        assert g.W[0, 0] == 0.0
+        assert_allclose(g.W.toarray()[0, 1], np.exp(-0.5))
+        assert g.W.toarray()[0, 0] == 0.0
 
     def test_two_samples_different_labels(self):
         g = build_intrinsic_graph(pairwise_sqdist(np.array([[0.0, 1.0]])), [0, 1], k_w=1)
-        assert np.all(g.W == 0.0)
+        assert np.all(g.W.toarray() == 0.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(2, 6))
         labels = np.array([0, 0, 0, 1, 1, 1])
         g = build_intrinsic_graph(pairwise_sqdist(X), labels, k_w=1)
-        assert np.array_equal(g.W > 0, brute_force_same_label(X, labels, 1))
+        assert np.array_equal(g.W.toarray() > 0, brute_force_same_label(X, labels, 1))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_brute_force_random(self, seed):
@@ -102,7 +132,7 @@ class TestIntrinsicGraph:
         X = rng.normal(size=(3, 20))
         labels = rng.integers(0, 3, 20)
         g = build_intrinsic_graph(pairwise_sqdist(X), labels, k_w=2)
-        assert np.array_equal(g.W > 0, brute_force_same_label(X, labels, 2))
+        assert np.array_equal(g.W.toarray() > 0, brute_force_same_label(X, labels, 2))
 
     @pytest.mark.parametrize("kind,seed,k", TIE_CASES)
     def test_tie_rule_matches_brute_force(self, kind, seed, k):
@@ -111,14 +141,14 @@ class TestIntrinsicGraph:
         D = pairwise_sqdist(X)
         g = build_intrinsic_graph(D, labels, k_w=k)
         adj = brute_force_same_label(X, labels, k)
-        assert np.array_equal(g.W > 0, adj)
-        assert np.array_equal(g.W[adj], np.exp(-D[adj] / 2.0))
-        assert not g.W[:2].any()    # singleton classes stay isolated
+        assert np.array_equal(g.W.toarray() > 0, adj)
+        assert np.array_equal(g.W.toarray()[adj], np.exp(-D[adj] / 2.0))
+        assert not g.W.toarray()[:2].any()    # singleton classes stay isolated
 
     def test_k_clamped_to_class_size(self):
         X = np.array([[0.0, 1.0, 2.0]])
         g = build_intrinsic_graph(pairwise_sqdist(X), [0, 0, 0], k_w=10)
-        assert np.count_nonzero(g.W) > 0   # no crash, edges capped at n_c - 1
+        assert np.count_nonzero(g.W.toarray()) > 0   # no crash, edges capped at n_c - 1
 
     def test_edges_only_within_classes(self):
         rng = np.random.default_rng(11)
@@ -127,19 +157,19 @@ class TestIntrinsicGraph:
         g = build_intrinsic_graph(pairwise_sqdist(X), labels, k_w=3)
         for i in range(15):
             for j in range(15):
-                if g.W[i, j] > 0:
+                if g.W.toarray()[i, j] > 0:
                     assert labels[i] == labels[j]
 
 
 class TestPenaltyGraph:
     def test_two_samples_one_edge(self):
         g = build_penalty_graph(pairwise_sqdist(np.array([[0.0, 1.0]])), [0, 1], k_b=1)
-        assert g.W[0, 1] > 0
+        assert g.W.toarray()[0, 1] > 0
 
     def test_single_class_empty_with_warning(self):
         with pytest.warns(UserWarning, match="one class"):
             g = build_penalty_graph(pairwise_sqdist(np.array([[0.0, 1.0]])), [0, 0], k_b=1)
-        assert g.degenerate and np.all(g.W == 0.0)
+        assert g.degenerate and np.all(g.W.toarray() == 0.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_brute_force(self, seed):
@@ -147,7 +177,7 @@ class TestPenaltyGraph:
         X = rng.normal(size=(2, 6))
         labels = np.array([0, 1, 0, 1, 0, 1])
         g = build_penalty_graph(pairwise_sqdist(X), labels, k_b=1)
-        assert np.array_equal(g.W > 0, brute_force_diff_label(X, labels, 1))
+        assert np.array_equal(g.W.toarray() > 0, brute_force_diff_label(X, labels, 1))
 
     @pytest.mark.parametrize("kind,seed,k", TIE_CASES)
     def test_tie_rule_matches_brute_force(self, kind, seed, k):
@@ -156,8 +186,8 @@ class TestPenaltyGraph:
         D = pairwise_sqdist(X)
         g = build_penalty_graph(D, labels, k_b=k)
         adj = brute_force_diff_label(X, labels, k)
-        assert np.array_equal(g.W > 0, adj)
-        assert np.array_equal(g.W[adj], np.exp(-D[adj] / 2.0))
+        assert np.array_equal(g.W.toarray() > 0, adj)
+        assert np.array_equal(g.W.toarray()[adj], np.exp(-D[adj] / 2.0))
 
     def test_edges_only_across_classes(self):
         rng = np.random.default_rng(12)
@@ -166,7 +196,7 @@ class TestPenaltyGraph:
         g = build_penalty_graph(pairwise_sqdist(X), labels, k_b=2)
         for i in range(15):
             for j in range(15):
-                if g.W[i, j] > 0:
+                if g.W.toarray()[i, j] > 0:
                     assert labels[i] != labels[j]
 
 

@@ -333,3 +333,86 @@ class TestProjectFeasible:
             else:
                 slow[idx] = delta
         assert np.max(np.abs(fast - slow)) <= 1e-9
+
+
+def lexsort_project(z, qp, source_only=False):
+    """`_project` with one np.lexsort over (group, breakpoint), ties kept in
+    index order: the reference for the two-pass sort."""
+    meta = qp._meta_source if source_only else qp._meta_all
+    act, gid, targets = meta.act, meta.gid, meta.targets
+    out = z.copy()
+    out[meta.pinned] = qp.delta
+    if act.size == 0:
+        return out
+    x = z[act]
+    bp = np.concatenate([-x, 1.0 - x])
+    slope_delta = np.concatenate([np.ones(x.size), -np.ones(x.size)])
+    order = np.lexsort((bp, np.concatenate([gid, gid])))
+    bp, slope_delta = bp[order], slope_delta[order]
+    counts = 2 * np.bincount(gid, minlength=targets.size)
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    cums = np.cumsum(slope_delta)
+    slope_after = cums - np.repeat(cums[starts] - slope_delta[starts], counts)
+    contrib = np.empty_like(bp)
+    contrib[1:] = slope_after[:-1] * (bp[1:] - bp[:-1])
+    contrib[starts] = 0.0
+    v_at = np.cumsum(contrib)
+    v_at -= np.repeat(v_at[starts], counts)
+    below = np.where(v_at <= np.repeat(targets, counts), np.arange(bp.size), -1)
+    k = np.maximum.reduceat(below, starts)
+    slope_k = slope_after[k]
+    tau = bp[k] + np.where(slope_k > 0, targets - v_at[k], 0.0) / np.where(
+        slope_k > 0, slope_k, 1.0
+    )
+    v = np.clip(x + tau[gid], 0.0, 1.0)
+    interior = (v > 0.0) & (v < 1.0)
+    sums = np.bincount(gid, weights=v, minlength=targets.size)
+    n_int = np.bincount(gid[interior], minlength=targets.size)
+    corr = np.where(n_int > 0, (targets - sums) / np.maximum(n_int, 1), 0.0)
+    v[interior] += corr[gid[interior]]
+    out[act] = np.clip(v, 0.0, 1.0)
+    return out
+
+
+class TestProjectSort:
+    """The argsort-then-stable-group-sort in `_project` is bit-identical to
+    a lexsort, including on inputs whose breakpoints tie."""
+
+    @staticmethod
+    def instance(rng, C, n_max, one_sided=False):
+        n_s, n_u = int(rng.integers(C, n_max)), int(rng.integers(C, n_max))
+        ys = rng.integers(0, C, n_s); ys[:C] = np.arange(C)
+        yu = rng.integers(0, C, n_u); yu[:C] = np.arange(C)
+        if one_sided:
+            yu[yu == C - 1] = 0     # one class pinned in the source
+        delta = float(rng.choice([0.25, 0.5, 0.75]))
+        return build_qp(rng.normal(size=(1, n_s)), rng.normal(size=(1, n_u)),
+                        ys, yu, delta, C)
+
+    @staticmethod
+    def check(qp, z):
+        for source_only in (False, True):
+            got = landmark._project(z, qp, source_only)
+            assert np.array_equal(got, lexsort_project(z, qp, source_only))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        qp = self.instance(rng, int(rng.integers(2, 6)), 60, one_sided=seed % 2 == 1)
+        for _ in range(5):
+            self.check(qp, rng.normal(0.5, 1.5, qp.n_s + qp.n_u))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_quarter_grid_hits_bounds(self, seed):
+        rng = np.random.default_rng(seed + 50)
+        qp = self.instance(rng, int(rng.integers(1, 5)), 40, one_sided=seed % 2 == 1)
+        for _ in range(5):
+            self.check(qp, rng.integers(-4, 9, qp.n_s + qp.n_u) / 4.0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_more_than_256_groups(self, seed):
+        rng = np.random.default_rng(seed + 90)
+        qp = self.instance(rng, 140, 420)
+        assert qp._meta_all.ev_gid.dtype == np.uint16
+        self.check(qp, rng.normal(0.5, 1.5, qp.n_s + qp.n_u))
+        self.check(qp, rng.integers(-4, 9, qp.n_s + qp.n_u) / 4.0)

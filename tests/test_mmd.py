@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from lpjt.mmd import (
-    MmdCoeffs,
+    MmdBlocks,
     assemble_M,
     build_coeffs,
     conditional_coeffs,
@@ -39,13 +39,17 @@ def random_instance(seed, n_s_max=30, n_u_max=30, d_max=8, c_max=4):
     return X_s, X_u, A, B, alpha, beta, ys, yu, delta, C
 
 
+def dense_sandwich(X_s, X_u, H_s, H_u, H_su):
+    """The blocks M = X H X^T from dense coefficient matrices, symmetrized."""
+    M_ss = X_s @ H_s @ X_s.T
+    M_uu = X_u @ H_u @ X_u.T
+    return MmdBlocks(M_ss=(M_ss + M_ss.T) / 2.0, M_uu=(M_uu + M_uu.T) / 2.0,
+                     M_su=X_s @ H_su @ X_u.T)
+
+
 def trace_form(X_s, X_u, A, B, H_s, H_u, H_su):
     """tr(A^T X H X^T A) + ... - 2 tr(A^T X_s H_su X_u^T B)."""
-    zeros = MmdCoeffs(
-        H_sm=H_s, H_um=H_u, H_sum=H_su,
-        H_sc=np.zeros_like(H_s), H_uc=np.zeros_like(H_u), H_suc=np.zeros_like(H_su),
-    )
-    M = assemble_M(X_s, X_u, zeros)
+    M = dense_sandwich(X_s, X_u, H_s, H_u, H_su)
     return (
         np.trace(A.T @ M.M_ss @ A)
         + np.trace(B.T @ M.M_uu @ B)
@@ -126,28 +130,47 @@ class TestConditionalCoeffs:
 
 class TestAssemble:
     def test_zero_coefficients(self):
-        co = MmdCoeffs(*(np.zeros((2, 2)),) * 3, *(np.zeros((2, 2)),) * 3)
-        M = assemble_M(np.ones((3, 2)), np.ones((3, 2)), co)
+        M = dense_sandwich(np.ones((3, 2)), np.ones((3, 2)), *(np.zeros((2, 2)),) * 3)
         assert np.all(M.M_ss == 0) and np.all(M.M_uu == 0) and np.all(M.M_su == 0)
 
     def test_scalar_case_by_hand(self):
         x_s = 3.0
         H_sm, H_sc = np.array([[0.7]]), np.array([[0.3]])
-        co = MmdCoeffs(H_sm=H_sm, H_um=np.zeros((1, 1)), H_sum=np.zeros((1, 1)),
-                       H_sc=H_sc, H_uc=np.zeros((1, 1)), H_suc=np.zeros((1, 1)))
-        M = assemble_M(np.array([[x_s]]), np.array([[2.0]]), co)
+        M = dense_sandwich(np.array([[x_s]]), np.array([[2.0]]), H_sm + H_sc,
+                           np.zeros((1, 1)), np.zeros((1, 1)))
         assert_allclose(M.M_ss, [[x_s**2 * (0.7 + 0.3)]])
 
     def test_shape_mismatch(self):
-        co = MmdCoeffs(*(np.zeros((3, 3)),) * 2, np.zeros((3, 2)),
-                       *(np.zeros((3, 3)),) * 2, np.zeros((3, 2)))
+        co = build_coeffs(np.full(3, 0.5), np.full(2, 0.5), [0, 0, 0], [0, 0], 0.5, 1)
         with pytest.raises(ValueError):
             assemble_M(np.ones((2, 4)), np.ones((2, 2)), co)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_factored_matches_dense_views(self, seed):
+        # one extra class, present in the source only (even seeds) or in
+        # the target only (odd seeds)
+        X_s, X_u, _, _, alpha, beta, ys, yu, delta, C = random_instance(seed)
+        rng = np.random.default_rng(seed + 100)
+        if seed % 2 == 0:
+            X_s = np.hstack([X_s, rng.normal(size=(X_s.shape[0], 2))])
+            alpha, ys = np.append(alpha, [0.3, 0.8]), np.append(ys, [C, C])
+        else:
+            X_u = np.hstack([X_u, rng.normal(size=(X_u.shape[0], 2))])
+            beta, yu = np.append(beta, [0.3, 0.8]), np.append(yu, [C, C])
+        with pytest.warns(UserWarning, match="missing"):
+            co = build_coeffs(alpha, beta, ys, yu, delta, C + 1)
+            dense = dense_sandwich(X_s, X_u, co.H_sm + co.H_sc, co.H_um + co.H_uc,
+                                   co.H_sum + co.H_suc)
+        M = assemble_M(X_s, X_u, co)
+        for name in ("M_ss", "M_uu", "M_su"):
+            ref = getattr(dense, name)
+            assert np.max(np.abs(getattr(M, name) - ref)) <= 1e-12 * np.abs(ref).max()
 
     def test_block_matrix_psd(self):
         X_s, X_u, A, B, alpha, beta, ys, yu, delta, C = random_instance(5)
         co = build_coeffs(alpha, beta, ys, yu, delta, C)
         M = assemble_M(X_s, X_u, co)
+        assert not {"_marginal", "_conditional"} & set(vars(co))  # no n x n view built
         d_s, d_t = X_s.shape[0], X_u.shape[0]
         full = np.zeros((d_s + d_t, d_s + d_t))
         full[:d_s, :d_s] = M.M_ss

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.spatial.distance import cdist
 
-from lpjt import graph
+from lpjt import eigsolve, graph, mmd
 from lpjt.core import FeatureMatrix, Hyperparams, LabeledDataset, SubspaceModel
 from lpjt.dataio import synth_gauss_shift, synth_hetero_map, synth_rotated
 from lpjt.landmark import check_feasible
@@ -55,6 +55,32 @@ class TestFitBasics:
         src = LabeledDataset(FeatureMatrix(Xs), ys, 3)
         fit(src, Xt, None, FitConfig(hyper=Hyperparams(d=2, T=3)))
         assert calls == [(60, 2), (60, 2)]
+
+    def test_refresh_reaches_traced_module_attributes(self, monkeypatch):
+        # the bench's mmd.* and graph.* layers wrap these module attributes
+        calls = {}
+
+        def counting(module, name):
+            orig = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return orig(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in ((mmd, "build_coeffs"), (mmd, "assemble_M"),
+                             (graph, "build_intrinsic_graph"),
+                             (graph, "build_penalty_graph"), (eigsolve, "solve")):
+            counting(module, name)
+        Xs, ys, Xt, _ = synth_rotated(20, 3, 0)
+        src = LabeledDataset(FeatureMatrix(Xs), ys, 3)
+        fit(src, Xt, None, FitConfig(hyper=Hyperparams(d=2, T=3)))
+        # the initial build, one refresh per iteration, one per rollback
+        refreshes = 1 + 3 + (calls["solve"] - 3)
+        assert calls["build_coeffs"] == calls["assemble_M"] == refreshes
+        # the source graphs are built once
+        assert calls["build_intrinsic_graph"] == calls["build_penalty_graph"] == refreshes + 1
 
     def test_final_weights_feasible(self):
         Xs, ys, Xt, _ = synth_rotated(30, 3, 0)
