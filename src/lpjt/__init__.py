@@ -13,12 +13,11 @@ from .core import (
     validate_pair,
     zscore_normalize,
 )
-from .eigsolve import EigProblem, EigSolution, SolverError, assemble_problem, kernelize, solve
-from .graph import (WeightedGraph, build_intrinsic_graph, build_penalty_graph, laplacian,
-                    pairwise_sqdist)
+from .eigsolve import EigProblem, EigSolution, SolverError, assemble_problem, solve
+from .graph import WeightedGraph, build_intrinsic_graph, build_penalty_graph, pairwise_sqdist
 from .landmark import LandmarkWeights, QpInstance, build_qp, solve_qp
 from .labelprop import PropagationResult, classify, propagate, similarity_matrix
-from .mmd import MmdBlocks, MmdCoeffs, assemble_M, mmd_value, multisource_mmd
+from .mmd import MmdBlocks, MmdCoeffs, assemble_M, mmd_value
 from .pipeline import FitConfig, evaluate, fit, predict, transform
 
 __version__ = "0.1.0"
@@ -36,12 +35,10 @@ __all__ = [
     "EigSolution",
     "SolverError",
     "assemble_problem",
-    "kernelize",
     "solve",
     "WeightedGraph",
     "build_intrinsic_graph",
     "build_penalty_graph",
-    "laplacian",
     "pairwise_sqdist",
     "LandmarkWeights",
     "QpInstance",
@@ -55,7 +52,6 @@ __all__ = [
     "MmdCoeffs",
     "assemble_M",
     "mmd_value",
-    "multisource_mmd",
     "FitConfig",
     "evaluate",
     "fit",

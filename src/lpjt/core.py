@@ -10,8 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-VALID_KERNELS = ("none", "linear", "rbf")
-
 
 def _freeze(a):
     a = np.ascontiguousarray(a, dtype=np.float64)
@@ -96,8 +94,6 @@ class Hyperparams:
                    0.1 * trace(RHS) / (d_s + d_t) at assembly time
     eps_reg        ridge added to the constraint-side matrix; None picks
                    1e-6 * trace(RHS) / (d_s + d_t) at assembly time
-    kernel         'none' (linear projections), 'linear' or 'rbf'
-    bandwidth      rbf kernel width
     """
 
     delta: float = 0.5
@@ -110,8 +106,6 @@ class Hyperparams:
     sigma_lp: float = 0.9
     lambda_couple: float | None = None
     eps_reg: float | None = None
-    kernel: str = "none"
-    bandwidth: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.delta <= 1.0:
@@ -126,10 +120,6 @@ class Hyperparams:
             raise ValueError("eps_reg must be positive")
         if min(self.d, self.T, self.k_w, self.k_b) < 1:
             raise ValueError("d, T, k_w and k_b must be positive integers")
-        if self.kernel not in VALID_KERNELS:
-            raise ValueError(f"kernel must be one of {VALID_KERNELS}")
-        if self.kernel == "rbf" and self.bandwidth <= 0:
-            raise ValueError("rbf bandwidth must be positive")
 
     def replace(self, **kwargs) -> "Hyperparams":
         return dataclasses.replace(self, **kwargs)

@@ -174,11 +174,17 @@ def load_model(path) -> SubspaceModel:
         mmd=np.asarray(tr["mmd"], dtype=np.float64),
         label_changes=np.asarray(tr["label_changes"], dtype=np.int64),
     )
+    hyper = dict(meta["hyper"])
+    # version-1 files written before the kernel knobs were removed carry
+    # them, at kernel 'none' for every model `fit` could train
+    if hyper.pop("kernel", "none") != "none":
+        raise ConfigError(f"{path}: kernelized models are not supported")
+    hyper.pop("bandwidth", None)
     pseudo = meta.get("pseudo_labels")
     return SubspaceModel(
         A=A,
         B=B,
-        hyper=Hyperparams(**meta["hyper"]),
+        hyper=Hyperparams(**hyper),
         weights=weights,
         trace=trace,
         normalize=meta["normalize"],
@@ -204,8 +210,6 @@ _HYPER_KEYS = {
     "sigma_lp": float,
     "lambda_couple": float,
     "eps_reg": float,
-    "kernel": str,
-    "bandwidth": float,
 }
 _RUN_KEYS = {
     "mode": str,

@@ -6,17 +6,21 @@ MMD blocks, the intrinsic-graph scatters, the target projection norm and,
 in homogeneous mode, the A~B coupling. The numerator side (LHS) collects
 what it maximizes: penalty-graph scatters and the target variance. The
 top-d eigenvectors stack to P = [A; B].
+
+The problem is assembled over whatever features the blocks were built
+from. When a domain has more features than samples, `pipeline.fit` first
+maps it onto an orthonormal basis of its sample span, so the problem is at
+most (n_s + n_u)-dimensional and the solution maps back exactly.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.spatial.distance import cdist
 
-from .core import Hyperparams, as_features
+from .core import Hyperparams
 from .graph import ScatterSet
-from .mmd import MmdBlocks, MmdCoeffs
+from .mmd import MmdBlocks
 
 
 class SolverError(RuntimeError):
@@ -133,50 +137,3 @@ def split_projection(P, d_s: int, d_t: int):
         raise ValueError(f"expected {d_s + d_t} rows, got {P.shape[0]}")
     return P[:d_s], P[d_s:]
 
-
-def gram(X, Y, kernel: str, bandwidth: float = 1.0) -> np.ndarray:
-    """Gram matrix between sample columns of X and Y."""
-    Xd = as_features(X).data
-    Yd = as_features(Y).data
-    if kernel == "linear":
-        return Xd.T @ Yd
-    if kernel == "rbf":
-        sq = cdist(Xd.T, Yd.T, "sqeuclidean")
-        return np.exp(-sq / (2.0 * bandwidth**2))
-    raise ValueError(f"unsupported kernel '{kernel}'")
-
-
-def kernelize(X_s, X_u, kernel: str, coeffs: MmdCoeffs, laplacians,
-              hyper: Hyperparams) -> EigProblem:
-    """Assemble the eigenproblem over expansion coefficients in kernel space.
-
-    `laplacians` is the tuple (L_w_s, L_b_s, L_w_u, L_b_u) of graph
-    Laplacians over the samples. Every feature-space product X M X^T turns
-    into K M K, the identity regularizer mu*I turns into mu*K_u, and the
-    target covariance becomes K_u (I - 11^T/n_u) K_u, which for the linear
-    kernel reproduces the primal problem exactly on realizable projections.
-    """
-    if kernel == "none":
-        raise ValueError("kernelize requires kernel 'linear' or 'rbf'")
-    Xs = as_features(X_s)
-    Xu = as_features(X_u)
-    L_w_s, L_b_s, L_w_u, L_b_u = laplacians
-    n_s, n_u = Xs.n, Xu.n
-    K_s = gram(Xs, Xs, kernel, hyper.bandwidth)
-    K_u = gram(Xu, Xu, kernel, hyper.bandwidth)
-    g, mu = hyper.gamma, hyper.mu
-    dim = n_s + n_u
-
-    RHS = np.zeros((dim, dim))
-    RHS[:n_s, :n_s] = K_s @ (coeffs.H_sm + coeffs.H_sc + g * L_w_s) @ K_s
-    RHS[n_s:, n_s:] = K_u @ (coeffs.H_um + coeffs.H_uc + g * L_w_u) @ K_u + mu * K_u
-    RHS[:n_s, n_s:] = -K_s @ (coeffs.H_sum + coeffs.H_suc) @ K_u
-    RHS[n_s:, :n_s] = RHS[:n_s, n_s:].T
-    eps = _ridge(RHS, hyper)
-    RHS = _sym(RHS) + eps * np.eye(dim)
-
-    center = np.eye(n_u) - np.full((n_u, n_u), 1.0 / n_u)
-    LHS = np.zeros((dim, dim))
-    LHS[:n_s, :n_s] = g * (K_s @ L_b_s @ K_s)
-    LHS[n_s:, n_s:] = g * (K_u @ L_b_u @ K_u) + mu * (K_u @ center @ K_u)
-    return EigProblem(LHS=_sym(LHS), RHS=RHS, eps_used=eps)

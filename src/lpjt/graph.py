@@ -5,9 +5,10 @@ nearest different-class pairs; both are weighted with the heat kernel
 exp(-||x_i - x_j||^2 / 2) and symmetrized by OR. Every k-NN graph, label
 propagation's included, comes from `knn_heat_graph` given squared
 distances, which `fit` computes once per domain. The builder returns a
-sparse CSR array and every graph stays sparse. Sandwiching a graph
-Laplacian between the data, S = X L X^T, turns the graph objective into a
-quadratic form in feature space; it is formed from the edges in
+sparse CSR array and every graph stays sparse. Sandwiching the graph
+Laplacian L = D - W between the data, S = X L X^T
+= 1/2 sum_ij W_ij (x_i - x_j)(x_i - x_j)^T, turns the graph objective
+into a quadratic form in feature space; it is formed from the edges in
 O(nnz * d) plus O(n * d^2), never as a dense n x n Laplacian.
 """
 
@@ -140,11 +141,6 @@ def build_penalty_graph(sqdist, labels, k_b: int) -> WeightedGraph:
 def _degrees(G: WeightedGraph) -> np.ndarray:
     # a column matrix on scipy < 1.11
     return np.asarray(G.W.sum(axis=1)).ravel()
-
-
-def laplacian(G: WeightedGraph) -> np.ndarray:
-    """Dense graph Laplacian L = D - W with D_ii the i-th weighted degree."""
-    return np.diag(_degrees(G)) - G.W.toarray()
 
 
 def _sandwich(X, G: WeightedGraph) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Landmark-weighted MMD terms and their feature-space blocks.
+"""Landmark-weighted MMD terms between one source and one target domain,
+and their feature-space blocks.
 
 The marginal term compares the weighted domain means, the conditional term
 compares class-wise weighted means and additionally penalizes the pairwise
@@ -20,7 +21,6 @@ coupling above; the explicit-sum equality pins every constant.
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -33,9 +33,9 @@ class MmdCoeffs:
 
     `classes` holds the (source, target) sample indices of each class
     present in both domains, the only classes the conditional term
-    compares. The six sample-indexed coefficient matrices (m = marginal,
-    c = conditional) are lazily built dense views for `kernelize` and the
-    tests; `assemble_M` never touches them.
+    compares. No n x n coefficient matrix is kept: `assemble_M` forms the
+    blocks from these directly, and `marginal_coeffs` /
+    `conditional_coeffs` rebuild the dense matrices for reference.
     """
 
     alpha: np.ndarray
@@ -45,22 +45,6 @@ class MmdCoeffs:
     delta: float
     num_classes: int
     classes: tuple
-
-    @cached_property
-    def _marginal(self):
-        return marginal_coeffs(self.alpha, self.beta, self.delta)
-
-    @cached_property
-    def _conditional(self):
-        return conditional_coeffs(self.alpha, self.beta, self.labels_s, self.labels_u,
-                                  self.delta, self.num_classes)
-
-    H_sm = property(lambda self: self._marginal[0])
-    H_um = property(lambda self: self._marginal[1])
-    H_sum = property(lambda self: self._marginal[2])
-    H_sc = property(lambda self: self._conditional[0])
-    H_uc = property(lambda self: self._conditional[1])
-    H_suc = property(lambda self: self._conditional[2])
 
 
 @dataclass(frozen=True)
@@ -254,28 +238,3 @@ def mmd_distance(Z_s, Z_u, labels_s, labels_u, alpha=None, beta=None, delta=1.0)
         total += float(diff_c.dot(diff_c))
     return total
 
-
-def multisource_mmd(sizes):
-    """Joint MMD coefficient matrix for two source domains and one target.
-
-    The sample index is the stack [X_s1, X_s2, X_u, X_u]: the target block
-    appears twice because each source is matched against its own copy of
-    the target mean. Rows sum to zero and the matrix is PSD (a sum of two
-    mean-difference quadratic forms).
-    """
-    n_s1, n_s2, n_u = (int(s) for s in sizes)
-    if min(n_s1, n_s2, n_u) < 1:
-        raise ValueError("all sizes must be at least 1")
-    e1 = np.concatenate([
-        np.full(n_s1, 1.0 / n_s1),
-        np.zeros(n_s2),
-        np.full(n_u, -1.0 / n_u),
-        np.zeros(n_u),
-    ])
-    e2 = np.concatenate([
-        np.zeros(n_s1),
-        np.full(n_s2, 1.0 / n_s2),
-        np.zeros(n_u),
-        np.full(n_u, -1.0 / n_u),
-    ])
-    return np.outer(e1, e1) + np.outer(e2, e2)

@@ -1,11 +1,12 @@
 """End-to-end training: alternate the eigenproblem, pseudo-label refresh
 and the landmark QP, then classify by label propagation in the subspace.
 
-One outer iteration solves for the projections with the current pseudo
-labels and weights, embeds both domains, refreshes the pseudo labels,
-re-optimizes the landmark weights and rebuilds the MMD and target graph
-matrices. The per-iteration objective (the trace-ratio value), the
-subspace MMD distance and the number of changed pseudo labels are recorded.
+One outer iteration rebuilds the MMD and target graph matrices from the
+previous iteration's pseudo labels and weights (the first uses the initial
+ones), solves for the projections, embeds both domains, refreshes the
+pseudo labels and re-optimizes the landmark weights. The per-iteration
+objective (the trace-ratio value), the subspace MMD distance and the
+number of changed pseudo labels are recorded.
 """
 
 import dataclasses
@@ -143,11 +144,6 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
     if cfg is None:
         cfg = FitConfig()
     hyper = cfg.hyper
-    if hyper.kernel != "none":
-        raise ValueError(
-            "kernelized training is not part of the pipeline; "
-            "assemble with eigsolve.kernelize instead"
-        )
     inst = validate_pair(src, tgt_u, tgt_l)
     C = inst.num_classes
 
@@ -202,7 +198,9 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
     prev_obj = None
     labels_prev = None
     A = B = None
-    for _ in range(hyper.T):
+    for it in range(hyper.T):
+        if it > 0:
+            scat, blocks = refresh(labels_cur, weights)
         problem = eigsolve.assemble_problem(blocks, scat, hyper, homogeneous)
         sol = eigsolve.solve(problem, hyper.d)
         obj = _ratio_objective(sol)
@@ -248,7 +246,6 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
 
         labels_prev = labels_cur
         labels_cur = new_labels
-        scat, blocks = refresh(labels_cur, weights)
 
         objective_tr.append(obj)
         change_tr.append(changes)

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -77,7 +80,7 @@ class TestRoundTrips:
         model = SubspaceModel(
             A=rng.normal(size=(5, 3)),
             B=rng.normal(size=(4, 3)),
-            hyper=Hyperparams(d=3, gamma=0.123, kernel="rbf", bandwidth=2.5),
+            hyper=Hyperparams(d=3, gamma=0.123),
             weights=LandmarkWeights(rng.uniform(0, 1, 6), rng.uniform(0, 1, 7), 0.5),
             trace=TrainTrace(objective=[3.0, 2.0], mmd=[0.5, 0.25], label_changes=[4, 1]),
             normalize="unit+zscore",
@@ -99,6 +102,36 @@ class TestRoundTrips:
         assert loaded.mode == "semisupervised" and loaded.homogeneous is True
         assert loaded.embed_norm is False
 
+    @staticmethod
+    def write_v1_with_kernel_keys(path, A, B, kernel):
+        """A version-1 model file as written before the kernel knobs were
+        removed: its hyperparameters carry `kernel` and `bandwidth`."""
+        hyper = {"delta": 0.5, "gamma": 0.01, "mu": 0.1, "d": A.shape[1], "T": 5,
+                 "k_w": 5, "k_b": 5, "sigma_lp": 0.9, "lambda_couple": None,
+                 "eps_reg": None, "kernel": kernel, "bandwidth": 1.0}
+        meta = {"hyper": hyper, "normalize": "zscore", "mode": "unsupervised",
+                "num_classes": 3, "homogeneous": False, "embed_norm": True,
+                "weights": None, "pseudo_labels": [0, 1, 2],
+                "trace": {"objective": [2.0], "mmd": [0.5], "label_changes": [1]}}
+        blob = json.dumps(meta).encode("utf-8")
+        with open(path, "wb") as fh:
+            fh.write(b"LPJT" + struct.pack("<IIII", 1, A.shape[0], B.shape[0], A.shape[1]))
+            fh.write(A.astype("<f8").tobytes() + B.astype("<f8").tobytes())
+            fh.write(struct.pack("<I", len(blob)) + blob)
+
+    def test_model_with_removed_kernel_keys_loads(self, tmp_path):
+        rng = np.random.default_rng(2)
+        A, B = rng.normal(size=(4, 2)), rng.normal(size=(3, 2))
+        path = tmp_path / "old.lpjt"
+        self.write_v1_with_kernel_keys(path, A, B, "none")
+        loaded = load_model(path)
+        assert np.array_equal(loaded.A, A) and np.array_equal(loaded.B, B)
+        assert loaded.hyper == Hyperparams(d=2)
+        assert np.array_equal(loaded.pseudo_labels, [0, 1, 2])
+        self.write_v1_with_kernel_keys(path, A, B, "rbf")
+        with pytest.raises(ConfigError, match="kernel"):
+            load_model(path)
+
     def test_model_magic_checked(self, tmp_path):
         path = tmp_path / "junk.lpjt"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -119,6 +152,14 @@ class TestConfig:
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--config", path, "--seed", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("key,value", [("kernel", "linear"), ("bandwidth", 2.5)])
+    def test_removed_kernel_keys_are_unknown(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path / "c.cfg", **{key: value})
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(path)
+        assert main(["fit", "--config", path]) == 2
+        assert f"unknown key '{key}'" in capsys.readouterr().err
 
     def test_values_typed(self, tmp_path):
         path = write_config(tmp_path / "c.cfg", gamma=0.25, d=7, mode="semisupervised",

@@ -138,8 +138,6 @@ class TestHyperparams:
             {"gamma": -1.0},
             {"eps_reg": 0.0},
             {"d": 0},
-            {"kernel": "poly"},
-            {"kernel": "rbf", "bandwidth": 0.0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

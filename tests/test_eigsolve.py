@@ -6,19 +6,10 @@ from lpjt.core import Hyperparams
 from lpjt.eigsolve import (
     EigProblem,
     assemble_problem,
-    gram,
-    kernelize,
     solve,
     split_projection,
 )
-from lpjt.graph import (
-    ScatterSet,
-    build_intrinsic_graph,
-    build_penalty_graph,
-    laplacian,
-    pairwise_sqdist,
-    scatter_matrices,
-)
+from lpjt.graph import ScatterSet, pairwise_sqdist, scatter_matrices
 from lpjt.mmd import MmdBlocks, assemble_M, build_coeffs, mmd_value
 
 
@@ -197,68 +188,3 @@ class TestCoupling:
         A, B = split_projection(solve(prob, 2).P, 4, 4)
         assert np.linalg.norm(A - B) / np.linalg.norm(A) <= 1e-2
 
-
-class TestKernelize:
-    def _laplacians(self, X_s, ys, X_u, yu, hyper):
-        return (
-            laplacian(build_intrinsic_graph(pairwise_sqdist(X_s), ys, hyper.k_w)),
-            laplacian(build_penalty_graph(pairwise_sqdist(X_s), ys, hyper.k_b)),
-            laplacian(build_intrinsic_graph(pairwise_sqdist(X_u), yu, hyper.k_w)),
-            laplacian(build_penalty_graph(pairwise_sqdist(X_u), yu, hyper.k_b)),
-        )
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_linear_kernel_matches_primal_optimum(self, seed):
-        # overparameterized data (feature dim >= samples) so every linear
-        # projection is realizable as a kernel expansion
-        rng = np.random.default_rng(seed)
-        n_s, n_u, d_s, d_t, C, d = 8, 7, 16, 14, 2, 2
-        X_s = rng.normal(size=(d_s, n_s))
-        X_u = rng.normal(size=(d_t, n_u))
-        ys = rng.integers(0, C, n_s); ys[:C] = np.arange(C)
-        yu = rng.integers(0, C, n_u); yu[:C] = np.arange(C)
-        alpha = rng.uniform(0.2, 1.0, n_s)
-        beta = rng.uniform(0.2, 1.0, n_u)
-        hyper = Hyperparams(gamma=0.2, mu=0.3, eps_reg=1e-10, kernel="linear")
-        coeffs = build_coeffs(alpha, beta, ys, yu, 0.5, C)
-        scat = scatter_matrices(X_s, pairwise_sqdist(X_s), ys,
-                                X_u, pairwise_sqdist(X_u), yu, hyper)
-        primal = assemble_problem(assemble_M(X_s, X_u, coeffs), scat, hyper)
-        dual = kernelize(X_s, X_u, "linear", coeffs,
-                         self._laplacians(X_s, ys, X_u, yu, hyper), hyper)
-        lam_primal = solve(primal, d).eigenvalues
-        lam_dual = solve(dual, d).eigenvalues
-        assert np.max(np.abs(lam_primal - lam_dual)) <= 1e-6 * max(1.0, lam_primal[0])
-
-    def test_wide_rbf_gram_is_all_ones(self):
-        rng = np.random.default_rng(9)
-        X = rng.normal(size=(3, 6))
-        K = gram(X, X, "rbf", bandwidth=1e9)
-        assert_allclose(K, np.ones((6, 6)), atol=1e-10)
-
-    def test_wide_rbf_still_solvable(self):
-        rng = np.random.default_rng(10)
-        n_s, n_u, C = 6, 6, 2
-        X_s = rng.normal(size=(3, n_s))
-        X_u = rng.normal(size=(3, n_u))
-        ys = np.arange(n_s) % C
-        yu = np.arange(n_u) % C
-        hyper = Hyperparams(gamma=0.2, mu=0.3, kernel="rbf", bandwidth=1e9)
-        coeffs = build_coeffs(np.full(n_s, 0.5), np.full(n_u, 0.5), ys, yu, 0.5, C)
-        prob = kernelize(X_s, X_u, "rbf", coeffs,
-                         self._laplacians(X_s, ys, X_u, yu, hyper), hyper)
-        sol = solve(prob, 2)
-        assert np.all(np.isfinite(sol.P))
-
-    def test_gram_matches_explicit_feature_map(self):
-        rng = np.random.default_rng(11)
-        X = rng.normal(size=(4, 5))
-        Y = rng.normal(size=(4, 3))
-        K = gram(X, Y, "linear")
-        oracle = np.array([[X[:, i] @ Y[:, j] for j in range(3)] for i in range(5)])
-        assert np.max(np.abs(K - oracle)) <= 1e-10
-
-    def test_requires_a_kernel(self):
-        with pytest.raises(ValueError):
-            kernelize(np.ones((2, 2)), np.ones((2, 2)), "none", None, (None,) * 4,
-                      Hyperparams())

@@ -9,7 +9,7 @@ from lpjt.graph import (
     build_intrinsic_graph,
     build_penalty_graph,
     knn_heat_graph,
-    laplacian,
+    locality_scatters,
     pairwise_sqdist,
     scatter_matrices,
 )
@@ -200,23 +200,35 @@ class TestPenaltyGraph:
                     assert labels[i] != labels[j]
 
 
-class TestLaplacian:
-    def test_single_edge(self):
-        g = build_intrinsic_graph(pairwise_sqdist(np.array([[0.0, 0.0]])), [0, 0], k_w=1)
-        assert_allclose(laplacian(g), np.array([[1.0, -1.0], [-1.0, 1.0]]))
+class TestLocalityScatters:
+    @staticmethod
+    def edge_sum(X, W):
+        """1/2 sum_ij W_ij (x_i - x_j)(x_i - x_j)^T, one pair at a time."""
+        W = W.toarray()
+        S = np.zeros((X.shape[0], X.shape[0]))
+        for i in range(X.shape[1]):
+            for j in range(X.shape[1]):
+                diff = X[:, i] - X[:, j]
+                S += 0.5 * W[i, j] * np.outer(diff, diff)
+        return S
 
-    def test_annihilates_ones(self):
-        rng = np.random.default_rng(4)
-        X = rng.normal(size=(3, 10))
-        g = build_intrinsic_graph(pairwise_sqdist(X), np.zeros(10, int), k_w=3)
-        L = laplacian(g)
-        assert np.max(np.abs(L @ np.ones(10))) <= 1e-12
-
-    def test_positive_semidefinite(self):
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(2, 8))
-        g = build_intrinsic_graph(pairwise_sqdist(X), np.zeros(8, int), k_w=3)
-        assert np.linalg.eigvalsh(laplacian(g)).min() >= -1e-10
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", ["random", "grid", "duplicates"])
+    def test_equals_explicit_edge_sum(self, kind, seed):
+        if kind == "random":
+            rng = np.random.default_rng(seed)
+            X = rng.normal(size=(3, 20))
+            labels = rng.integers(0, 3, 20)
+        else:
+            X, labels = tie_heavy_instance(kind, seed)
+        D = pairwise_sqdist(X)
+        hyper = Hyperparams(k_w=3, k_b=2)
+        S_w, S_b = locality_scatters(X, D, labels, hyper)
+        for S, g in ((S_w, build_intrinsic_graph(D, labels, hyper.k_w)),
+                     (S_b, build_penalty_graph(D, labels, hyper.k_b))):
+            assert g.W.nnz > 0
+            oracle = self.edge_sum(X, g.W)
+            assert np.max(np.abs(S - oracle)) <= 1e-12 * np.abs(oracle).max()
 
 
 class TestScatterMatrices:

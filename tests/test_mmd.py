@@ -12,7 +12,6 @@ from lpjt.mmd import (
     marginal_coeffs,
     mmd_distance,
     mmd_value,
-    multisource_mmd,
 )
 
 
@@ -159,8 +158,9 @@ class TestAssemble:
             beta, yu = np.append(beta, [0.3, 0.8]), np.append(yu, [C, C])
         with pytest.warns(UserWarning, match="missing"):
             co = build_coeffs(alpha, beta, ys, yu, delta, C + 1)
-            dense = dense_sandwich(X_s, X_u, co.H_sm + co.H_sc, co.H_um + co.H_uc,
-                                   co.H_sum + co.H_suc)
+            H_sc, H_uc, H_suc = conditional_coeffs(alpha, beta, ys, yu, delta, C + 1)
+        H_sm, H_um, H_sum = marginal_coeffs(alpha, beta, delta)
+        dense = dense_sandwich(X_s, X_u, H_sm + H_sc, H_um + H_uc, H_sum + H_suc)
         M = assemble_M(X_s, X_u, co)
         for name in ("M_ss", "M_uu", "M_su"):
             ref = getattr(dense, name)
@@ -170,7 +170,6 @@ class TestAssemble:
         X_s, X_u, A, B, alpha, beta, ys, yu, delta, C = random_instance(5)
         co = build_coeffs(alpha, beta, ys, yu, delta, C)
         M = assemble_M(X_s, X_u, co)
-        assert not {"_marginal", "_conditional"} & set(vars(co))  # no n x n view built
         d_s, d_t = X_s.shape[0], X_u.shape[0]
         full = np.zeros((d_s + d_t, d_s + d_t))
         full[:d_s, :d_s] = M.M_ss
@@ -236,9 +235,9 @@ class TestCoeffProperties:
     @given(st.floats(0.1, 10.0), st.integers(0, 2**31 - 1))
     def test_joint_rescaling_leaves_blocks_unchanged(self, c, seed):
         X_s, X_u, A, B, alpha, beta, ys, yu, delta, C = random_instance(seed % 1000)
-        base = build_coeffs(alpha, beta, ys, yu, delta, C)
-        scaled = build_coeffs(c * alpha, c * beta, ys, yu, c * delta, C)
-        for name in ("H_sm", "H_um", "H_sum", "H_sc", "H_uc", "H_suc"):
+        base = assemble_M(X_s, X_u, build_coeffs(alpha, beta, ys, yu, delta, C))
+        scaled = assemble_M(X_s, X_u, build_coeffs(c * alpha, c * beta, ys, yu, c * delta, C))
+        for name in ("M_ss", "M_uu", "M_su"):
             a, b = getattr(base, name), getattr(scaled, name)
             assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.abs(a).max())
 
@@ -250,26 +249,3 @@ class TestMmdDistance:
         y = rng.integers(0, 2, 10)
         assert mmd_distance(Z, Z, y, y) == 0.0
 
-
-class TestMultisource:
-    def test_unit_sizes_exact(self):
-        M = multisource_mmd([1, 1, 1])
-        expected = np.array([
-            [1.0, 0.0, -1.0, 0.0],
-            [0.0, 1.0, 0.0, -1.0],
-            [-1.0, 0.0, 1.0, 0.0],
-            [0.0, -1.0, 0.0, 1.0],
-        ])
-        assert_allclose(M, expected)
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_rows_sum_to_zero_and_psd(self, seed):
-        rng = np.random.default_rng(seed)
-        sizes = rng.integers(1, 12, size=3)
-        M = multisource_mmd(sizes)
-        assert np.max(np.abs(M @ np.ones(M.shape[0]))) <= 1e-12
-        assert np.linalg.eigvalsh(M).min() >= -1e-10
-
-    def test_rejects_empty_side(self):
-        with pytest.raises(ValueError):
-            multisource_mmd([0, 1, 1])

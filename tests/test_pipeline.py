@@ -76,8 +76,9 @@ class TestFitBasics:
         Xs, ys, Xt, _ = synth_rotated(20, 3, 0)
         src = LabeledDataset(FeatureMatrix(Xs), ys, 3)
         fit(src, Xt, None, FitConfig(hyper=Hyperparams(d=2, T=3)))
-        # the initial build, one refresh per iteration, one per rollback
-        refreshes = 1 + 3 + (calls["solve"] - 3)
+        # the initial build, one refresh per iteration after the first, one
+        # per rollback
+        refreshes = 3 + (calls["solve"] - 3)
         assert calls["build_coeffs"] == calls["assemble_M"] == refreshes
         # the source graphs are built once
         assert calls["build_intrinsic_graph"] == calls["build_penalty_graph"] == refreshes + 1
@@ -110,12 +111,6 @@ class TestFitBasics:
         assert np.array_equal(m_semi.A, m_unsup.A)
         assert np.array_equal(m_semi.B, m_unsup.B)
         assert np.array_equal(m_semi.pseudo_labels, m_unsup.pseudo_labels)
-
-    def test_kernel_mode_rejected(self):
-        X, y = separated_blobs(n=5)
-        src = LabeledDataset(FeatureMatrix(X), y, 3)
-        with pytest.raises(ValueError, match="kernel"):
-            fit(src, X, None, FitConfig(hyper=Hyperparams(kernel="linear")))
 
     def test_oversized_subspace_rejected(self):
         X, y = separated_blobs(n=5)
