@@ -5,6 +5,7 @@ the target domain by propagation in the learned subspace."""
 
 from .core import (
     FeatureMatrix,
+    FitConfig,
     Hyperparams,
     LabeledDataset,
     SubspaceModel,
@@ -18,7 +19,7 @@ from .graph import WeightedGraph, build_intrinsic_graph, build_penalty_graph, pa
 from .landmark import LandmarkWeights, QpInstance, build_qp, solve_qp
 from .labelprop import PropagationResult, classify, propagate, similarity_matrix
 from .mmd import MmdBlocks, MmdCoeffs, assemble_M, mmd_value
-from .pipeline import FitConfig, evaluate, fit, predict, transform
+from .pipeline import evaluate, fit, predict, transform
 
 __version__ = "0.1.0"
 

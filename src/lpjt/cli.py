@@ -107,15 +107,7 @@ def cmd_fit(args) -> int:
     cfg = _load_run(args)
     _require(cfg, "source", "target_unlabeled", "output_dir")
     src, tgt_u, tgt_l = _load_problem(cfg)
-    fit_cfg = pipeline.FitConfig(
-        hyper=cfg.hyper,
-        mode=cfg.mode,
-        init_strategy=cfg.init_strategy,
-        normalize=cfg.normalize,
-        homogeneous=cfg.homogeneous,
-        embed_norm=cfg.embed_norm,
-    )
-    model = pipeline.fit(src, tgt_u, tgt_l, fit_cfg)
+    model = pipeline.fit(src, tgt_u, tgt_l, cfg.fit)
     os.makedirs(cfg.output_dir, exist_ok=True)
     dataio.save_model(os.path.join(cfg.output_dir, "model.lpjt"), model)
     dataio.write_trace(os.path.join(cfg.output_dir, "trace.csv"), model.trace)
@@ -178,12 +170,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    # LinAlgError is a ValueError, so it is caught before the config branch
+    except (SolverError, RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SolverError, RuntimeError, FloatingPointError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

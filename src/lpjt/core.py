@@ -146,21 +146,51 @@ class TrainTrace:
         return self.objective.shape[0]
 
 
+FIT_MODES = ("unsupervised", "semisupervised")
+INIT_STRATEGIES = ("labelprop_raw", "nn_raw")
+NORMALIZE_MODES = ("none", "zscore", "unit", "unit+zscore")
+
+
+@dataclass(frozen=True)
+class FitConfig:
+    """Training-run configuration on top of the hyperparameters.
+
+    `homogeneous` opts into the A~B coupling (requires equal source/target
+    dimensionality and no sample-span map; `fit` warns and fits without
+    it otherwise). `normalize` is applied per domain before fitting;
+    'unit+zscore' scales samples to unit norm first, then standardizes
+    features. `embed_norm` scales embedded samples to unit length before
+    every label-propagation step (classifier preprocessing only; the
+    objective always sees the raw embeddings), which compensates for the
+    projection-norm penalty shrinking one domain relative to the other.
+    """
+
+    hyper: Hyperparams = field(default_factory=Hyperparams)
+    mode: str = "unsupervised"
+    init_strategy: str = "labelprop_raw"
+    normalize: str = "zscore"
+    homogeneous: bool = False
+    embed_norm: bool = True
+
+    def __post_init__(self):
+        if self.mode not in FIT_MODES:
+            raise ValueError(f"mode must be one of {FIT_MODES}")
+        if self.init_strategy not in INIT_STRATEGIES:
+            raise ValueError(f"init_strategy must be one of {INIT_STRATEGIES}")
+        if self.normalize not in NORMALIZE_MODES:
+            raise ValueError(f"normalize must be one of {NORMALIZE_MODES}")
+
+
 @dataclass(frozen=True)
 class SubspaceModel:
-    """Fitted projections A (d_s x d) and B (d_t x d) plus training state."""
+    """Fitted projections A (d_s x d) and B (d_t x d), their FitConfig and training state."""
 
     A: np.ndarray
     B: np.ndarray
-    hyper: Hyperparams
+    cfg: FitConfig
     weights: "object" = None     # landmark.LandmarkWeights
     trace: TrainTrace = field(default_factory=TrainTrace)
-    # fitted context needed to reproduce the training-time preprocessing
-    normalize: str = "zscore"
-    mode: str = "unsupervised"
     num_classes: int = 0
-    homogeneous: bool = False
-    embed_norm: bool = True
     pseudo_labels: np.ndarray | None = None
 
     def __post_init__(self):

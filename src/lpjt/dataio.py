@@ -3,8 +3,8 @@
 Datasets are CSV with header f0..f{d-1},label where label -1 marks an
 unlabeled sample. Models are a small versioned binary: magic 'LPJT',
 format version, dimensions, then A and B row-major as little-endian
-float64, then a JSON metadata block (hyperparameters, run settings,
-landmark weights and the training trace). Floats written to CSV use
+float64, then a JSON metadata block (the `FitConfig` fields, landmark
+weights, pseudo labels and the training trace). Floats written to CSV use
 shortest round-trip formatting, so read(write(x)) == x bit-exactly.
 """
 
@@ -12,11 +12,19 @@ import csv
 import dataclasses
 import json
 import struct
+import typing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeatureMatrix, Hyperparams, LabeledDataset, SubspaceModel, TrainTrace
+from .core import (
+    FeatureMatrix,
+    FitConfig,
+    Hyperparams,
+    LabeledDataset,
+    SubspaceModel,
+    TrainTrace,
+)
 from .landmark import LandmarkWeights
 
 MODEL_MAGIC = b"LPJT"
@@ -119,12 +127,8 @@ def save_model(path, model: SubspaceModel):
     A = np.ascontiguousarray(model.A, dtype="<f8")
     B = np.ascontiguousarray(model.B, dtype="<f8")
     meta = {
-        "hyper": dataclasses.asdict(model.hyper),
-        "normalize": model.normalize,
-        "mode": model.mode,
+        **dataclasses.asdict(model.cfg),
         "num_classes": model.num_classes,
-        "homogeneous": model.homogeneous,
-        "embed_norm": model.embed_norm,
         "weights": None,
         "pseudo_labels": None if model.pseudo_labels is None
         else [int(v) for v in model.pseudo_labels],
@@ -150,18 +154,27 @@ def save_model(path, model: SubspaceModel):
         fh.write(blob)
 
 
+def _read_exact(fh, size, path, what):
+    data = fh.read(size)
+    if len(data) != size:
+        raise ConfigError(
+            f"{path}: truncated model file: {what} needs {size} bytes, found {len(data)}"
+        )
+    return data
+
+
 def load_model(path) -> SubspaceModel:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MODEL_MAGIC:
             raise ConfigError(f"{path}: not a model file (bad magic {magic!r})")
-        version, d_s, d_t, d = struct.unpack("<IIII", fh.read(16))
+        version, d_s, d_t, d = struct.unpack("<IIII", _read_exact(fh, 16, path, "the header"))
         if version != MODEL_VERSION:
             raise ConfigError(f"{path}: unsupported model version {version}")
-        A = np.frombuffer(fh.read(8 * d_s * d), dtype="<f8").reshape(d_s, d)
-        B = np.frombuffer(fh.read(8 * d_t * d), dtype="<f8").reshape(d_t, d)
-        (blob_len,) = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(blob_len).decode("utf-8"))
+        A = np.frombuffer(_read_exact(fh, 8 * d_s * d, path, "A"), dtype="<f8").reshape(d_s, d)
+        B = np.frombuffer(_read_exact(fh, 8 * d_t * d, path, "B"), dtype="<f8").reshape(d_t, d)
+        (blob_len,) = struct.unpack("<I", _read_exact(fh, 4, path, "the metadata length"))
+        meta = json.loads(_read_exact(fh, blob_len, path, "the metadata").decode("utf-8"))
     weights = None
     if meta.get("weights"):
         w = meta["weights"]
@@ -180,18 +193,16 @@ def load_model(path) -> SubspaceModel:
     if hyper.pop("kernel", "none") != "none":
         raise ConfigError(f"{path}: kernelized models are not supported")
     hyper.pop("bandwidth", None)
+    # settings added after a file was written take their defaults
+    settings = {key: meta[key] for key in _FIT_KEYS if key in meta}
     pseudo = meta.get("pseudo_labels")
     return SubspaceModel(
         A=A,
         B=B,
-        hyper=Hyperparams(**hyper),
+        cfg=FitConfig(hyper=Hyperparams(**hyper), **settings),
         weights=weights,
         trace=trace,
-        normalize=meta["normalize"],
-        mode=meta["mode"],
         num_classes=meta["num_classes"],
-        homogeneous=meta["homogeneous"],
-        embed_norm=meta.get("embed_norm", True),
         pseudo_labels=None if pseudo is None else np.asarray(pseudo, dtype=np.int64),
     )
 
@@ -199,48 +210,30 @@ def load_model(path) -> SubspaceModel:
 # ---------------------------------------------------------------------------
 # run configuration
 
-_HYPER_KEYS = {
-    "delta": float,
-    "gamma": float,
-    "mu": float,
-    "d": int,
-    "T": int,
-    "k_w": int,
-    "k_b": int,
-    "sigma_lp": float,
-    "lambda_couple": float,
-    "eps_reg": float,
-}
-_RUN_KEYS = {
-    "mode": str,
-    "normalize": str,
-    "init_strategy": str,
-    "homogeneous": bool,
-    "embed_norm": bool,
-    "source": str,
-    "target_unlabeled": str,
-    "target_labeled": str,
-    "output_dir": str,
-    "predictions": str,
-    "truth": str,
-}
-KNOWN_KEYS = {**_HYPER_KEYS, **_RUN_KEYS}
-
-
 @dataclass
 class RunConfig:
-    hyper: Hyperparams
-    mode: str = "unsupervised"
-    normalize: str = "zscore"
-    init_strategy: str = "labelprop_raw"
-    homogeneous: bool = False
-    embed_norm: bool = True
+    """A parsed run config: the fit settings plus the file paths."""
+
+    fit: FitConfig
     source: str | None = None
     target_unlabeled: str | None = None
     target_labeled: str | None = None
     output_dir: str | None = None
     predictions: str | None = None
     truth: str | None = None
+
+
+def _keys(cls, skip):
+    """Config key -> value type for each field of a settings dataclass; an
+    optional field (`float | None`, `str | None`) takes its non-None type."""
+    return {f.name: (typing.get_args(f.type) or (f.type,))[0]
+            for f in dataclasses.fields(cls) if f.name != skip}
+
+
+_HYPER_KEYS = _keys(Hyperparams, None)
+_FIT_KEYS = _keys(FitConfig, "hyper")
+_PATH_KEYS = _keys(RunConfig, "fit")
+KNOWN_KEYS = {**_HYPER_KEYS, **_FIT_KEYS, **_PATH_KEYS}
 
 
 def _convert(key, raw):
@@ -251,7 +244,7 @@ def _convert(key, raw):
         if raw.lower() in ("0", "false", "no"):
             return False
         raise ConfigError(f"key '{key}': expected a boolean, got '{raw}'")
-    if typ in (float, int) and key in ("lambda_couple", "eps_reg") and raw.lower() == "auto":
+    if key in ("lambda_couple", "eps_reg") and raw.lower() == "auto":
         return None
     try:
         return typ(raw)
@@ -260,7 +253,8 @@ def _convert(key, raw):
 
 
 def parse_config(path) -> RunConfig:
-    """Parse a flat key=value file; unknown keys are rejected by name."""
+    """Parse a flat key=value file; unknown keys are rejected by name and
+    the fit settings are validated whatever the verb."""
     values = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -274,13 +268,13 @@ def parse_config(path) -> RunConfig:
             if key not in KNOWN_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
             values[key] = _convert(key, raw)
-    hyper_kwargs = {k: v for k, v in values.items() if k in _HYPER_KEYS}
-    run_kwargs = {k: v for k, v in values.items() if k in _RUN_KEYS}
+    hyper = {k: values.pop(k) for k in _HYPER_KEYS if k in values}
+    settings = {k: values.pop(k) for k in _FIT_KEYS if k in values}
     try:
-        hyper = Hyperparams(**hyper_kwargs)
-        return RunConfig(hyper=hyper, **run_kwargs)
+        fit = FitConfig(hyper=Hyperparams(**hyper), **settings)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
+    return RunConfig(fit=fit, **values)
 
 
 # ---------------------------------------------------------------------------

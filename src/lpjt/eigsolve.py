@@ -24,7 +24,8 @@ from .mmd import MmdBlocks
 
 
 class SolverError(RuntimeError):
-    """Eigendecomposition failure; carries a condition-number estimate."""
+    """Numeric failure of the eigenproblem: non-finite matrices or a failed
+    decomposition, which carries a condition-number estimate of RHS."""
 
     def __init__(self, message, cond=None):
         super().__init__(message)
@@ -89,7 +90,7 @@ def assemble_problem(M: MmdBlocks, S: ScatterSet, hyper: Hyperparams,
         RHS[d_s:, :d_s] -= eye
 
     if not np.all(np.isfinite(RHS)):
-        raise ValueError("constraint-side matrix contains non-finite entries")
+        raise SolverError("constraint-side matrix contains non-finite entries")
     eps = _ridge(RHS, hyper)
     RHS = _sym(RHS) + eps * np.eye(dim)
 
@@ -97,7 +98,7 @@ def assemble_problem(M: MmdBlocks, S: ScatterSet, hyper: Hyperparams,
     LHS[:d_s, :d_s] = g * S.S_b_s
     LHS[d_s:, d_s:] = g * S.S_b_u + mu * S.S_h_u
     if not np.all(np.isfinite(LHS)):
-        raise ValueError("objective-side matrix contains non-finite entries")
+        raise SolverError("objective-side matrix contains non-finite entries")
     return EigProblem(LHS=_sym(LHS), RHS=RHS, eps_used=eps)
 
 

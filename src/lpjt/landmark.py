@@ -75,16 +75,13 @@ class QpInstance:
     Bq, K_ss, K_su and K_su^T cost O(r * n). The dense `Bq`, `K_ss` and `K_su`
     are built lazily for inspection and tests; the solver never touches them.
 
-    V is the (n_s + n_u) x 2C class-indicator matrix and G the equality
-    targets delta * n^c; `groups` lists (global indices, free) per class and
-    domain, where pinned groups (class in one domain only) are not free.
+    `groups` lists (global indices, free) per class and domain, where pinned
+    groups (class in one domain only) are not free.
     """
 
     F_s: np.ndarray
     F_u: np.ndarray
     diag_s: np.ndarray
-    V: np.ndarray
-    G: np.ndarray
     delta: float
     groups: tuple
 
@@ -222,17 +219,9 @@ def build_qp(Z_s, Z_u, labels_s, pseudo_labels_u, delta, num_classes=None) -> Qp
             groups.append((si, both))
         if ui.size:
             groups.append((n_s + ui, both))
-
-    V = np.zeros((n_s + n_u, 2 * num_classes))
-    V[np.arange(n_s), labels_s] = 1.0
-    V[n_s + np.arange(n_u), num_classes + labels_u] = 1.0
-    G = np.zeros(2 * num_classes)
-    for c in range(num_classes):
-        G[c] = delta * np.count_nonzero(labels_s == c)
-        G[num_classes + c] = delta * np.count_nonzero(labels_u == c)
     return QpInstance(
         F_s=np.vstack(blocks_s), F_u=np.vstack(blocks_u), diag_s=diag_s,
-        V=V, G=G, delta=delta, groups=tuple(groups),
+        delta=delta, groups=tuple(groups),
     )
 
 
@@ -355,16 +344,13 @@ def _spectral_norm_estimate(matvec, n):
 
 
 def _greedy_linear_min(coef, delta, m):
-    """Minimize coef . v over {v in [0,1]^m : sum v = delta * m}."""
-    budget = delta * m
-    v = np.zeros(m)
-    order = np.argsort(coef, kind="stable")
-    for i in order:
-        take = min(1.0, budget)
-        v[i] = take
-        budget -= take
-        if budget <= 0:
-            break
+    """Minimize coef . v over {v in [0,1]^m : sum v = delta * m}.
+
+    Fills the budget greedily in ascending coef order, ties by index: the
+    k-th smallest gets clip(delta * m - k, 0, 1).
+    """
+    v = np.empty(m)
+    v[np.argsort(coef, kind="stable")] = np.clip(delta * m - np.arange(m), 0.0, 1.0)
     return v
 
 

@@ -10,7 +10,7 @@ number of changed pseudo labels are recorded.
 """
 
 import dataclasses
-from dataclasses import dataclass, field
+import warnings
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -18,7 +18,7 @@ from scipy.spatial.distance import cdist
 from . import eigsolve, graph, labelprop, landmark, mmd
 from .core import (
     FeatureMatrix,
-    Hyperparams,
+    FitConfig,
     LabeledDataset,
     SubspaceModel,
     TrainTrace,
@@ -28,40 +28,6 @@ from .core import (
     validate_pair,
     zscore_normalize,
 )
-
-FIT_MODES = ("unsupervised", "semisupervised")
-INIT_STRATEGIES = ("labelprop_raw", "nn_raw")
-NORMALIZE_MODES = ("none", "zscore", "unit", "unit+zscore")
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Training-run configuration on top of the hyperparameters.
-
-    `homogeneous` opts into the A~B coupling (requires equal source/target
-    dimensionality). `normalize` is applied per domain before fitting;
-    'unit+zscore' scales samples to unit norm first, then standardizes
-    features. `embed_norm` scales embedded samples to unit length before
-    every label-propagation step (classifier preprocessing only; the
-    objective always sees the raw embeddings), which compensates for the
-    projection-norm penalty shrinking one domain relative to the other.
-    """
-
-    hyper: Hyperparams = field(default_factory=Hyperparams)
-    mode: str = "unsupervised"
-    init_strategy: str = "labelprop_raw"
-    normalize: str = "zscore"
-    homogeneous: bool = False
-    embed_norm: bool = True
-
-    def __post_init__(self):
-        if self.mode not in FIT_MODES:
-            raise ValueError(f"mode must be one of {FIT_MODES}")
-        if self.init_strategy not in INIT_STRATEGIES:
-            raise ValueError(f"init_strategy must be one of {INIT_STRATEGIES}")
-        if self.normalize not in NORMALIZE_MODES:
-            raise ValueError(f"normalize must be one of {NORMALIZE_MODES}")
-
 
 def _fit_normalizer(X: FeatureMatrix, mode: str):
     if mode == "none":
@@ -176,6 +142,13 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
     if hyper.d > d_s + d_t:
         raise ValueError(f"subspace dim {hyper.d} exceeds d_s + d_t = {d_s + d_t}")
     homogeneous = cfg.homogeneous and d_s == d_t and Q_s is None and Q_u is None
+    if cfg.homogeneous and not homogeneous:
+        warnings.warn(
+            "homogeneous=True is ignored: the A~B coupling needs equal feature "
+            "counts and no more features than samples in either domain (source "
+            f"{src.features.dim}x{src.n}, target {inst.tgt_u.dim}x{inst.tgt_u.n})",
+            RuntimeWarning,
+        )
 
     # the graph distances of each domain, fixed for the whole fit
     sqdist_s = graph.pairwise_sqdist(Xs)
@@ -260,19 +233,8 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
         A = Q_s @ A
     if Q_u is not None:
         B = Q_u @ B
-    return SubspaceModel(
-        A=A,
-        B=B,
-        hyper=hyper,
-        weights=weights,
-        trace=trace,
-        normalize=cfg.normalize,
-        mode=cfg.mode,
-        num_classes=C,
-        homogeneous=homogeneous,
-        embed_norm=cfg.embed_norm,
-        pseudo_labels=labels_cur,
-    )
+    return SubspaceModel(A=A, B=B, cfg=cfg, weights=weights, trace=trace,
+                         num_classes=C, pseudo_labels=labels_cur)
 
 
 def transform(model: SubspaceModel, X, domain: str) -> FeatureMatrix:
@@ -297,9 +259,10 @@ def predict(model: SubspaceModel, src: LabeledDataset, tgt_u,
     both domains are embedded, and label propagation runs with the source
     (plus the labeled target subset, when given) as labeled data.
     """
+    cfg = model.cfg
     inst = validate_pair(src, tgt_u, tgt_l)
-    Xs, _ = _fit_normalizer(src.features, model.normalize)
-    Xu, u_state = _fit_normalizer(inst.tgt_u, model.normalize)
+    Xs, _ = _fit_normalizer(src.features, cfg.normalize)
+    Xu, u_state = _fit_normalizer(inst.tgt_u, cfg.normalize)
     Z_s = transform(model, Xs, "source").data
     Z_u = transform(model, Xu, "target").data
     labeled = Z_s
@@ -309,11 +272,11 @@ def predict(model: SubspaceModel, src: LabeledDataset, tgt_u,
         Z_l = transform(model, Xl, "target").data
         labeled = np.hstack([Z_s, Z_l])
         labels = np.concatenate([src.labels, inst.tgt_l.labels])
-    if model.embed_norm:
+    if cfg.embed_norm:
         labeled = unit_normalize(labeled).data
         Z_u = unit_normalize(Z_u).data
     train = LabeledDataset(as_features(labeled), labels, model.num_classes or inst.num_classes)
-    return labelprop.classify(train, as_features(Z_u), model.hyper)
+    return labelprop.classify(train, as_features(Z_u), cfg.hyper)
 
 
 def evaluate(pred, truth) -> float:

@@ -1,12 +1,15 @@
 import json
+import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lpjt import pipeline
 from lpjt.cli import main
-from lpjt.core import Hyperparams, TrainTrace
+from lpjt.core import FitConfig, Hyperparams, SubspaceModel, TrainTrace
 from lpjt.dataio import (
     ConfigError,
     load_model,
@@ -18,7 +21,6 @@ from lpjt.dataio import (
     write_dataset,
 )
 from lpjt.landmark import LandmarkWeights
-from lpjt.core import SubspaceModel
 
 
 def write_config(path, **kv):
@@ -80,14 +82,12 @@ class TestRoundTrips:
         model = SubspaceModel(
             A=rng.normal(size=(5, 3)),
             B=rng.normal(size=(4, 3)),
-            hyper=Hyperparams(d=3, gamma=0.123),
+            cfg=FitConfig(hyper=Hyperparams(d=3, gamma=0.123), mode="semisupervised",
+                          init_strategy="nn_raw", normalize="unit+zscore",
+                          homogeneous=True, embed_norm=False),
             weights=LandmarkWeights(rng.uniform(0, 1, 6), rng.uniform(0, 1, 7), 0.5),
             trace=TrainTrace(objective=[3.0, 2.0], mmd=[0.5, 0.25], label_changes=[4, 1]),
-            normalize="unit+zscore",
-            mode="semisupervised",
             num_classes=4,
-            homogeneous=True,
-            embed_norm=False,
             pseudo_labels=np.array([0, 1, 2, 3, 0, 1, 2]),
         )
         path = tmp_path / "m.lpjt"
@@ -95,12 +95,11 @@ class TestRoundTrips:
         loaded = load_model(path)
         assert np.array_equal(loaded.A, model.A)
         assert np.array_equal(loaded.B, model.B)
-        assert loaded.hyper == model.hyper
+        assert loaded.cfg == model.cfg
         assert np.array_equal(loaded.weights.alpha, model.weights.alpha)
         assert np.array_equal(loaded.trace.mmd, model.trace.mmd)
         assert np.array_equal(loaded.pseudo_labels, model.pseudo_labels)
-        assert loaded.mode == "semisupervised" and loaded.homogeneous is True
-        assert loaded.embed_norm is False
+        assert loaded.num_classes == 4
 
     @staticmethod
     def write_v1_with_kernel_keys(path, A, B, kernel):
@@ -126,11 +125,49 @@ class TestRoundTrips:
         self.write_v1_with_kernel_keys(path, A, B, "none")
         loaded = load_model(path)
         assert np.array_equal(loaded.A, A) and np.array_equal(loaded.B, B)
-        assert loaded.hyper == Hyperparams(d=2)
+        assert loaded.cfg == FitConfig(hyper=Hyperparams(d=2))
         assert np.array_equal(loaded.pseudo_labels, [0, 1, 2])
         self.write_v1_with_kernel_keys(path, A, B, "rbf")
         with pytest.raises(ConfigError, match="kernel"):
             load_model(path)
+
+    @staticmethod
+    def model_file_parts(path):
+        """Save a small model; return its bytes and (part, start, end) spans."""
+        rng = np.random.default_rng(3)
+        model = SubspaceModel(A=rng.normal(size=(5, 3)), B=rng.normal(size=(4, 3)),
+                              cfg=FitConfig(hyper=Hyperparams(d=3)),
+                              trace=TrainTrace(objective=[1.0], mmd=[0.5], label_changes=[0]))
+        save_model(path, model)
+        data = path.read_bytes()
+        ends = np.cumsum([4, 16, 8 * 5 * 3, 8 * 4 * 3, 4]).tolist() + [len(data)]
+        names = ["the header", "A", "B", "the metadata length", "the metadata"]
+        return data, [(name, ends[i], ends[i + 1]) for i, name in enumerate(names)]
+
+    def test_truncated_model_file_names_it(self, tmp_path):
+        path = tmp_path / "m.lpjt"
+        data, parts = self.model_file_parts(path)
+        for name, start, end in parts:
+            for cut in (start, (start + end) // 2, end - 1):
+                path.write_bytes(data[:cut])
+                with pytest.raises(ConfigError, match=re.escape(
+                        f"{path}: truncated model file: {name} needs {end - start} bytes, "
+                        f"found {cut - start}")):
+                    load_model(path)
+        path.write_bytes(b"LPJT\x01\x00")
+        with pytest.raises(ConfigError, match="the header needs 16 bytes, found 2"):
+            load_model(path)
+        path.write_bytes(data)
+        assert np.array_equal(load_model(path).A, np.frombuffer(data[20:140]).reshape(5, 3))
+
+    def test_truncated_model_file_exits_2(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        data, parts = self.model_file_parts(run / "model.lpjt")
+        (run / "model.lpjt").write_bytes(data[: parts[2][1] + 5])
+        cfg = write_config(tmp_path / "c.cfg", output_dir=run)
+        assert main(["trace", "--config", cfg]) == 2
+        assert "model.lpjt: truncated model file: B needs" in capsys.readouterr().err
 
     def test_model_magic_checked(self, tmp_path):
         path = tmp_path / "junk.lpjt"
@@ -165,16 +202,16 @@ class TestConfig:
         path = write_config(tmp_path / "c.cfg", gamma=0.25, d=7, mode="semisupervised",
                             lambda_couple="auto", homogeneous="true")
         cfg = parse_config(path)
-        assert cfg.hyper.gamma == 0.25
-        assert cfg.hyper.d == 7
-        assert cfg.hyper.lambda_couple is None
-        assert cfg.mode == "semisupervised"
-        assert cfg.homogeneous is True
+        assert cfg.fit.hyper.gamma == 0.25
+        assert cfg.fit.hyper.d == 7
+        assert cfg.fit.hyper.lambda_couple is None
+        assert cfg.fit.mode == "semisupervised"
+        assert cfg.fit.homogeneous is True
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("# comment\n\ndelta=0.4\n")
-        assert parse_config(path).hyper.delta == 0.4
+        assert parse_config(path).fit.hyper.delta == 0.4
 
     def test_bad_value_reported(self, tmp_path):
         path = write_config(tmp_path / "c.cfg", d="many")
@@ -260,6 +297,45 @@ class TestEndToEnd:
             gamma=0.0, mu=0.0, T=1, d=2,
         )
         assert main(["fit", "--config", cfg]) == 3
+
+    def test_overflowing_features_exit_3(self, tmp_path, capsys):
+        # unnormalized features near the float64 limit overflow the MMD blocks
+        Xs, ys, Xt, _ = synth_gauss_shift(10, 3, 3)
+        write_dataset(tmp_path / "source.csv", Xs * 1e160, ys)
+        write_dataset(tmp_path / "target.csv", Xt * 1e160)
+        cfg = write_config(
+            tmp_path / "c.cfg",
+            source=tmp_path / "source.csv",
+            target_unlabeled=tmp_path / "target.csv",
+            output_dir=tmp_path / "run",
+            normalize="none", d=2, T=2,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["fit", "--config", cfg]) == 3
+        assert "numeric failure: constraint-side matrix" in capsys.readouterr().err
+
+    def test_linalg_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def failing_fit(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        data = tmp_path / "data"
+        assert main(synth_args(data, n=5)) == 0
+        monkeypatch.setattr(pipeline, "fit", failing_fit)
+        cfg = write_config(tmp_path / "c.cfg", source=data / "source.csv",
+                           target_unlabeled=data / "target.csv", output_dir=tmp_path / "run")
+        assert main(["fit", "--config", cfg]) == 3
+        assert "numeric failure: Singular matrix" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("mode", "bogus"), ("normalize", "l2"),
+                                           ("init_strategy", "random")])
+    def test_every_verb_validates_the_settings(self, tmp_path, capsys, key, value):
+        data, run, cfg_path, _ = self._workflow(tmp_path, capsys)
+        with open(cfg_path, "a") as fh:
+            fh.write(f"{key}={value}\n")
+        for verb in ("fit", "predict", "eval", "trace"):
+            assert main([verb, "--config", cfg_path]) == 2
+            assert f"{key} must be one of" in capsys.readouterr().err
 
     def test_semisupervised_workflow(self, tmp_path, capsys):
         data = tmp_path / "data"

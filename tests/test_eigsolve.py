@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from lpjt.core import Hyperparams
 from lpjt.eigsolve import (
     EigProblem,
+    SolverError,
     assemble_problem,
     solve,
     split_projection,
@@ -93,8 +94,15 @@ class TestAssemble:
     def test_non_finite_entries_rejected(self):
         bad = np.full((2, 2), np.inf)
         M = MmdBlocks(bad, np.zeros((2, 2)), np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(SolverError, match="finite"):
             assemble_problem(M, zero_scatter(2, 2), Hyperparams())
+
+    def test_non_finite_objective_side_rejected(self):
+        M = MmdBlocks(np.eye(2), np.zeros((2, 2)), np.eye(2))
+        z = np.zeros((2, 2))
+        S = ScatterSet(S_w_s=z, S_b_s=np.full((2, 2), np.inf), S_w_u=z, S_b_u=z, S_h_u=z)
+        with pytest.raises(SolverError, match="objective-side.*finite"):
+            assemble_problem(M, S, Hyperparams())
 
 
 class TestSolve:

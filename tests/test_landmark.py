@@ -49,8 +49,7 @@ class TestProjectBoxMean:
 class TestBuildQp:
     def test_single_sample_single_class(self):
         qp, *_ = random_qp(0, n_s=1, n_u=1, C=1)
-        assert_allclose(qp.V, np.eye(2))
-        assert_allclose(qp.G, [0.5, 0.5])
+        assert [(idx.tolist(), free) for idx, free in qp.groups] == [([0], True), ([1], True)]
 
     def test_orthogonal_embeddings_zero_cross_block(self):
         Z_s = np.array([[1.0, 1.0], [0.0, 0.0]])
@@ -61,11 +60,6 @@ class TestBuildQp:
     def test_lower_right_block_zero(self):
         qp, *_ = random_qp(1)
         assert np.all(qp.Bq[qp.n_s:, qp.n_s:] == 0.0)
-
-    def test_indicator_rows_one_hot(self):
-        qp, *_ = random_qp(2)
-        assert np.all(np.isin(qp.V, (0.0, 1.0)))
-        assert_allclose(qp.V.sum(axis=1), 1.0)
 
     def test_class_absent_everywhere_rejected(self):
         rng = np.random.default_rng(3)
@@ -187,8 +181,6 @@ class TestSolveQp:
             F_s=np.zeros((1, 2)),
             F_u=np.zeros((1, 1)),
             diag_s=np.array([1.0, 1.0]),
-            V=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-            G=np.array([1.0, 0.5]),
             delta=0.5,
             groups=((np.array([0, 1]), True), (np.array([2]), True)),
         )
@@ -416,3 +408,33 @@ class TestProjectSort:
         assert qp._meta_all.ev_gid.dtype == np.uint16
         self.check(qp, rng.normal(0.5, 1.5, qp.n_s + qp.n_u))
         self.check(qp, rng.integers(-4, 9, qp.n_s + qp.n_u) / 4.0)
+
+
+def loop_greedy_linear_min(coef, delta, m):
+    """The budget-filling loop: the reference for the vectorized greedy step."""
+    budget = delta * m
+    v = np.zeros(m)
+    for i in np.argsort(coef, kind="stable"):
+        take = min(1.0, budget)
+        v[i] = take
+        budget -= take
+        if budget <= 0:
+            break
+    return v
+
+
+class TestGreedyLinearMin:
+    """`_greedy_linear_min` is bit-identical to the loop, ties included."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_loop(self, seed):
+        rng = np.random.default_rng(seed + 200)
+        for _ in range(100):
+            m = int(rng.integers(1, 40))
+            delta = float(rng.choice([0.0, 0.1, 0.25, 0.5, 1 / 3, 0.75, 1.0, rng.uniform()]))
+            # integer coefficients tie often; the stable order breaks ties by index
+            coef = rng.integers(-3, 4, m).astype(float) if rng.uniform() < 0.5 \
+                else rng.normal(size=m)
+            got = landmark._greedy_linear_min(coef, delta, m)
+            assert np.array_equal(got, loop_greedy_linear_min(coef, delta, m))
+            assert np.isclose(got.sum(), delta * m)

@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,27 @@ class TestFitBasics:
         hyper = Hyperparams(d=2, T=1, mu=0.0, lambda_couple=1e4)
         model = fit(src, X, None, FitConfig(hyper=hyper, homogeneous=True))
         assert model.trace.mmd[-1] <= 1e-6
+
+    def test_homogeneous_flag_warns_when_it_cannot_apply(self):
+        cfg = FitConfig(hyper=Hyperparams(d=2, T=1), homogeneous=True)
+        Xs, ys, Xt, _ = synth_hetero_map(10, 3, 0)
+        src = LabeledDataset(FeatureMatrix(Xs), ys, 3)
+        with pytest.warns(RuntimeWarning, match="homogeneous=True is ignored"):
+            fit(src, Xt, None, cfg)
+        # equal feature counts, but more features than samples: the span map
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(12, 9))
+        src = LabeledDataset(FeatureMatrix(X), np.repeat([0, 1, 2], 3), 3)
+        with pytest.warns(RuntimeWarning, match="homogeneous=True is ignored"):
+            fit(src, X + 0.1, None, cfg)
+
+    def test_homogeneous_flag_silent_when_it_applies(self):
+        X, y = separated_blobs(n=10)
+        src = LabeledDataset(FeatureMatrix(X), y, 3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit(src, X + 0.1, None, FitConfig(hyper=Hyperparams(d=2, T=1), homogeneous=True))
+        assert not [w for w in caught if "homogeneous" in str(w.message)]
 
     def test_trace_lengths_match_iterations(self):
         X, y = separated_blobs(n=10)
@@ -174,15 +196,16 @@ class TestAdaptationQuality:
         m_on = fit(src, Xt, None, FitConfig(hyper=Hyperparams(d=2, T=2)))
         m_off = fit(src, Xt, None,
                     FitConfig(hyper=Hyperparams(d=2, T=2), embed_norm=False))
-        assert m_on.embed_norm and not m_off.embed_norm
+        assert m_on.cfg.embed_norm and not m_off.cfg.embed_norm
         # projections themselves solve the same objective at iteration 1
         assert m_on.A.shape == m_off.A.shape
 
 
 class TestTransform:
     def _identity_model(self, d=2):
-        return SubspaceModel(A=np.eye(d), B=np.eye(d), hyper=Hyperparams(d=d),
-                             normalize="none", num_classes=2)
+        return SubspaceModel(A=np.eye(d), B=np.eye(d),
+                             cfg=FitConfig(hyper=Hyperparams(d=d), normalize="none"),
+                             num_classes=2)
 
     def test_identity_projection(self):
         model = self._identity_model()
@@ -197,7 +220,7 @@ class TestTransform:
     def test_output_has_subspace_rows(self):
         rng = np.random.default_rng(0)
         model = SubspaceModel(A=rng.normal(size=(5, 2)), B=rng.normal(size=(4, 2)),
-                              hyper=Hyperparams(d=2))
+                              cfg=FitConfig(hyper=Hyperparams(d=2)))
         assert transform(model, rng.normal(size=(5, 7)), "source").dim == 2
         assert transform(model, rng.normal(size=(4, 7)), "target").dim == 2
 
@@ -214,8 +237,8 @@ class TestPredict:
         X, y = separated_blobs(n=8)
         src = LabeledDataset(FeatureMatrix(X), y, 3)
         model = SubspaceModel(A=np.eye(2), B=np.eye(2),
-                              hyper=Hyperparams(d=2, k_w=1),
-                              normalize="none", num_classes=3)
+                              cfg=FitConfig(hyper=Hyperparams(d=2, k_w=1), normalize="none"),
+                              num_classes=3)
         pred = predict(model, src, X[:, [5]])
         assert pred[0] == y[5]
 
