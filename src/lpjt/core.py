@@ -108,6 +108,11 @@ class Hyperparams:
     eps_reg: float | None = None
 
     def __post_init__(self):
+        # NaN fails every comparison below and inf passes the sign checks
+        for name in ("gamma", "mu", "lambda_couple", "eps_reg"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError("delta must lie in [0, 1]")
         if not 0.0 < self.sigma_lp < 1.0:

@@ -174,7 +174,23 @@ def load_model(path) -> SubspaceModel:
         A = np.frombuffer(_read_exact(fh, 8 * d_s * d, path, "A"), dtype="<f8").reshape(d_s, d)
         B = np.frombuffer(_read_exact(fh, 8 * d_t * d, path, "B"), dtype="<f8").reshape(d_t, d)
         (blob_len,) = struct.unpack("<I", _read_exact(fh, 4, path, "the metadata length"))
-        meta = json.loads(_read_exact(fh, blob_len, path, "the metadata").decode("utf-8"))
+        blob = _read_exact(fh, blob_len, path, "the metadata")
+    try:
+        meta = json.loads(blob.decode("utf-8"))
+    except ValueError as exc:   # UnicodeDecodeError and JSONDecodeError alike
+        raise ConfigError(f"{path}: model metadata is not UTF-8 JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{path}: model metadata is a JSON {type(meta).__name__}, "
+                          "not an object")
+    try:
+        return _model_from_meta(A, B, meta)
+    except KeyError as exc:
+        raise ConfigError(f"{path}: model metadata lacks the key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: bad model metadata: {exc}") from None
+
+
+def _model_from_meta(A, B, meta) -> SubspaceModel:
     weights = None
     if meta.get("weights"):
         w = meta["weights"]
@@ -191,7 +207,7 @@ def load_model(path) -> SubspaceModel:
     # version-1 files written before the kernel knobs were removed carry
     # them, at kernel 'none' for every model `fit` could train
     if hyper.pop("kernel", "none") != "none":
-        raise ConfigError(f"{path}: kernelized models are not supported")
+        raise ValueError("kernelized models are not supported")
     hyper.pop("bandwidth", None)
     # settings added after a file was written take their defaults
     settings = {key: meta[key] for key in _FIT_KEYS if key in meta}

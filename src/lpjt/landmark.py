@@ -8,12 +8,12 @@ F_s^T F_s and K_su = F_s^T F_u, where the factors are scaled copies of the
 embedded data with r = d * (1 + shared classes) rows, so the weight step
 stores O(r * n) numbers and every product with Bq costs O(r * n).
 
-The zero lower-right block makes Bq indefinite, so the solver is projected
-gradient descent with exact per-group projection onto
-{[0,1]^m, mean = delta}, followed by alternating exact coordinate passes
-(a linear program in beta, a convex QP in alpha solved by accelerated
-projected gradient) that can only improve the objective. Classes present in
-a single domain keep their weights pinned at delta.
+The zero lower-right block makes Bq indefinite, so the solver runs one burst
+of projected gradient descent with exact per-group projection onto
+{[0,1]^m, mean = delta}, then alternating exact coordinate passes (a linear
+program in beta, a convex QP in alpha by accelerated projected gradient) to
+a fixed point. Classes present in a single domain keep their weights pinned
+at delta.
 """
 
 import warnings
@@ -22,6 +22,14 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+
+# solve_qp's limits. Bursts of 50 steps end recorded QPs at other stationary
+# points than bursts of 100; the passes reach their fixed point there within
+# 2-6 rounds, so POLISH_ROUNDS only caps a slow tail
+BURST_STEPS = 100
+BURST_TOL = 1e-9
+POLISH_ROUNDS = 50
+POLISH_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -384,13 +392,15 @@ def _alpha_pass(qp: QpInstance, z, lin, step):
     return a
 
 
-def _alternating_polish(qp: QpInstance, z, trace, max_rounds=6, tol=1e-10):
-    """Exact coordinate passes: linear in beta, convex quadratic in alpha."""
+def _alternating_polish(qp: QpInstance, z, trace):
+    """Exact coordinate passes, linear in beta and convex quadratic in alpha,
+    until a round improves neither; returns the point and whether that
+    fixed point was reached."""
     n_s = qp.n_s
     L = qp.norm_kss
     f = _objective(qp, z)
-    for _ in range(max_rounds):
-        improved = False
+    for _ in range(POLISH_ROUNDS):
+        f_round = f
         # beta enters linearly: minimize (-K_su^T alpha) . beta per group
         coef = -qp.ksu_rmatvec(z[:n_s])
         cand = z.copy()
@@ -400,33 +410,31 @@ def _alternating_polish(qp: QpInstance, z, trace, max_rounds=6, tol=1e-10):
             local = idx - n_s
             cand[idx] = _greedy_linear_min(coef[local], qp.delta, idx.size)
         f_cand = _objective(qp, cand)
-        if f_cand < f - tol * max(abs(f), 1e-30):
+        if f_cand < f - POLISH_TOL * max(abs(f), 1e-30):
             z, f = cand, f_cand
             trace.append(f)
-            improved = True
         # alpha subproblem is convex: solve it to tolerance
         if L > 0.0:
             cand = z.copy()
             cand[:n_s] = _alpha_pass(qp, z, -qp.ksu_matvec(z[n_s:]), 1.0 / L)
             f_cand = _objective(qp, cand)
-            if f_cand < f - tol * max(abs(f), 1e-30):
+            if f_cand < f - POLISH_TOL * max(abs(f), 1e-30):
                 z, f = cand, f_cand
                 trace.append(f)
-                improved = True
-        if not improved:
-            break
-    return z, f
+        if f == f_round:
+            return z, True
+    return z, False
 
 
-def solve_qp(qp: QpInstance, init: LandmarkWeights | None = None,
-             max_iter=500, tol=1e-9, full_output=False):
+def solve_qp(qp: QpInstance, init: LandmarkWeights | None = None, full_output=False):
     """Minimize 1/2 z^T Bq z over the feasible weight polytope.
 
-    Projected gradient descent with backtracking from a 1/||Bq||_2 step,
-    starting at `init` (default: the uniform feasible point), followed by
-    alternating exact passes. Uses only the instance's factored products.
-    The returned point is always feasible and its objective never exceeds
-    the initial one. Deterministic given init.
+    One projected-gradient burst from `init` (default: the uniform feasible
+    point), backtracking from a 1/||Bq||_2 step, then alternating exact
+    passes until a round makes no improvement. `converged` reports that
+    fixed point and `iterations` the burst's steps. Uses only the
+    instance's factored products. The returned point is always feasible
+    and its objective never exceeds the initial one. Deterministic given init.
     """
     if init is None:
         init = uniform_weights(qp.n_s, qp.n_u, qp.delta)
@@ -438,57 +446,38 @@ def solve_qp(qp: QpInstance, init: LandmarkWeights | None = None,
         raise ValueError("init is not feasible")
     z = feas
 
-    if qp.delta >= 1.0 or qp.delta <= 0.0:
-        # the box and mean constraints pin every weight
-        return _finalize(qp, z, [_objective(qp, z)], True, 0, full_output)
-
-    L = qp.norm_bq
     f = _objective(qp, z)
     trace = [f]
-    if L <= 0.0:
+    # delta 0 or 1 pins every weight, and Bq = 0 makes every point optimal
+    if qp.delta >= 1.0 or qp.delta <= 0.0 or qp.norm_bq <= 0.0:
         return _finalize(qp, z, trace, True, 0, full_output)
 
-    # projected gradient in bursts, with exact coordinate passes between
-    # bursts: the beta subproblem is a per-group linear program and the
-    # alpha subproblem is convex, so the passes cut through the shallow
-    # valley the plain gradient crawls along.
-    t0 = 1.0 / L
-    iters = 0
-    converged = False
-    while iters < max_iter:
-        burst_end = min(iters + 100, max_iter)
-        stalled = False
-        g = qp.matvec(z)
-        while iters < burst_end:
-            iters += 1
-            t = t0
-            accepted = False
-            for _ in range(40):
-                z_new = _project(z - t * g, qp)
-                step_vec = z_new - z
-                g_new = qp.matvec(z_new)
-                f_new = 0.5 * float(z_new @ g_new)
-                slack = 1e-12 * max(abs(f), 1.0e-30)
-                if f_new <= f + g @ step_vec + step_vec @ step_vec / (2.0 * t) + slack:
-                    accepted = True
-                    break
-                t /= 2.0
-            if not accepted:
-                stalled = True
+    g = qp.matvec(z)
+    for iters in range(1, BURST_STEPS + 1):
+        t = 1.0 / qp.norm_bq
+        for _ in range(40):
+            z_new = _project(z - t * g, qp)
+            step_vec = z_new - z
+            g_new = qp.matvec(z_new)
+            f_new = 0.5 * float(z_new @ g_new)
+            slack = 1e-12 * max(abs(f), 1.0e-30)
+            if f_new <= f + g @ step_vec + step_vec @ step_vec / (2.0 * t) + slack:
                 break
-            rel_drop = (f - f_new) / max(abs(f), 1e-30)
-            z, f, g = z_new, f_new, g_new
-            trace.append(f)
-            if rel_drop < tol:
-                stalled = True
-                break
-        f_before = f
-        z, f = _alternating_polish(qp, z, trace)
-        if stalled and f >= f_before - tol * max(abs(f_before), 1e-30):
-            converged = True
+            t /= 2.0
+        else:
             break
+        rel_drop = (f - f_new) / max(abs(f), 1e-30)
+        z, f, g = z_new, f_new, g_new
+        trace.append(f)
+        if rel_drop < BURST_TOL:
+            break
+    # the beta subproblem is a per-group linear program and the alpha
+    # subproblem is convex, so exact passes cut through the shallow valley
+    # the plain gradient crawls along
+    z, converged = _alternating_polish(qp, z, trace)
     if not converged:
-        warnings.warn("weight solver hit the iteration limit; returning best feasible point")
+        warnings.warn(f"weight solver's alternating passes hit their {POLISH_ROUNDS}-round "
+                      "cap; returning best feasible point")
     return _finalize(qp, z, trace, converged, iters, full_output)
 
 

@@ -102,21 +102,28 @@ class TestRoundTrips:
         assert loaded.num_classes == 4
 
     @staticmethod
-    def write_v1_with_kernel_keys(path, A, B, kernel):
-        """A version-1 model file as written before the kernel knobs were
-        removed: its hyperparameters carry `kernel` and `bandwidth`."""
-        hyper = {"delta": 0.5, "gamma": 0.01, "mu": 0.1, "d": A.shape[1], "T": 5,
-                 "k_w": 5, "k_b": 5, "sigma_lp": 0.9, "lambda_couple": None,
-                 "eps_reg": None, "kernel": kernel, "bandwidth": 1.0}
-        meta = {"hyper": hyper, "normalize": "zscore", "mode": "unsupervised",
-                "num_classes": 3, "homogeneous": False, "embed_norm": True,
-                "weights": None, "pseudo_labels": [0, 1, 2],
-                "trace": {"objective": [2.0], "mmd": [0.5], "label_changes": [1]}}
-        blob = json.dumps(meta).encode("utf-8")
+    def write_v1(path, A, B, blob):
+        """A version-1 model file with the given metadata bytes."""
         with open(path, "wb") as fh:
             fh.write(b"LPJT" + struct.pack("<IIII", 1, A.shape[0], B.shape[0], A.shape[1]))
             fh.write(A.astype("<f8").tobytes() + B.astype("<f8").tobytes())
             fh.write(struct.pack("<I", len(blob)) + blob)
+
+    @staticmethod
+    def v1_metadata(d, kernel="none"):
+        """Metadata as written before the kernel knobs were removed: its
+        hyperparameters carry `kernel` and `bandwidth`."""
+        hyper = {"delta": 0.5, "gamma": 0.01, "mu": 0.1, "d": d, "T": 5,
+                 "k_w": 5, "k_b": 5, "sigma_lp": 0.9, "lambda_couple": None,
+                 "eps_reg": None, "kernel": kernel, "bandwidth": 1.0}
+        return {"hyper": hyper, "normalize": "zscore", "mode": "unsupervised",
+                "num_classes": 3, "homogeneous": False, "embed_norm": True,
+                "weights": None, "pseudo_labels": [0, 1, 2],
+                "trace": {"objective": [2.0], "mmd": [0.5], "label_changes": [1]}}
+
+    def write_v1_with_kernel_keys(self, path, A, B, kernel):
+        meta = self.v1_metadata(A.shape[1], kernel)
+        self.write_v1(path, A, B, json.dumps(meta).encode("utf-8"))
 
     def test_model_with_removed_kernel_keys_loads(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -168,6 +175,65 @@ class TestRoundTrips:
         cfg = write_config(tmp_path / "c.cfg", output_dir=run)
         assert main(["trace", "--config", cfg]) == 2
         assert "model.lpjt: truncated model file: B needs" in capsys.readouterr().err
+
+    @staticmethod
+    def without(meta, *keys):
+        """A copy of nested metadata with the key at path `keys` removed."""
+        meta = json.loads(json.dumps(meta))
+        inner = meta
+        for key in keys[:-1]:
+            inner = inner[key]
+        del inner[keys[-1]]
+        return meta
+
+    @pytest.mark.parametrize("keys", [("trace",), ("hyper",), ("num_classes",),
+                                      ("trace", "mmd")], ids="/".join)
+    def test_missing_metadata_key_names_file(self, tmp_path, keys):
+        rng = np.random.default_rng(4)
+        A, B = rng.normal(size=(4, 2)), rng.normal(size=(3, 2))
+        path = tmp_path / "m.lpjt"
+        meta = self.without(self.v1_metadata(2), *keys)
+        self.write_v1(path, A, B, json.dumps(meta).encode("utf-8"))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}: model metadata lacks the key '{keys[-1]}'")):
+            load_model(path)
+
+    @pytest.mark.parametrize("blob,message", [
+        (b"[1, 2]", "model metadata is a JSON list, not an object"),
+        (b"3", "model metadata is a JSON int, not an object"),
+        (b'{"hyper": ', "model metadata is not UTF-8 JSON: Expecting value"),
+        (b"\xff\xfe{}", "model metadata is not UTF-8 JSON: 'utf-8' codec"),
+    ], ids=["list", "int", "cut-json", "bad-utf8"])
+    def test_malformed_metadata_names_file(self, tmp_path, blob, message):
+        rng = np.random.default_rng(5)
+        path = tmp_path / "m.lpjt"
+        self.write_v1(path, rng.normal(size=(4, 2)), rng.normal(size=(3, 2)), blob)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
+            load_model(path)
+
+    def test_unknown_hyper_key_names_file(self, tmp_path):
+        rng = np.random.default_rng(6)
+        path = tmp_path / "m.lpjt"
+        meta = self.v1_metadata(2)
+        meta["hyper"]["bogus"] = 1
+        self.write_v1(path, rng.normal(size=(4, 2)), rng.normal(size=(3, 2)),
+                      json.dumps(meta).encode("utf-8"))
+        with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: bad model metadata: "
+                                              ".*unexpected keyword argument 'bogus'"):
+            load_model(path)
+
+    @pytest.mark.parametrize("verb", ["trace", "predict"])
+    def test_empty_metadata_exits_2(self, tmp_path, capsys, verb):
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert main(synth_args(data, n=5)) == 0
+        run.mkdir()
+        rng = np.random.default_rng(7)
+        self.write_v1(run / "model.lpjt", rng.normal(size=(2, 2)), rng.normal(size=(2, 2)),
+                      b"{}")
+        cfg = write_config(tmp_path / "c.cfg", source=data / "source.csv",
+                           target_unlabeled=data / "target.csv", output_dir=run)
+        assert main([verb, "--config", cfg]) == 2
+        assert "model.lpjt: model metadata lacks the key 'trace'" in capsys.readouterr().err
 
     def test_model_magic_checked(self, tmp_path):
         path = tmp_path / "junk.lpjt"
@@ -285,6 +351,17 @@ class TestEndToEnd:
         assert main(["fit", "--config", cfg, "--out", str(override)]) == 0
         assert (override / "model.lpjt").exists()
         assert not (tmp_path / "ignored").exists()
+
+    @pytest.mark.parametrize("key,value", [("gamma", "nan"), ("mu", "inf"),
+                                           ("lambda_couple", "inf"), ("eps_reg", "nan")])
+    def test_non_finite_hyperparameter_exits_2(self, tmp_path, capsys, key, value):
+        data = tmp_path / "data"
+        assert main(synth_args(data, n=10)) == 0
+        cfg = write_config(tmp_path / "c.cfg", source=data / "source.csv",
+                           target_unlabeled=data / "target.csv", output_dir=tmp_path / "run",
+                           d=2, T=1, **{key: value})
+        assert main(["fit", "--config", cfg]) == 2
+        assert f"{key} must be finite, got {float(value)}" in capsys.readouterr().err
 
     def test_numeric_failure_exits_3(self, tmp_path, capsys):
         data = tmp_path / "data"

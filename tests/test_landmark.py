@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -153,14 +154,20 @@ def plain_alpha_pass(qp, z, lin, step):
     return a
 
 
+def alpha_pass_instance(seed):
+    """One of the 20 fit-sized instances of TestAcceleratedAlphaPass."""
+    rng = np.random.default_rng(seed + 100)
+    C = int(rng.integers(2, 5))
+    qp, *_ = random_qp(seed + 100, n_s=int(rng.integers(100, 160)),
+                       n_u=int(rng.integers(100, 160)), C=C,
+                       d=int(rng.integers(1, 4)))
+    return qp
+
+
 class TestAcceleratedAlphaPass:
     @pytest.mark.parametrize("seed", range(20))
     def test_reaches_plain_gradient_objective(self, seed, monkeypatch):
-        rng = np.random.default_rng(seed + 100)
-        C = int(rng.integers(2, 5))
-        qp, *_ = random_qp(seed + 100, n_s=int(rng.integers(100, 160)),
-                           n_u=int(rng.integers(100, 160)), C=C,
-                           d=int(rng.integers(1, 4)))
+        qp = alpha_pass_instance(seed)
         _, fast = solve_qp(qp, full_output=True)
         monkeypatch.setattr(landmark, "_alpha_pass", plain_alpha_pass)
         _, ref = solve_qp(qp, full_output=True)
@@ -247,6 +254,19 @@ class TestSolveQp:
         assert_allclose(w.alpha[2:], 0.5)
 
 
+def grid_instance(seed):
+    """One of the 6 small instances TestGridSearchOracle enumerates, with
+    its per-group sizes."""
+    rng = np.random.default_rng(seed)
+    sizes_s = [int(rng.integers(1, 4)), int(rng.integers(1, 3))]
+    sizes_u = [int(rng.integers(1, 3)), int(rng.integers(1, 3))]
+    ys = np.repeat([0, 1], sizes_s)
+    yu = np.repeat([0, 1], sizes_u)
+    Z_s = rng.normal(size=(2, ys.size))
+    Z_u = rng.normal(size=(2, yu.size))
+    return build_qp(Z_s, Z_u, ys, yu, 0.5, 2), sizes_s, sizes_u
+
+
 class TestGridSearchOracle:
     def lattice(self, m, delta, step=0.05):
         """All step-quantized points of [0,1]^m with mean delta."""
@@ -270,15 +290,8 @@ class TestGridSearchOracle:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_solver_matches_lattice_optimum(self, seed):
-        rng = np.random.default_rng(seed)
-        sizes_s = [int(rng.integers(1, 4)), int(rng.integers(1, 3))]
-        sizes_u = [int(rng.integers(1, 3)), int(rng.integers(1, 3))]
-        ys = np.repeat([0, 1], sizes_s)
-        yu = np.repeat([0, 1], sizes_u)
-        Z_s = rng.normal(size=(2, ys.size))
-        Z_u = rng.normal(size=(2, yu.size))
-        delta = 0.5
-        qp = build_qp(Z_s, Z_u, ys, yu, delta, 2)
+        qp, sizes_s, sizes_u = grid_instance(seed)
+        delta = qp.delta
         w = solve_qp(qp)
         z = w.stacked()
         solver_obj = 0.5 * z @ qp.Bq @ z
@@ -289,6 +302,102 @@ class TestGridSearchOracle:
         cross = A_grid @ qp.K_su @ B_grid.T
         best = float((quad[:, None] - cross).min())
         assert solver_obj <= best + 1e-4
+
+
+def six_round_polish(qp, z, tol=1e-10):
+    """The alternating passes capped at 6 rounds, as the burst loop ran them."""
+    n_s = qp.n_s
+    L = qp.norm_kss
+    f = landmark._objective(qp, z)
+    for _ in range(6):
+        improved = False
+        coef = -qp.ksu_rmatvec(z[:n_s])
+        cand = z.copy()
+        for idx, both in qp.groups:
+            if both and idx[0] >= n_s:
+                cand[idx] = landmark._greedy_linear_min(coef[idx - n_s], qp.delta, idx.size)
+        f_cand = landmark._objective(qp, cand)
+        if f_cand < f - tol * max(abs(f), 1e-30):
+            z, f, improved = cand, f_cand, True
+        if L > 0.0:
+            cand = z.copy()
+            cand[:n_s] = landmark._alpha_pass(qp, z, -qp.ksu_matvec(z[n_s:]), 1.0 / L)
+            f_cand = landmark._objective(qp, cand)
+            if f_cand < f - tol * max(abs(f), 1e-30):
+                z, f, improved = cand, f_cand, True
+        if not improved:
+            break
+    return z, f
+
+
+def burst_loop_solve_qp(qp, max_iter=500, tol=1e-9):
+    """The solver with the outer burst loop: bursts of up to 100 projected-
+    gradient steps from the uniform point, each followed by `six_round_polish`,
+    until a burst stalls and its passes do not improve. The reference for
+    the one-burst `solve_qp`; returns the final objective."""
+    z = uniform_weights(qp.n_s, qp.n_u, qp.delta).stacked()
+    f = landmark._objective(qp, z)
+    iters = 0
+    while iters < max_iter:
+        burst_end = min(iters + 100, max_iter)
+        stalled = False
+        g = qp.matvec(z)
+        while iters < burst_end:
+            iters += 1
+            t = 1.0 / qp.norm_bq
+            for _ in range(40):
+                z_new = landmark._project(z - t * g, qp)
+                step_vec = z_new - z
+                g_new = qp.matvec(z_new)
+                f_new = 0.5 * float(z_new @ g_new)
+                slack = 1e-12 * max(abs(f), 1.0e-30)
+                if f_new <= f + g @ step_vec + step_vec @ step_vec / (2.0 * t) + slack:
+                    break
+                t /= 2.0
+            else:
+                stalled = True
+                break
+            rel_drop = (f - f_new) / max(abs(f), 1e-30)
+            z, f, g = z_new, f_new, g_new
+            if rel_drop < tol:
+                stalled = True
+                break
+        f_before = f
+        z, f = six_round_polish(qp, z)
+        if stalled and f >= f_before - tol * max(abs(f_before), 1e-30):
+            break
+    return f
+
+
+class TestOneBurstSolver:
+    """One burst, then alternating passes to a fixed point, against the
+    burst loop it replaced."""
+
+    @pytest.mark.parametrize("family,seed",
+                             [("alpha_pass", s) for s in range(20)]
+                             + [("grid", s) for s in range(6)])
+    def test_matches_burst_loop_reference(self, family, seed):
+        qp = alpha_pass_instance(seed) if family == "alpha_pass" else grid_instance(seed)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, info = solve_qp(qp, full_output=True)
+        f_new, f_ref = info["objective_trace"][-1], burst_loop_solve_qp(qp)
+        assert f_new <= f_ref + 1e-9 * abs(f_ref)
+        assert info["iterations"] <= 100
+        assert info["converged"]
+
+    def test_round_cap_warns_and_reports_not_converged(self, monkeypatch):
+        qp = alpha_pass_instance(0)
+        _, info = solve_qp(qp, full_output=True)
+        # the passes improved on the burst, so the fixed point took >= 2 rounds
+        assert len(info["objective_trace"]) > info["iterations"] + 1
+        monkeypatch.setattr(landmark, "POLISH_ROUNDS", 1)
+        with pytest.warns(UserWarning, match="passes hit their 1-round cap"):
+            _, capped = solve_qp(qp, full_output=True)
+        assert not capped["converged"]
+        # the capped run is the uncapped one cut after its first round
+        tr = capped["objective_trace"]
+        assert np.array_equal(tr, info["objective_trace"][: tr.size])
 
 
 class TestProjectFeasible:
