@@ -83,7 +83,7 @@ class LabeledDataset:
 class Hyperparams:
     """Training hyperparameters.
 
-    delta          landmark ratio: per-class mean of the sample weights
+    delta          landmark ratio in (0, 1]: per-class mean of the sample weights
     gamma          weight of the locality-preserving graph terms
     mu             weight of the target variance / projection-norm terms
     d              subspace dimensionality
@@ -113,8 +113,8 @@ class Hyperparams:
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValueError("delta must lie in [0, 1]")
+        if not 0.0 < self.delta <= 1.0:
+            raise ValueError("delta must lie in (0, 1]")
         if not 0.0 < self.sigma_lp < 1.0:
             raise ValueError("sigma_lp must lie in (0, 1)")
         if self.gamma < 0 or self.mu < 0:
@@ -215,17 +215,6 @@ class SubspaceModel:
         return self.A.shape[1]
 
 
-@dataclass(frozen=True)
-class ProblemInstance:
-    """A validated (source, unlabeled target, optional labeled target) triple."""
-
-    src: LabeledDataset
-    tgt_u: FeatureMatrix
-    tgt_l: LabeledDataset | None
-    homogeneous: bool
-    num_classes: int
-
-
 def zscore_normalize(X):
     """Standardize each feature row to zero mean, unit standard deviation.
 
@@ -261,12 +250,12 @@ def unit_normalize(X) -> FeatureMatrix:
     return FeatureMatrix(X.data / scale)
 
 
-def validate_pair(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None) -> ProblemInstance:
-    """Validate a transfer problem and flag whether it is homogeneous.
+def validate_pair(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None) -> FeatureMatrix:
+    """Validate a transfer problem; returns the unlabeled target as a FeatureMatrix.
 
-    Heterogeneous dimensionalities (d_s != d_t) are allowed; class ids must
-    agree between the source and the labeled target subset when one is given.
-    Inputs are never mutated.
+    Heterogeneous dimensionalities (d_s != d_t) are allowed; the labeled
+    target subset, when given, must match the unlabeled target's feature
+    count and the source's class count. Inputs are never mutated.
     """
     if not isinstance(src, LabeledDataset):
         raise TypeError("src must be a LabeledDataset")
@@ -284,11 +273,4 @@ def validate_pair(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = Non
                 f"class count mismatch: source has {src.num_classes}, "
                 f"labeled target has {tgt_l.num_classes}"
             )
-    homogeneous = src.features.dim == tgt_u.dim
-    return ProblemInstance(
-        src=src,
-        tgt_u=tgt_u,
-        tgt_l=tgt_l,
-        homogeneous=homogeneous,
-        num_classes=src.num_classes,
-    )
+    return tgt_u

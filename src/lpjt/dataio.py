@@ -68,11 +68,17 @@ def read_dataset(path):
                 continue
             if len(row) != dim + 1:
                 raise ConfigError(f"{path}:{lineno}: expected {dim + 1} columns, got {len(row)}")
-            feats.append([float(v) for v in row[:dim]])
-            labels.append(int(row[dim]))
+            try:
+                feats.append([float(v) for v in row[:dim]])
+                labels.append(int(row[dim]))
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
     if not feats:
         raise ConfigError(f"{path}: no data rows")
-    X = FeatureMatrix(np.asarray(feats, dtype=np.float64).T)
+    try:
+        X = FeatureMatrix(np.asarray(feats, dtype=np.float64).T)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return X, np.asarray(labels, dtype=np.int64)
 
 
@@ -82,7 +88,10 @@ def load_labeled(path, num_classes=None) -> LabeledDataset:
         raise ConfigError(f"{path}: found unlabeled rows where labels are required")
     if num_classes is None:
         num_classes = int(labels.max()) + 1
-    return LabeledDataset(X, labels, num_classes)
+    try:
+        return LabeledDataset(X, labels, num_classes)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def load_unlabeled(path) -> FeatureMatrix:

@@ -27,7 +27,6 @@ class WeightedGraph:
     """Symmetric nonnegative weight matrix with a zero diagonal, as CSR."""
 
     W: sp.csr_array
-    degenerate: bool = False    # set when no valid pair existed
 
     def __post_init__(self):
         W = sp.csr_array(self.W, dtype=np.float64)
@@ -128,13 +127,13 @@ def build_penalty_graph(sqdist, labels, k_b: int) -> WeightedGraph:
     """Connect each sample to its k_b nearest different-label neighbors.
 
     `sqdist` holds the squared distances between the samples. With a single
-    class present there are no cross-class pairs; an empty graph flagged
-    `degenerate` is returned and a warning is emitted.
+    class present there are no cross-class pairs; an empty graph is
+    returned and a warning is emitted.
     """
     same = _same_label(sqdist, labels)
     if same.all():
         warnings.warn("penalty graph is empty: only one class present")
-        return WeightedGraph(sp.csr_array(same.shape), degenerate=True)
+        return WeightedGraph(sp.csr_array(same.shape))
     return WeightedGraph(knn_heat_graph(sqdist, ~same, k_b))
 
 

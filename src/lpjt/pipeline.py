@@ -7,6 +7,9 @@ ones), solves for the projections, embeds both domains, refreshes the
 pseudo labels and re-optimizes the landmark weights. The per-iteration
 objective (the trace-ratio value), the subspace MMD distance and the
 number of changed pseudo labels are recorded.
+
+`fit` and `predict` share `_prepare` (validation and normalization) and
+`_classify`, the one label-propagation step in the subspace.
 """
 
 import dataclasses
@@ -29,27 +32,35 @@ from .core import (
     zscore_normalize,
 )
 
-def _fit_normalizer(X: FeatureMatrix, mode: str):
-    if mode == "none":
-        return X, ("none",)
-    if mode == "unit":
-        return unit_normalize(X), ("unit",)
-    if mode == "zscore":
-        Xn, mean, std = zscore_normalize(X)
-        return Xn, ("zscore", mean, std)
-    Xn, mean, std = zscore_normalize(unit_normalize(X))
-    return Xn, ("unit+zscore", mean, std)
+
+def _normalize(mode: str, X: FeatureMatrix, *others: FeatureMatrix) -> list[FeatureMatrix]:
+    """Normalize X per `mode`, and each of `others` with X's statistics."""
+    mats = [X, *others]
+    if mode in ("unit", "unit+zscore"):
+        mats = [unit_normalize(M) for M in mats]
+    if mode in ("zscore", "unit+zscore"):
+        first, mean, std = zscore_normalize(mats[0])
+        mats = [first] + [apply_zscore(M, mean, std) for M in mats[1:]]
+    return mats
 
 
-def _apply_normalizer(X: FeatureMatrix, state):
-    mode = state[0]
-    if mode == "none":
-        return X
-    if mode == "unit":
-        return unit_normalize(X)
-    if mode == "zscore":
-        return apply_zscore(X, state[1], state[2])
-    return apply_zscore(unit_normalize(X), state[1], state[2])
+def _prepare(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None, mode: str):
+    """Validate a problem and return (Xs, Xu, Xl) normalized per `mode`: each
+    domain with its own statistics, Xl (None if absent) with Xu's."""
+    tgt_u = validate_pair(src, tgt_u, tgt_l)
+    (Xs,) = _normalize(mode, src.features)
+    if tgt_l is None:
+        return Xs, *_normalize(mode, tgt_u), None
+    return Xs, *_normalize(mode, tgt_u, tgt_l.features)
+
+
+def _classify(Z_train, labels, Z_test, num_classes: int, cfg: FitConfig) -> np.ndarray:
+    """Label propagation between embedded samples, unit-scaled first when
+    `cfg.embed_norm` is set."""
+    train, test = as_features(Z_train), as_features(Z_test)
+    if cfg.embed_norm:
+        train, test = unit_normalize(train), unit_normalize(test)
+    return labelprop.classify(LabeledDataset(train, labels, num_classes), test, cfg.hyper)
 
 
 def _span_basis(X: FeatureMatrix):
@@ -77,17 +88,6 @@ def _pca_scores(X: FeatureMatrix, m: int) -> np.ndarray:
     return scores
 
 
-def _nn_labels(train: LabeledDataset, test: FeatureMatrix) -> np.ndarray:
-    nearest = np.argmin(cdist(test.data.T, train.features.data.T), axis=1)
-    return train.labels[nearest]
-
-
-def _initial_labels(train: LabeledDataset, test: FeatureMatrix, cfg: FitConfig) -> np.ndarray:
-    if cfg.init_strategy == "nn_raw":
-        return _nn_labels(train, test)
-    return labelprop.classify(train, test, cfg.hyper)
-
-
 def _ratio_objective(sol: eigsolve.EigSolution) -> float:
     # tr(P^T RHS P) = d after solving, so the minimized ratio is d / sum(lambda)
     lam = float(sol.eigenvalues.sum())
@@ -102,38 +102,45 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
 
     Pseudo labels are initialized by label propagation: from the labeled
     target subset in semisupervised mode, from the source on the shared
-    feature space when the domains are homogeneous, and otherwise across
-    per-domain PCA embeddings of a common dimensionality. If the objective
-    worsens by more than 1% after a pseudo-label refresh, the refresh is
-    rolled back for that iteration.
+    feature space when both domains have the same feature count, and
+    otherwise across per-domain PCA embeddings of a common dimensionality.
+    If the objective worsens by more than 1% after a pseudo-label refresh,
+    the refresh is rolled back for that iteration.
     """
     if cfg is None:
         cfg = FitConfig()
     hyper = cfg.hyper
-    inst = validate_pair(src, tgt_u, tgt_l)
-    C = inst.num_classes
-
-    Xs, s_state = _fit_normalizer(src.features, cfg.normalize)
-    Xu, u_state = _fit_normalizer(inst.tgt_u, cfg.normalize)
+    Xs, Xu, Xl = _prepare(src, tgt_u, tgt_l, cfg.normalize)
+    C = src.num_classes
     y_s = src.labels
 
-    semisup = cfg.mode == "semisupervised" and inst.tgt_l is not None
-    if semisup:
-        Xl = _apply_normalizer(inst.tgt_l.features, u_state)
-        train0 = LabeledDataset(Xl, inst.tgt_l.labels, C)
-        labels_cur = _initial_labels(train0, Xu, cfg)
-    elif inst.homogeneous:
-        labels_cur = _initial_labels(LabeledDataset(Xs, y_s, C), Xu, cfg)
+    if cfg.mode == "semisupervised" and Xl is not None:
+        train0, test0 = LabeledDataset(Xl, tgt_l.labels, C), Xu
+    elif Xs.dim == Xu.dim:
+        train0, test0 = LabeledDataset(Xs, y_s, C), Xu
     else:
         m = max(1, min(Xs.dim, Xu.dim, hyper.d))
         train0 = LabeledDataset(as_features(_pca_scores(Xs, m)), y_s, C)
-        labels_cur = _initial_labels(train0, as_features(_pca_scores(Xu, m)), cfg)
+        test0 = as_features(_pca_scores(Xu, m))
+    if cfg.init_strategy == "nn_raw":
+        nearest = np.argmin(cdist(test0.data.T, train0.features.data.T), axis=1)
+        labels_cur = train0.labels[nearest]
+    else:
+        labels_cur = labelprop.classify(train0, test0, hyper)
 
     # when features outnumber samples, work in the sample span: distances,
     # inner products and every data-derived matrix are unchanged, and the
     # solved projection maps back exactly as Q @ A_compressed
     Q_s = _span_basis(Xs)
     Q_u = _span_basis(Xu)
+    couple = cfg.homogeneous and Xs.dim == Xu.dim and Q_s is None and Q_u is None
+    if cfg.homogeneous and not couple:
+        warnings.warn(
+            "homogeneous=True is ignored: the A~B coupling needs equal feature "
+            "counts and no more features than samples in either domain (source "
+            f"{Xs.dim}x{Xs.n}, target {Xu.dim}x{Xu.n})",
+            RuntimeWarning,
+        )
     if Q_s is not None:
         Xs = FeatureMatrix(Q_s.T @ Xs.data)
     if Q_u is not None:
@@ -141,14 +148,6 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
     d_s, d_t, n_s, n_u = Xs.dim, Xu.dim, Xs.n, Xu.n
     if hyper.d > d_s + d_t:
         raise ValueError(f"subspace dim {hyper.d} exceeds d_s + d_t = {d_s + d_t}")
-    homogeneous = cfg.homogeneous and d_s == d_t and Q_s is None and Q_u is None
-    if cfg.homogeneous and not homogeneous:
-        warnings.warn(
-            "homogeneous=True is ignored: the A~B coupling needs equal feature "
-            "counts and no more features than samples in either domain (source "
-            f"{src.features.dim}x{src.n}, target {inst.tgt_u.dim}x{inst.tgt_u.n})",
-            RuntimeWarning,
-        )
 
     # the graph distances of each domain, fixed for the whole fit
     sqdist_s = graph.pairwise_sqdist(Xs)
@@ -174,7 +173,7 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
     for it in range(hyper.T):
         if it > 0:
             scat, blocks = refresh(labels_cur, weights)
-        problem = eigsolve.assemble_problem(blocks, scat, hyper, homogeneous)
+        problem = eigsolve.assemble_problem(blocks, scat, hyper, couple)
         sol = eigsolve.solve(problem, hyper.d)
         obj = _ratio_objective(sol)
         if (
@@ -187,7 +186,7 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
             # damping: keep the previous pseudo labels for this iteration
             labels_cur = labels_prev
             scat, blocks = refresh(labels_cur, weights)
-            problem = eigsolve.assemble_problem(blocks, scat, hyper, homogeneous)
+            problem = eigsolve.assemble_problem(blocks, scat, hyper, couple)
             sol = eigsolve.solve(problem, hyper.d)
             obj = _ratio_objective(sol)
         if not np.isfinite(obj):
@@ -200,14 +199,7 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
         A, B = eigsolve.split_projection(sol.P, d_s, d_t)
         Z_s = A.T @ Xs.data
         Z_u = B.T @ Xu.data
-
-        Zc_s, Zc_u = Z_s, Z_u
-        if cfg.embed_norm:
-            Zc_s = unit_normalize(Z_s).data
-            Zc_u = unit_normalize(Z_u).data
-        new_labels = labelprop.classify(
-            LabeledDataset(as_features(Zc_s), y_s, C), as_features(Zc_u), hyper
-        )
+        new_labels = _classify(Z_s, y_s, Z_u, C, cfg)
         changes = int(np.count_nonzero(new_labels != labels_cur))
         mmd_tr.append(
             mmd.mmd_distance(Z_s, Z_u, y_s, new_labels,
@@ -260,23 +252,14 @@ def predict(model: SubspaceModel, src: LabeledDataset, tgt_u,
     (plus the labeled target subset, when given) as labeled data.
     """
     cfg = model.cfg
-    inst = validate_pair(src, tgt_u, tgt_l)
-    Xs, _ = _fit_normalizer(src.features, cfg.normalize)
-    Xu, u_state = _fit_normalizer(inst.tgt_u, cfg.normalize)
-    Z_s = transform(model, Xs, "source").data
-    Z_u = transform(model, Xu, "target").data
-    labeled = Z_s
+    Xs, Xu, Xl = _prepare(src, tgt_u, tgt_l, cfg.normalize)
+    labeled = transform(model, Xs, "source").data
     labels = src.labels
-    if inst.tgt_l is not None:
-        Xl = _apply_normalizer(inst.tgt_l.features, u_state)
-        Z_l = transform(model, Xl, "target").data
-        labeled = np.hstack([Z_s, Z_l])
-        labels = np.concatenate([src.labels, inst.tgt_l.labels])
-    if cfg.embed_norm:
-        labeled = unit_normalize(labeled).data
-        Z_u = unit_normalize(Z_u).data
-    train = LabeledDataset(as_features(labeled), labels, model.num_classes or inst.num_classes)
-    return labelprop.classify(train, as_features(Z_u), cfg.hyper)
+    if Xl is not None:
+        labeled = np.hstack([labeled, transform(model, Xl, "target").data])
+        labels = np.concatenate([labels, tgt_l.labels])
+    return _classify(labeled, labels, transform(model, Xu, "target").data,
+                     model.num_classes or src.num_classes, cfg)
 
 
 def evaluate(pred, truth) -> float:

@@ -242,6 +242,47 @@ class TestRoundTrips:
             load_model(path)
 
 
+class TestDatasetErrors:
+    @pytest.mark.parametrize("row,message", [("1.0,abc,1", "could not convert"),
+                                             ("1.0,2.0,x", "invalid literal")])
+    def test_unparsable_value_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "d.csv"
+        path.write_text(f"f0,f1,label\n1.0,2.0,0\n{row}\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:3: {message}")):
+            read_dataset(path)
+
+    def test_non_finite_feature_names_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("f0,label\n1.0,0\nnan,1\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: feature matrix contains NaN")):
+            read_dataset(path)
+
+    def test_fit_names_the_bad_file(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(synth_args(data, n=5)) == 0
+        target = data / "target.csv"
+        lines = target.read_text().splitlines()
+        lines[2] = "abc" + lines[2][lines[2].index(","):]
+        target.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path / "c.cfg", source=data / "source.csv",
+                           target_unlabeled=target, output_dir=tmp_path / "run")
+        assert main(["fit", "--config", cfg]) == 2
+        assert f"{target}:3: could not convert string to float: 'abc'" in capsys.readouterr().err
+
+    def test_labeled_target_out_of_range_names_file(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(synth_args(data, kind="hetero_map", n=10, labeled=2)) == 0
+        labeled = data / "target_labeled.csv"
+        X, y = read_dataset(labeled)
+        y[0] = 7
+        write_dataset(labeled, X, y)
+        cfg = write_config(tmp_path / "c.cfg", source=data / "source.csv",
+                           target_unlabeled=data / "target.csv", target_labeled=labeled,
+                           mode="semisupervised", output_dir=tmp_path / "run")
+        assert main(["fit", "--config", cfg]) == 2
+        assert f"{labeled}: labels must lie in [0, 3)" in capsys.readouterr().err
+
+
 class TestConfig:
     def test_unknown_key_named_in_error(self, tmp_path):
         path = write_config(tmp_path / "c.cfg", gamma=0.1, not_a_key=3)
@@ -413,6 +454,14 @@ class TestEndToEnd:
         for verb in ("fit", "predict", "eval", "trace"):
             assert main([verb, "--config", cfg_path]) == 2
             assert f"{key} must be one of" in capsys.readouterr().err
+
+    def test_zero_delta_rejected_by_fit_and_predict(self, tmp_path, capsys):
+        _, _, cfg_path, _ = self._workflow(tmp_path, capsys)
+        with open(cfg_path, "a") as fh:
+            fh.write("delta=0\n")
+        for verb in ("fit", "predict"):
+            assert main([verb, "--config", cfg_path]) == 2
+            assert "delta must lie in (0, 1]" in capsys.readouterr().err
 
     def test_semisupervised_workflow(self, tmp_path, capsys):
         data = tmp_path / "data"

@@ -102,8 +102,9 @@ def _dataset(dim, n, labels, C):
 class TestValidatePair:
     def test_heterogeneous_flag(self):
         src = _dataset(10, 6, [0, 0, 1, 1, 2, 2], 3)
-        inst = validate_pair(src, np.zeros((3, 4)) + 1.0)
-        assert inst.homogeneous is False
+        tgt = validate_pair(src, np.zeros((3, 4)) + 1.0)
+        assert isinstance(tgt, FeatureMatrix)
+        assert (tgt.dim, tgt.n) == (3, 4) and tgt.dim != src.features.dim
 
     def test_label_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="labels"):
@@ -117,8 +118,8 @@ class TestValidatePair:
 
     def test_identical_datasets_homogeneous(self):
         src = _dataset(4, 3, [0, 1, 2], 3)
-        inst = validate_pair(src, src.features, src)
-        assert inst.homogeneous is True
+        tgt = validate_pair(src, src.features, src)
+        assert tgt is src.features and tgt.dim == src.features.dim
 
     def test_never_mutates(self):
         src = _dataset(4, 3, [0, 1, 2], 3)
@@ -132,6 +133,7 @@ class TestHyperparams:
         "kwargs",
         [
             {"delta": -0.1},
+            {"delta": 0.0},
             {"delta": 1.5},
             {"sigma_lp": 0.0},
             {"sigma_lp": 1.0},

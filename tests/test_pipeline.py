@@ -7,10 +7,19 @@ from numpy.testing import assert_allclose
 from scipy.spatial.distance import cdist
 
 from lpjt import eigsolve, graph, mmd
-from lpjt.core import FeatureMatrix, Hyperparams, LabeledDataset, SubspaceModel
+from lpjt.core import (
+    NORMALIZE_MODES,
+    FeatureMatrix,
+    Hyperparams,
+    LabeledDataset,
+    SubspaceModel,
+    apply_zscore,
+    unit_normalize,
+    zscore_normalize,
+)
 from lpjt.dataio import synth_gauss_shift, synth_hetero_map, synth_rotated
 from lpjt.landmark import check_feasible
-from lpjt.pipeline import FitConfig, evaluate, fit, predict, transform
+from lpjt.pipeline import FitConfig, _prepare, evaluate, fit, predict, transform
 
 
 def separated_blobs(seed=0, n=20, gap=8.0):
@@ -26,6 +35,79 @@ def separated_blobs(seed=0, n=20, gap=8.0):
 
 def nn_labels(Xtrain, ytrain, Xtest):
     return ytrain[np.argmin(cdist(Xtest.T, Xtrain.T), axis=1)]
+
+
+def reference_fit_normalizer(X, mode):
+    """The earlier two-step form: normalize X, return it with its state."""
+    if mode == "none":
+        return X, ("none",)
+    if mode == "unit":
+        return unit_normalize(X), ("unit",)
+    if mode == "zscore":
+        Xn, mean, std = zscore_normalize(X)
+        return Xn, ("zscore", mean, std)
+    Xn, mean, std = zscore_normalize(unit_normalize(X))
+    return Xn, ("unit+zscore", mean, std)
+
+
+def reference_apply_normalizer(X, state):
+    mode = state[0]
+    if mode == "none":
+        return X
+    if mode == "unit":
+        return unit_normalize(X)
+    if mode == "zscore":
+        return apply_zscore(X, state[1], state[2])
+    return apply_zscore(unit_normalize(X), state[1], state[2])
+
+
+def lifted_blobs(seed=0, n=5, dim=30):
+    """Separated blobs mapped into more features than samples per domain."""
+    rng = np.random.default_rng(seed)
+    R = rng.normal(size=(dim, 2))
+    Xs, ys = separated_blobs(seed, n=n)
+    Xt, _ = separated_blobs(seed + 1, n=n)
+    Xs = R @ Xs + 0.1 * rng.normal(size=(dim, Xs.shape[1]))
+    Xt = R @ (Xt + 0.5) + 0.1 * rng.normal(size=(dim, Xt.shape[1]))
+    return Xs, ys, Xt
+
+
+class TestSharedSteps:
+    @pytest.mark.parametrize("mode", NORMALIZE_MODES)
+    def test_prepare_matches_reference_normalizers(self, mode):
+        Xs, ys, Xt, yt = synth_hetero_map(15, 3, 0)
+        # a constant feature takes zscore's zero-deviation branch
+        Xt = np.vstack([Xt + 3.0, np.full((1, yt.size), 2.0)])
+        hold = np.array([0, 15, 30])
+        rest = np.setdiff1d(np.arange(yt.size), hold)
+        src = LabeledDataset(FeatureMatrix(Xs), ys, 3)
+        tgt_l = LabeledDataset(FeatureMatrix(Xt[:, hold]), yt[hold], 3)
+        ref_s, _ = reference_fit_normalizer(src.features, mode)
+        ref_u, u_state = reference_fit_normalizer(FeatureMatrix(Xt[:, rest]), mode)
+        ref_l = reference_apply_normalizer(tgt_l.features, u_state)
+        out = _prepare(src, Xt[:, rest], tgt_l, mode)
+        for got, ref in zip(out, (ref_s, ref_u, ref_l)):
+            assert np.array_equal(got.data, ref.data)
+        Xs_u, Xu_u, Xl_u = _prepare(src, Xt[:, rest], None, mode)
+        assert np.array_equal(Xs_u.data, ref_s.data)
+        assert np.array_equal(Xu_u.data, ref_u.data)
+        assert Xl_u is None
+
+    @pytest.mark.parametrize("case", ["rotated", "gauss_shift", "hetero_map", "span_map"])
+    def test_pseudo_labels_are_what_predict_returns(self, case):
+        # unsupervised: fit's last refresh and predict label the same way
+        if case == "rotated":
+            Xs, ys, Xt, _ = synth_rotated(30, 3, 0)
+        elif case == "gauss_shift":
+            Xs, ys, Xt, _ = synth_gauss_shift(30, 3, 1)
+        elif case == "hetero_map":
+            Xs, ys, Xt, _ = synth_hetero_map(30, 3, 2)
+        else:
+            Xs, ys, Xt = lifted_blobs()
+            assert Xs.shape[0] > Xs.shape[1]
+        src = LabeledDataset(FeatureMatrix(Xs), ys, 3)
+        model = fit(src, Xt, None, FitConfig(hyper=Hyperparams(d=2, T=3)))
+        assert np.array_equal(model.pseudo_labels, predict(model, src, Xt))
 
 
 class TestFitBasics:
