@@ -14,6 +14,12 @@ of projected gradient descent with exact per-group projection onto
 program in beta, a convex QP in alpha by accelerated projected gradient) to
 a fixed point. Classes present in a single domain keep their weights pinned
 at delta.
+
+A projection is a per-group dual shift tau. Within the burst and within one
+alpha pass, each projection starts from the previous one's shifts and takes
+at most NEWTON_STEPS Newton steps on them, O(m) and without a sort; when a
+group's active set has not settled by then, a sorted sweep over all
+breakpoints finds the shifts instead.
 """
 
 import warnings
@@ -30,11 +36,13 @@ BURST_STEPS = 100
 BURST_TOL = 1e-9
 POLISH_ROUNDS = 50
 POLISH_TOL = 1e-10
+# Newton steps a carried projection shift gets before the sorted sweep
+NEWTON_STEPS = 2
 
 
 @dataclass(frozen=True)
 class LandmarkWeights:
-    """Per-sample weights for both domains, entries in [0, 1]."""
+    """Per-sample weights for both domains, finite entries in [0, 1]."""
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -44,6 +52,8 @@ class LandmarkWeights:
         alpha = np.ascontiguousarray(self.alpha, dtype=np.float64).ravel()
         beta = np.ascontiguousarray(self.beta, dtype=np.float64).ravel()
         for name, w in (("alpha", alpha), ("beta", beta)):
+            if not np.isfinite(w).all():
+                raise ValueError(f"{name} entries must be finite")
             if w.size and (w.min() < -1e-12 or w.max() > 1.0 + 1e-12):
                 raise ValueError(f"{name} entries must lie in [0, 1]")
         alpha.setflags(write=False)
@@ -71,6 +81,7 @@ class _ProjectionMeta(NamedTuple):
     slope_delta: np.ndarray  # +1 where a coordinate starts rising, -1 where it saturates
     counts: np.ndarray       # events per group
     starts: np.ndarray       # first event of each group
+    first: np.ndarray        # first free coordinate of each group
 
 
 @dataclass(frozen=True)
@@ -163,12 +174,13 @@ class QpInstance:
             sizes = np.zeros(0)
         pin = np.concatenate(pinned) if pinned else np.zeros(0, dtype=np.int64)
         counts = (2 * sizes).astype(np.int64)
+        first = (np.cumsum(sizes) - sizes).astype(np.int64)
         # numpy radix-sorts integers of 16 bits or fewer
         ev_gid = np.concatenate([gid, gid]).astype(np.min_scalar_type(max(sizes.size - 1, 0)))
         return _ProjectionMeta(
             act=act, gid=gid, targets=self.delta * sizes, pinned=pin, ev_gid=ev_gid,
             slope_delta=np.concatenate([np.ones(act.size), -np.ones(act.size)]),
-            counts=counts, starts=np.concatenate([[0], np.cumsum(counts)[:-1]]),
+            counts=counts, starts=2 * first, first=first,
         )
 
     @cached_property
@@ -263,33 +275,81 @@ def project_box_mean(x, delta):
     return v
 
 
-def _project(z, qp: QpInstance, source_only: bool = False):
+def _project(z, qp: QpInstance, source_only: bool = False, shift=None):
     """Project onto the feasible polytope, every group in one pass.
 
-    Computes the dual shift tau per group exactly: sum(clip(x + tau, 0, 1))
-    is piecewise linear in tau with breakpoints at -x_i (a coordinate
-    starts rising) and 1 - x_i (it saturates), so one segmented sorted
-    sweep locates the segment where the sum crosses delta * m. Same result
-    as per-group bisection, without the iteration loop.
+    Returns the projection and the per-group dual shift tau (None when no
+    group is free to shift), for the next call in the same loop to pass back
+    as `shift`. sum(clip(x + tau, 0, 1))
+    is piecewise linear in tau with breakpoints at -x_i (a coordinate starts
+    rising) and 1 - x_i (it saturates). From a carried shift, Newton's method
+    on tau (Cominetti, Mascarenhas & Silva, Math. Prog. Comp. 2014) lands on
+    the crossing segment in O(m) when the shift moved only a little. Without
+    one, or when any group has no interior coordinate or its active set
+    still moves after NEWTON_STEPS steps, one segmented sorted sweep locates
+    the segment. Either way the result is that of per-group bisection,
+    without the iteration loop.
     """
     meta = qp._meta_source if source_only else qp._meta_all
-    act, gid, targets, counts, starts = (meta.act, meta.gid, meta.targets,
-                                         meta.counts, meta.starts)
+    act, gid, targets = meta.act, meta.gid, meta.targets
     out = z.copy()
     if meta.pinned.size:
         out[meta.pinned] = qp.delta
     if act.size == 0:
-        return out
+        return out, None
     delta = qp.delta
     if delta <= 0.0:
         out[act] = 0.0
-        return out
+        return out, None
     if delta >= 1.0:
         out[act] = 1.0
-        return out
-    n_groups = targets.size
+        return out, None
     x = z[act]
+    tau = None if shift is None else _newton_shift(x, meta, shift)
+    if tau is None:
+        tau = _sweep_shift(x, meta)
 
+    # clip, then put the rounding error of the group sums on the interior
+    v = np.clip(x + tau[gid], 0.0, 1.0)
+    interior = (v > 0.0) & (v < 1.0)
+    sums = np.bincount(gid, weights=v, minlength=targets.size)
+    n_int = np.add.reduceat(interior, meta.first, dtype=np.int64)
+    corr = np.where(n_int > 0, (targets - sums) / np.maximum(n_int, 1), 0.0)
+    # adding corr * 0 leaves the bound coordinates bit for bit
+    v += corr[gid] * interior
+    out[act] = np.clip(v, 0.0, 1.0)
+    return out, tau
+
+
+def _newton_shift(x, meta, tau):
+    """Newton steps on sum(clip(x + tau, 0, 1)) = target from a carried shift.
+
+    Each step sorts every coordinate into at 0, interior or at 1, and solves
+    that linear piece: tau = (target - #at 1 - sum of interior x) / #interior.
+    Returns the shifts once no group's sorting changes at the new tau, or
+    None when a group has no interior coordinate or NEWTON_STEPS run out.
+    """
+    gid, first = meta.gid, meta.first
+    y = x + tau[gid]
+    low, high = y <= 0.0, y >= 1.0
+    for _ in range(NEWTON_STEPS):
+        interior = ~(low | high)
+        n_int = np.add.reduceat(interior, first, dtype=np.int64)
+        if not n_int.all():
+            return None
+        # on this piece sum(clip(y)) = #at 1 + sum of interior (x + tau)
+        tau = tau + (meta.targets - np.add.reduceat(np.clip(y, 0.0, 1.0), first)) / n_int
+        y = x + tau[gid]
+        new_low, new_high = y <= 0.0, y >= 1.0
+        if (new_low == low).all() and (new_high == high).all():
+            return tau
+        low, high = new_low, new_high
+    return None
+
+
+def _sweep_shift(x, meta):
+    """Per-group shift by one segmented sweep over the sorted breakpoints."""
+    targets, counts, starts = meta.targets, meta.counts, meta.starts
     # events sorted by group, then by breakpoint; equal breakpoints add only
     # exact zeros to the sweep, so their order does not matter
     bp = np.concatenate([-x, 1.0 - x])
@@ -311,18 +371,9 @@ def _project(z, qp: QpInstance, source_only: bool = False):
     below = np.where(v_at <= np.repeat(targets, counts), np.arange(bp.size), -1)
     k = np.maximum.reduceat(below, starts)
     slope_k = slope_after[k]
-    tau = bp[k] + np.where(slope_k > 0, targets - v_at[k], 0.0) / np.where(
+    return bp[k] + np.where(slope_k > 0, targets - v_at[k], 0.0) / np.where(
         slope_k > 0, slope_k, 1.0
     )
-
-    v = np.clip(x + tau[gid], 0.0, 1.0)
-    interior = (v > 0.0) & (v < 1.0)
-    sums = np.bincount(gid, weights=v, minlength=n_groups)
-    n_int = np.bincount(gid[interior], minlength=n_groups)
-    corr = np.where(n_int > 0, (targets - sums) / np.maximum(n_int, 1), 0.0)
-    v[interior] += corr[gid[interior]]
-    out[act] = np.clip(v, 0.0, 1.0)
-    return out
 
 
 def project_feasible(qp: QpInstance, weights: LandmarkWeights) -> LandmarkWeights:
@@ -332,7 +383,7 @@ def project_feasible(qp: QpInstance, weights: LandmarkWeights) -> LandmarkWeight
     labels move between iterations, so a previously feasible point may
     violate the new per-class means).
     """
-    z = _project(weights.stacked(), qp)
+    z, _ = _project(weights.stacked(), qp)
     return LandmarkWeights(z[: qp.n_s], z[qp.n_s:], qp.delta)
 
 
@@ -377,9 +428,11 @@ def _alpha_pass(qp: QpInstance, z, lin, step):
     y, Ky = a, Ka
     t = 1.0
     full = z.copy()
+    shift = None
     for _ in range(100):
         full[:n_s] = y - step * (Ky + lin)
-        a_new = _project(full, qp, source_only=True)[:n_s]
+        proj, shift = _project(full, qp, source_only=True, shift=shift)
+        a_new = proj[:n_s]
         Ka_new = qp.kss_matvec(a_new)
         f_new = 0.5 * a_new @ Ka_new + lin @ a_new
         if f_new > f_a - 1e-12 * max(abs(f_a), 1e-30):
@@ -441,7 +494,7 @@ def solve_qp(qp: QpInstance, init: LandmarkWeights | None = None, full_output=Fa
     z = init.stacked()
     if z.size != qp.n_s + qp.n_u:
         raise ValueError("init size does not match the QP")
-    feas = _project(z, qp)
+    feas, _ = _project(z, qp)
     if np.max(np.abs(feas - z)) > 1e-6:
         raise ValueError("init is not feasible")
     z = feas
@@ -453,10 +506,11 @@ def solve_qp(qp: QpInstance, init: LandmarkWeights | None = None, full_output=Fa
         return _finalize(qp, z, trace, True, 0, full_output)
 
     g = qp.matvec(z)
+    shift = None
     for iters in range(1, BURST_STEPS + 1):
         t = 1.0 / qp.norm_bq
         for _ in range(40):
-            z_new = _project(z - t * g, qp)
+            z_new, shift = _project(z - t * g, qp, shift=shift)
             step_vec = z_new - z
             g_new = qp.matvec(z_new)
             f_new = 0.5 * float(z_new @ g_new)
@@ -498,13 +552,16 @@ def _finalize(qp, z, trace, converged, iters, full_output=False):
 
 
 def check_feasible(weights: LandmarkWeights, labels_s, labels_u, atol=1e-8) -> bool:
-    """True when every per-class mean matches delta for classes in both domains."""
+    """True when every weight is finite and in [0, 1] and every per-class mean
+    matches delta for classes in both domains."""
     labels_s = np.asarray(labels_s).ravel()
     labels_u = np.asarray(labels_u).ravel()
-    if weights.alpha.size and (weights.alpha.min() < -atol or weights.alpha.max() > 1 + atol):
-        return False
-    if weights.beta.size and (weights.beta.min() < -atol or weights.beta.max() > 1 + atol):
-        return False
+    for w in (weights.alpha, weights.beta):
+        # NaN fails every comparison, so it would pass the bound checks
+        if not np.isfinite(w).all():
+            return False
+        if w.size and (w.min() < -atol or w.max() > 1 + atol):
+            return False
     for c in np.intersect1d(np.unique(labels_s), np.unique(labels_u)):
         if abs(weights.alpha[labels_s == c].mean() - weights.delta) > atol:
             return False

@@ -235,6 +235,24 @@ class TestRoundTrips:
         assert main([verb, "--config", cfg]) == 2
         assert "model.lpjt: model metadata lacks the key 'trace'" in capsys.readouterr().err
 
+    def test_non_finite_weights_name_file(self, tmp_path, capsys):
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert main(synth_args(data, n=5)) == 0
+        run.mkdir()
+        rng = np.random.default_rng(8)
+        meta = self.v1_metadata(2)
+        meta["weights"] = {"alpha": [float("nan"), 0.5], "beta": [0.5, 0.5], "delta": 0.5}
+        path = run / "model.lpjt"
+        self.write_v1(path, rng.normal(size=(2, 2)), rng.normal(size=(2, 2)),
+                      json.dumps(meta).encode("utf-8"))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}: bad model metadata: alpha entries must be finite")):
+            load_model(path)
+        cfg = write_config(tmp_path / "c.cfg", source=data / "source.csv",
+                           target_unlabeled=data / "target.csv", output_dir=run)
+        assert main(["predict", "--config", cfg]) == 2
+        assert "model.lpjt: bad model metadata: alpha entries" in capsys.readouterr().err
+
     def test_model_magic_checked(self, tmp_path):
         path = tmp_path / "junk.lpjt"
         path.write_bytes(b"NOPE" + b"\x00" * 64)

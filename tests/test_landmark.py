@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -146,7 +147,7 @@ def plain_alpha_pass(qp, z, lin, step):
     for _ in range(100):
         full = z.copy()
         full[:n_s] = a - step * (qp.kss_matvec(a) + lin)
-        a_new = landmark._project(full, qp, source_only=True)[:n_s]
+        a_new = landmark._project(full, qp, source_only=True)[0][:n_s]
         f_new = 0.5 * a_new @ qp.kss_matvec(a_new) + lin @ a_new
         if f_new > f_a - 1e-12 * max(abs(f_a), 1e-30):
             return a_new if f_new < f_a else a
@@ -346,7 +347,7 @@ def burst_loop_solve_qp(qp, max_iter=500, tol=1e-9):
             iters += 1
             t = 1.0 / qp.norm_bq
             for _ in range(40):
-                z_new = landmark._project(z - t * g, qp)
+                z_new, _ = landmark._project(z - t * g, qp)
                 step_vec = z_new - z
                 g_new = qp.matvec(z_new)
                 f_new = 0.5 * float(z_new @ g_new)
@@ -385,6 +386,24 @@ class TestOneBurstSolver:
         assert f_new <= f_ref + 1e-9 * abs(f_ref)
         assert info["iterations"] <= 100
         assert info["converged"]
+
+    @pytest.mark.parametrize("family,seed",
+                             [("alpha_pass", s) for s in range(20)]
+                             + [("grid", s) for s in range(6)])
+    def test_warm_projections_match_cold_solve(self, family, seed, monkeypatch):
+        qp = alpha_pass_instance(seed) if family == "alpha_pass" else grid_instance(seed)[0]
+        _, warm = solve_qp(qp, full_output=True)
+        cold = landmark._project
+        monkeypatch.setattr(landmark, "_project",
+                            lambda z, qp, source_only=False, shift=None:
+                            cold(z, qp, source_only))
+        _, ref = solve_qp(qp, full_output=True)
+        assert warm["iterations"] == ref["iterations"]
+        tw, tr = warm["objective_trace"], ref["objective_trace"]
+        assert tw.shape == tr.shape
+        # relative to the trace's scale: traces that cross zero have entries
+        # near 0 whose own relative error means nothing
+        assert np.max(np.abs(tw - tr)) <= 1e-12 * np.max(np.abs(tr))
 
     def test_round_cap_warns_and_reports_not_converged(self, monkeypatch):
         qp = alpha_pass_instance(0)
@@ -434,6 +453,25 @@ class TestProjectFeasible:
             else:
                 slow[idx] = delta
         assert np.max(np.abs(fast - slow)) <= 1e-9
+
+
+class TestNonFiniteWeights:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_constructor_rejects(self, bad):
+        with pytest.raises(ValueError, match="alpha entries must be finite"):
+            LandmarkWeights(np.array([bad, 0.5]), np.array([0.5, 0.5]), 0.5)
+        with pytest.raises(ValueError, match="beta entries must be finite"):
+            LandmarkWeights(np.array([0.5, 0.5]), np.array([0.5, bad]), 0.5)
+
+    def test_check_feasible_rejects_nan(self):
+        # NaN fails every comparison, so it would pass the bound and mean checks
+        ok = SimpleNamespace(alpha=np.array([0.5, 0.5]), beta=np.array([0.5, 0.5]), delta=0.5)
+        assert check_feasible(ok, [0, 0], [0, 0])
+        for name in ("alpha", "beta"):
+            bad = SimpleNamespace(**vars(ok))
+            setattr(bad, name, np.array([np.nan, 0.5]))
+            assert not check_feasible(bad, [0, 0], [0, 0])
+            assert not check_feasible(bad, [0, 1], [2, 3])    # no shared class
 
 
 def lexsort_project(z, qp, source_only=False):
@@ -493,7 +531,7 @@ class TestProjectSort:
     @staticmethod
     def check(qp, z):
         for source_only in (False, True):
-            got = landmark._project(z, qp, source_only)
+            got, _ = landmark._project(z, qp, source_only)
             assert np.array_equal(got, lexsort_project(z, qp, source_only))
 
     @pytest.mark.parametrize("seed", range(10))
@@ -517,6 +555,102 @@ class TestProjectSort:
         assert qp._meta_all.ev_gid.dtype == np.uint16
         self.check(qp, rng.normal(0.5, 1.5, qp.n_s + qp.n_u))
         self.check(qp, rng.integers(-4, 9, qp.n_s + qp.n_u) / 4.0)
+
+
+def free_groups(qp, source_only):
+    """Indices of the groups `_project` shifts: classes in both domains."""
+    return [idx for idx, both in qp.groups
+            if both and not (source_only and idx[0] >= qp.n_s)]
+
+
+class TestWarmProjection:
+    """`_project` from a carried shift: Newton steps when the active set
+    settles, else the sorted sweep, bit for bit the cold result."""
+
+    @staticmethod
+    def count_sweeps(monkeypatch):
+        calls = []
+        sweep = landmark._sweep_shift
+        monkeypatch.setattr(landmark, "_sweep_shift",
+                            lambda *a: calls.append(1) or sweep(*a))
+        return calls
+
+    @staticmethod
+    def check(qp, z, rng, sweeps):
+        """Warm from the exact shift of z and from that of a nearby point;
+        returns how many of the warm calls skipped the sweep."""
+        warm = 0
+        for source_only in (False, True):
+            _, shift = landmark._project(z, qp, source_only)
+            if shift is None:
+                continue
+            for near in (z, z + 1e-3 * rng.normal(size=z.size)):
+                want, _ = landmark._project(near, qp, source_only)
+                before = len(sweeps)
+                got, _ = landmark._project(near, qp, source_only, shift=shift)
+                warm += len(sweeps) == before
+                assert np.max(np.abs(got - want)) <= 1e-12
+                for idx in free_groups(qp, source_only):
+                    assert abs(got[idx].sum() - qp.delta * idx.size) <= 1e-12
+        return warm
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_inputs_match_sweep(self, seed, monkeypatch):
+        sweeps = self.count_sweeps(monkeypatch)
+        rng = np.random.default_rng(seed)
+        qp = TestProjectSort.instance(rng, int(rng.integers(2, 6)), 60,
+                                      one_sided=seed % 2 == 1)
+        for _ in range(5):
+            self.check(qp, rng.normal(0.5, 1.5, qp.n_s + qp.n_u), rng, sweeps)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_quarter_grid_hits_bounds(self, seed, monkeypatch):
+        sweeps = self.count_sweeps(monkeypatch)
+        rng = np.random.default_rng(seed + 50)
+        qp = TestProjectSort.instance(rng, int(rng.integers(1, 5)), 40,
+                                      one_sided=seed % 2 == 1)
+        for _ in range(5):
+            self.check(qp, rng.integers(-4, 9, qp.n_s + qp.n_u) / 4.0, rng, sweeps)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_more_than_256_groups(self, seed, monkeypatch):
+        sweeps = self.count_sweeps(monkeypatch)
+        rng = np.random.default_rng(seed + 90)
+        qp = TestProjectSort.instance(rng, 140, 420)
+        self.check(qp, rng.normal(0.5, 1.5, qp.n_s + qp.n_u), rng, sweeps)
+        self.check(qp, rng.integers(-4, 9, qp.n_s + qp.n_u) / 4.0, rng, sweeps)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fit_sized_groups_skip_the_sweep(self, seed, monkeypatch):
+        # classes of 100-200 samples per domain, as in the bench's fits;
+        # small groups can have every coordinate at a bound, which falls back
+        sweeps = self.count_sweeps(monkeypatch)
+        rng = np.random.default_rng(seed + 400)
+        C = int(rng.integers(2, 5))
+        ys, yu = (np.repeat(np.arange(C), rng.integers(100, 200, C)) for _ in range(2))
+        qp = build_qp(rng.normal(size=(1, ys.size)), rng.normal(size=(1, yu.size)),
+                      ys, yu, float(rng.choice([0.25, 0.5, 0.75])), C)
+        for _ in range(5):
+            assert self.check(qp, rng.normal(0.5, 1.0, ys.size + yu.size), rng, sweeps) == 4
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_unsettled_shift_falls_back_to_sweep(self, seed, monkeypatch):
+        sweeps = self.count_sweeps(monkeypatch)
+        rng = np.random.default_rng(seed + 300)
+        qp = TestProjectSort.instance(rng, int(rng.integers(2, 6)), 60,
+                                      one_sided=seed % 2 == 1)
+        z = rng.normal(0.5, 1.5, qp.n_s + qp.n_u)
+        for source_only in (False, True):
+            _, exact = landmark._project(z, qp, source_only)
+            # every coordinate at 1, every one at 0, and one group at a bound
+            # while the others keep their exact shift
+            one_group = exact.copy()
+            one_group[int(rng.integers(exact.size))] = 10.0
+            for shift in (np.full(exact.size, 10.0), np.full(exact.size, -10.0), one_group):
+                before = len(sweeps)
+                got, _ = landmark._project(z, qp, source_only, shift=shift)
+                assert len(sweeps) == before + 1
+                assert np.array_equal(got, lexsort_project(z, qp, source_only))
 
 
 def loop_greedy_linear_min(coef, delta, m):
