@@ -2,10 +2,13 @@
 
 The intrinsic graph connects nearest same-class pairs, the penalty graph
 nearest different-class pairs; both are weighted with the heat kernel
-exp(-||x_i - x_j||^2 / 2) and symmetrized by OR. Every k-NN graph, label
-propagation's included, comes from `knn_heat_graph` given squared
-distances, which `fit` computes once per domain. The builder returns a
-sparse CSR array and every graph stays sparse. Sandwiching the graph
+exp(-||x_i - x_j||^2 / 2) and symmetrized by OR. They come from
+`knn_heat_graph` given squared distances, which `fit` computes once per
+domain and reuses on every refresh; these are the only n x n arrays left.
+Label propagation's graph over all pairs comes from `tree_knn_heat_graph`,
+the same rule found by an exact k-d tree search (Friedman, Bentley &
+Finkel, ACM TOMS 1977) in O(n * k) memory. Both builders return a sparse
+CSR array and every graph stays sparse. Sandwiching the graph
 Laplacian L = D - W between the data, S = X L X^T
 = 1/2 sum_ij W_ij (x_i - x_j)(x_i - x_j)^T, turns the graph objective
 into a quadratic form in feature space; it is formed from the edges in
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .core import Hyperparams, as_features
@@ -101,6 +105,68 @@ def knn_heat_graph(sqdist, allowed, k: int) -> sp.csr_array:
     # exact symmetry: sqdist may differ across the diagonal by rounding
     weights = np.minimum(np.exp(-sqdist[rows, cols] / 2.0),
                          np.exp(-sqdist[cols, rows] / 2.0))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return sp.csr_array((weights, cols, indptr), shape=(n, n))
+
+
+def tree_knn_heat_graph(X, k: int) -> sp.csr_array:
+    """`knn_heat_graph` over every pair of samples of X but self, bit for
+    bit, found by an exact k-d tree search instead of n x n distances.
+
+    Each sample keeps its min(k, n - 1) nearest others, ties to the lowest
+    index; the squared distances are summed per feature in order, as
+    `cdist` sums them. Memory is O(n * k) plus the ties at each sample's
+    k-th distance. One difference: where squared distances overflow to inf
+    the dense rule keeps the lowest-index samples and this one the nearest,
+    so only the pattern of edges that weigh 0 either way can differ.
+    """
+    Z = as_features(X).data
+    d, n = Z.shape
+    k = min(max(int(k), 0), n - 1)
+    if k == 0:
+        return sp.csr_array((n, n))
+    # the tree searches a copy scaled by an exact power of two, so that its
+    # squared distances neither overflow nor underflow; in C order, so the
+    # tree keeps it rather than copying it again
+    shift = -int(np.frexp(np.abs(Z).max())[1])
+    P = np.ldexp(Z.T, shift, order="C")
+    tree = cKDTree(P)
+    kq = min(k + 2, n)
+    dist, idx = tree.query(P, k=kq)
+    # radius of each sample's k nearest others, widened to cover rounding
+    # in either scale: 1e-9 relative, and 2d units of the least subnormal
+    # for squares that underflow (capped: with data under 2^-1000 every
+    # square underflows, and the radius takes in all samples)
+    slack = np.ldexp(2.0 * d, min(2 * shift, 2000) - 1074) + np.ldexp(2.0 * d, -1074)
+    radius = np.sqrt(dist[:, k] ** 2 * (1.0 + 2e-9) + slack)
+    # a sample whose last neighbour found lies inside its radius may have
+    # more candidates there; the ball query gathers them all
+    done = dist[:, -1] > radius
+    rows, pos = np.nonzero(done[:, None] & (dist <= radius[:, None]))
+    cols = idx[rows, pos]
+    short = np.flatnonzero(~done)
+    if short.size:
+        found = tree.query_ball_point(P[short], radius[short], return_sorted=False)
+        rows = np.concatenate([rows, np.repeat(short, [len(f) for f in found])])
+        cols = np.concatenate([cols, *found])
+    other = rows != cols
+    rows, cols = rows[other], cols[other]
+    sq = np.zeros(rows.size)
+    with np.errstate(over="ignore"):
+        for f in range(d):
+            diff = Z[f, rows] - Z[f, cols]
+            sq += diff * diff
+    # rank each sample's candidates by (squared distance, index), keep k
+    order = np.lexsort((cols, sq, rows))
+    ranked = rows[order]
+    keep = order[np.arange(order.size) - np.searchsorted(ranked, ranked) < k]
+    rows, cols, sq = rows[keep], cols[keep], sq[keep]
+    # OR-symmetrize: a pair picked from both ends has the same squared
+    # distance either way, so the first copy's weight is the edge's
+    key, first = np.unique(np.concatenate([rows * n + cols, cols * n + rows]),
+                           return_index=True)
+    rows, cols = np.divmod(key, n)
+    weights = np.exp(-np.concatenate([sq, sq])[first] / 2.0)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
     return sp.csr_array((weights, cols, indptr), shape=(n, n))
 

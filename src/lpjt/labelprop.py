@@ -4,7 +4,8 @@ Labels diffuse over a normalized similarity graph by iterating
 Y(t+1) = sigma * S * Y(t) + (1 - sigma) * Y(0), whose fixed point is
 (1 - sigma) (I - sigma S)^{-1} Y(0). Used for pseudo-label initialization,
 per-iteration refresh, and as the final classifier in the learned subspace.
-S stays sparse from the k-NN graph to the fixed-point solve.
+The k-NN graph is found by an exact k-d tree search in O(n * k) memory,
+and S stays sparse from there to the fixed-point solve.
 """
 
 import warnings
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
-from scipy.spatial.distance import cdist
+# unused here; bench/tracer.py wraps labelprop.cdist by name
+from scipy.spatial.distance import cdist  # noqa: F401
 
 from . import graph
 from .core import FeatureMatrix, Hyperparams, LabeledDataset, as_features
@@ -29,8 +31,10 @@ class PropagationResult:
 def similarity_matrix(Z, k: int) -> sp.csr_array:
     """Normalized similarity S = D^{-1/2} W D^{-1/2} of a k-NN heat graph.
 
-    W is `graph.knn_heat_graph` over every pair but self: OR-symmetrized
-    k-NN edges weighted with exp(-||z_i - z_j||^2 / 2). S is returned as a
+    W is `graph.tree_knn_heat_graph`: OR-symmetrized k-NN edges weighted
+    with exp(-||z_i - z_j||^2 / 2), found by an exact tree search with no
+    n x n distance matrix, bit for bit `graph.knn_heat_graph` over every
+    pair but self. S is returned as a
     `scipy.sparse` CSR array with W's sparsity pattern (at most 2k nonzeros
     per row), exactly symmetric. Nodes whose incident weights underflow to
     zero end up with zero rows rather than NaNs.
@@ -39,8 +43,7 @@ def similarity_matrix(Z, k: int) -> sp.csr_array:
     n = Z.n
     if n < 2:
         raise ValueError("need at least two samples to build a graph")
-    sqdist = cdist(Z.data.T, Z.data.T, "sqeuclidean")
-    W = graph.knn_heat_graph(sqdist, ~np.eye(n, dtype=bool), k)
+    W = graph.tree_knn_heat_graph(Z, k)
     rows = np.repeat(np.arange(n), np.diff(W.indptr))
     deg = np.bincount(rows, weights=W.data, minlength=n)
     with np.errstate(divide="ignore"):

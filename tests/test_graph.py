@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from lpjt.core import Hyperparams
@@ -12,6 +15,7 @@ from lpjt.graph import (
     locality_scatters,
     pairwise_sqdist,
     scatter_matrices,
+    tree_knn_heat_graph,
 )
 
 
@@ -86,6 +90,44 @@ class TestKnnHeatGraph:
         W = knn_heat_graph(D, labels[:, None] != labels[None, :], 4)
         assert np.array_equal(D, before)
         assert W.nnz > 0
+
+
+class TestTreeKnnHeatGraph:
+    """The tree search against its dense oracle, `knn_heat_graph` over
+    `pairwise_sqdist`; test_labelprop.py covers it on many more inputs."""
+
+    @staticmethod
+    def dense(X, k):
+        return knn_heat_graph(pairwise_sqdist(X), ~np.eye(X.shape[1], dtype=bool), k)
+
+    # float16 values on [-4, 4] repeat often, so distances tie and samples
+    # coincide; one sample and k = 0 give an empty graph
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=30),
+                      elements=st.floats(-4.0, 4.0, width=16)),
+           st.integers(0, 33))
+    def test_matches_dense_builder_bit_for_bit(self, X, k):
+        W, expected = tree_knn_heat_graph(X, k), self.dense(X, k)
+        assert isinstance(W, sp.csr_array) and W.has_canonical_format
+        assert np.array_equal(W.indptr, expected.indptr)
+        assert np.array_equal(W.indices, expected.indices)
+        assert np.array_equal(W.data, expected.data)
+
+    def test_overflowed_distances_keep_true_nearest(self):
+        # every squared distance overflows to inf and every weight is 0: the
+        # dense rule then ties them all and keeps the lowest index, the tree
+        # keeps each sample's true nearest
+        X = np.array([[0.0, 1.0, 2.0, 10.0]]) * 1e160
+        W, expected = tree_knn_heat_graph(X, 1), self.dense(X, 1)
+        assert np.all(W.data == 0.0) and np.all(expected.data == 0.0)
+        assert np.array_equal(W.toarray(), expected.toarray())
+
+        def stored(G):      # (row, column) of every stored entry, zeros included
+            coo = G.tocoo()
+            return sorted(zip(coo.row.tolist(), coo.col.tolist()))
+
+        assert stored(W) == [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)]
+        assert stored(expected) == [(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)]
 
 
 class TestWeightedGraph:

@@ -1,9 +1,14 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
+from scipy.spatial.distance import cdist
 
 from lpjt.core import FeatureMatrix, Hyperparams, LabeledDataset
+from lpjt.graph import knn_heat_graph
 from lpjt.labelprop import classify, closed_form, propagate, similarity_matrix
 
 
@@ -18,6 +23,38 @@ def brute_force_any_pair(Z, k):
         for j in cand[:k]:
             adj[i, j] = adj[j, i] = True
     return adj
+
+
+def dense_similarity(Z, k):
+    """The dense builder the tree search replaced: `knn_heat_graph` over
+    the full `cdist` matrix, then the D^{-1/2} normalization."""
+    n = Z.shape[1]
+    W = knn_heat_graph(cdist(Z.T, Z.T, "sqeuclidean"), ~np.eye(n, dtype=bool), k)
+    rows = np.repeat(np.arange(n), np.diff(W.indptr))
+    deg = np.bincount(rows, weights=W.data, minlength=n)
+    with np.errstate(divide="ignore"):
+        dinv = np.where(deg > 0.0, 1.0 / np.sqrt(deg), 0.0)
+    W.data *= dinv[rows] * dinv[W.indices]
+    return W
+
+
+def oracle_fixture(kind, n, d):
+    """Random, rounded (near ties), duplicated-column or integer-grid
+    (exact ties) samples."""
+    rng = np.random.default_rng([n, d])
+    if kind == "random":
+        return rng.normal(size=(d, n))
+    if kind == "rounded":
+        return np.round(rng.normal(size=(d, n)), 1)
+    if kind == "duplicated":
+        return np.repeat(rng.normal(size=(d, -(-n // 3))), 3, axis=1)[:, :n]
+    return rng.integers(0, 3, size=(d, n)).astype(float)
+
+
+KINDS = ("random", "rounded", "duplicated", "grid")
+ORACLE_CASES = [(n, d, kind, k) for n in (2, 3, 7, 50, 300) for d in (1, 2, 3, 10, 40)
+                for kind in KINDS for k in sorted({1, 5, n - 1, n + 3})]
+ORACLE_CASES += [(1191, d, kind, k) for d in (2, 10) for kind in KINDS for k in (1, 5)]
 
 
 def random_similarity(rng, n, k=3):
@@ -65,6 +102,39 @@ class TestSimilarityMatrix:
         else:
             Z = np.repeat(rng.integers(-2, 3, size=(2, 8)).astype(float), 3, axis=1)
         assert np.array_equal(similarity_matrix(Z, k).toarray() > 0, brute_force_any_pair(Z, k))
+
+    @pytest.mark.parametrize("n,d,kind,k", ORACLE_CASES)
+    def test_tree_search_equals_dense_builder(self, n, d, kind, k):
+        Z = oracle_fixture(kind, n, d)
+        S, expected = similarity_matrix(Z, k), dense_similarity(Z, k)
+        assert np.array_equal(S.indptr, expected.indptr)
+        assert np.array_equal(S.indices, expected.indices)
+        assert np.array_equal(S.data, expected.data)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_extreme_scales_equal_dense_builder(self, kind, scale):
+        # at 1e160 squared distances overflow to inf and at 1e-160 they
+        # underflow into subnormals; the tree searches a rescaled copy, so
+        # neither raises, and S holds the dense builder's values (where
+        # distances overflow, only the pattern of 0 weights may differ)
+        Z = oracle_fixture(kind, 300, 2) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            S = similarity_matrix(Z, 5)
+        assert np.array_equal(S.toarray(), dense_similarity(Z, 5).toarray())
+
+    def test_memory_well_below_one_dense_matrix(self):
+        n = 2000
+        Z = np.random.default_rng(0).normal(size=(2, n))
+        tracemalloc.start()
+        try:
+            similarity_matrix(Z, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an eighth of one n x n float64 array (32 MB)
+        assert peak < n * n * 8 / 8
 
     def test_single_sample_rejected(self):
         with pytest.raises(ValueError):
