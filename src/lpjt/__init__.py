@@ -15,7 +15,13 @@ from .core import (
     zscore_normalize,
 )
 from .eigsolve import EigProblem, EigSolution, SolverError, assemble_problem, solve
-from .graph import WeightedGraph, build_intrinsic_graph, build_penalty_graph, pairwise_sqdist
+from .graph import (
+    NeighborOrder,
+    WeightedGraph,
+    build_intrinsic_graph,
+    build_penalty_graph,
+    pairwise_sqdist,
+)
 from .landmark import LandmarkWeights, QpInstance, build_qp, solve_qp
 from .labelprop import PropagationResult, classify, propagate, similarity_matrix
 from .mmd import MmdBlocks, MmdCoeffs, assemble_M, mmd_value
@@ -40,6 +46,7 @@ __all__ = [
     "WeightedGraph",
     "build_intrinsic_graph",
     "build_penalty_graph",
+    "NeighborOrder",
     "pairwise_sqdist",
     "LandmarkWeights",
     "QpInstance",

@@ -2,19 +2,23 @@
 
 The intrinsic graph connects nearest same-class pairs, the penalty graph
 nearest different-class pairs; both are weighted with the heat kernel
-exp(-||x_i - x_j||^2 / 2) and symmetrized by OR. They come from
-`knn_heat_graph` given squared distances, which `fit` computes once per
-domain and reuses on every refresh; these are the only n x n arrays left.
-Label propagation's graph over all pairs comes from `tree_knn_heat_graph`,
-the same rule found by an exact k-d tree search (Friedman, Bentley &
-Finkel, ACM TOMS 1977) in O(n * k) memory. Both builders return a sparse
-CSR array and every graph stays sparse. Sandwiching the graph
-Laplacian L = D - W between the data, S = X L X^T
+exp(-||x_i - x_j||^2 / 2) and symmetrized by OR. `fit` computes each
+domain's squared distances once, and a `NeighborOrder` ranks every row of
+them once; each refresh then reads each sample's first allowed neighbors
+off that order, in O(n * k) work when they lie near the front. The
+distances and the order (at most 2 bytes a pair up to 65536 samples) are
+the only n x n arrays left. Label propagation's graph over all pairs
+comes from `tree_knn_heat_graph`, the same rule found by an exact k-d
+tree search (Friedman, Bentley & Finkel, ACM TOMS 1977) in O(n * k)
+memory. `knn_heat_graph`, the rule over a dense mask, is the test oracle
+of all three builders. Every graph is a sparse CSR array. Sandwiching
+the graph Laplacian L = D - W between the data, S = X L X^T
 = 1/2 sum_ij W_ij (x_i - x_j)(x_i - x_j)^T, turns the graph objective
 into a quadratic form in feature space; it is formed from the edges in
 O(nnz * d) plus O(n * d^2), never as a dense n x n Laplacian.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -68,8 +72,74 @@ class ScatterSet:
 
 def pairwise_sqdist(X) -> np.ndarray:
     """Squared Euclidean distances between all pairs of samples of X."""
-    X = as_features(X)
-    return cdist(X.data.T, X.data.T, "sqeuclidean")
+    # a C-order copy of the samples: on the transposed view scipy's cdist
+    # takes a strided path, several times slower at the same result
+    P = np.ascontiguousarray(as_features(X).data.T)
+    return cdist(P, P, "sqeuclidean")
+
+
+# entries sorted per pass, so that the sort's temporaries (int64 indices,
+# float64 values) stay near 32 KiB each, or one row past 4096 samples;
+# blocks of 64 rows raised a fit's peak RSS at 300 samples
+ORDER_BLOCK_ENTRIES = 4096
+
+
+class NeighborOrder:
+    """One domain's squared distances and each row's samples ranked by
+    (distance, index), computed on first use.
+
+    The distances are fixed for a whole fit and only the labels change, so
+    every refresh of the intrinsic and penalty graphs reads each row's first
+    allowed samples off this one order. It is stored in the smallest
+    unsigned integer type that holds n - 1.
+    """
+
+    def __init__(self, sqdist):
+        sqdist = np.asarray(sqdist, dtype=np.float64)
+        if sqdist.ndim != 2 or sqdist.shape[0] != sqdist.shape[1]:
+            raise ValueError("squared distances must form a square matrix")
+        self.sqdist = sqdist
+
+    @property
+    def n(self) -> int:
+        return self.sqdist.shape[0]
+
+    @functools.cached_property
+    def order(self) -> np.ndarray:
+        return _rank_rows(self.sqdist)
+
+
+def _rank_rows(sqdist) -> np.ndarray:
+    """Column indices of each row sorted by (value, index)."""
+    n = sqdist.shape[0]
+    order = np.empty((n, n), dtype=np.min_scalar_type(max(n - 1, 0)))
+    step = max(1, ORDER_BLOCK_ENTRIES // max(n, 1))
+    for lo in range(0, n, step):
+        block = sqdist[lo:lo + step]
+        idx = block.argsort(axis=1)
+        # the default sort may order equal values either way; only rows
+        # holding a tie pay for a stable sort
+        ranked = np.take_along_axis(block, idx, axis=1)
+        tied = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
+        if tied.size:
+            idx[tied] = block[tied].argsort(axis=1, kind="stable")
+        order[lo:lo + step] = idx
+    return order
+
+
+def _heat_csr(rows, cols, sq, n: int) -> sp.csr_array:
+    """OR-symmetrized CSR graph of the chosen pairs (rows[i], cols[i]), each
+    edge weighted exp(-sq[i] / 2).
+
+    A pair chosen from both ends must carry the same squared distance
+    either way; it is stored once. Indices come out sorted.
+    """
+    key, first = np.unique(np.concatenate([rows * n + cols, cols * n + rows]),
+                           return_index=True)
+    rows, cols = np.divmod(key, n)
+    weights = np.exp(-np.concatenate([sq, sq])[first] / 2.0)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return sp.csr_array((weights, cols, indptr), shape=(n, n))
 
 
 def knn_heat_graph(sqdist, allowed, k: int) -> sp.csr_array:
@@ -80,6 +150,9 @@ def knn_heat_graph(sqdist, allowed, k: int) -> sp.csr_array:
     are OR-symmetrized (an edge exists if either endpoint selected the
     other), the diagonal is cleared and each edge weighted with
     exp(-sqdist / 2). Only the selected pairs are stored.
+
+    This is the test oracle of `build_intrinsic_graph`, `build_penalty_graph`
+    and `tree_knn_heat_graph`; `fit` does not call it.
     """
     sqdist = np.asarray(sqdist, dtype=np.float64)
     n = sqdist.shape[0]
@@ -160,47 +233,85 @@ def tree_knn_heat_graph(X, k: int) -> sp.csr_array:
     order = np.lexsort((cols, sq, rows))
     ranked = rows[order]
     keep = order[np.arange(order.size) - np.searchsorted(ranked, ranked) < k]
-    rows, cols, sq = rows[keep], cols[keep], sq[keep]
-    # OR-symmetrize: a pair picked from both ends has the same squared
-    # distance either way, so the first copy's weight is the edge's
-    key, first = np.unique(np.concatenate([rows * n + cols, cols * n + rows]),
-                           return_index=True)
-    rows, cols = np.divmod(key, n)
-    weights = np.exp(-np.concatenate([sq, sq])[first] / 2.0)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-    return sp.csr_array((weights, cols, indptr), shape=(n, n))
+    # a pair picked from both ends has the same squared distance either way
+    return _heat_csr(rows[keep], cols[keep], sq[keep], n)
 
 
-def _same_label(sqdist, labels) -> np.ndarray:
+def _first_allowed(nbrs: NeighborOrder, codes, need, same: bool):
+    """(rows, cols) of each row i's first need[i] allowed samples in the
+    neighbor order: those of its own class but itself when `same`, else
+    those of another class. need[i] must not exceed what row i allows.
+
+    The order is read in column chunks that double in width, and only for
+    the rows still short of neighbors.
+    """
+    rows = np.flatnonzero(need)
+    short = need[rows]
+    picked_rows, picked_cols = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    lo, width = 0, int(short.max(initial=0)) + 1
+    while rows.size:
+        cols = nbrs.order[rows, lo:lo + width]
+        if same:
+            ok = (np.take(codes, cols) == codes[rows, None]) & (cols != rows[:, None])
+        else:
+            ok = np.take(codes, cols) != codes[rows, None]
+        found = np.count_nonzero(ok, axis=1)
+        # only rows that found more than they need rank what they found
+        over = np.flatnonzero(found > short)
+        if over.size:
+            ok[over] &= np.cumsum(ok[over], axis=1, dtype=np.int32) <= short[over, None]
+        flat = np.flatnonzero(ok)
+        picked_rows.append(rows[flat // ok.shape[1]])
+        picked_cols.append(cols.ravel()[flat].astype(np.intp))
+        short = short - found
+        left = short > 0
+        rows, short = rows[left], short[left]
+        lo, width = lo + width, 2 * width
+    return np.concatenate(picked_rows), np.concatenate(picked_cols)
+
+
+def _label_classes(nbrs: NeighborOrder, labels):
+    """Each sample's class code and class size."""
     labels = np.asarray(labels, dtype=np.int64).ravel()
-    if labels.shape[0] != np.shape(sqdist)[0]:
+    if labels.shape[0] != nbrs.n:
         raise ValueError("labels length must equal the sample count")
-    return labels[:, None] == labels[None, :]
+    _, codes, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    return codes, sizes[codes]
 
 
-def build_intrinsic_graph(sqdist, labels, k_w: int) -> WeightedGraph:
+def _order_graph(nbrs: NeighborOrder, codes, need, same: bool) -> WeightedGraph:
+    """The heat graph of `_first_allowed`'s pairs."""
+    rows, cols = _first_allowed(nbrs, codes, need, same)
+    D = nbrs.sqdist
+    # the larger squared distance of the two directions, so the smaller
+    # weight, as `knn_heat_graph` takes it
+    return WeightedGraph(_heat_csr(rows, cols, np.maximum(D[rows, cols], D[cols, rows]),
+                                   nbrs.n))
+
+
+def build_intrinsic_graph(nbrs: NeighborOrder, labels, k_w: int) -> WeightedGraph:
     """Connect each sample to its k_w nearest same-label neighbors.
 
-    `sqdist` holds the squared distances between the samples. k_w is
-    clamped per class to the class size minus one.
+    `nbrs` holds the squared distances between the samples. k_w is clamped
+    per class to the class size minus one.
     """
-    same = _same_label(sqdist, labels)
-    np.fill_diagonal(same, False)
-    return WeightedGraph(knn_heat_graph(sqdist, same, k_w))
+    codes, sizes = _label_classes(nbrs, labels)
+    return _order_graph(nbrs, codes, np.minimum(max(int(k_w), 0), sizes - 1), same=True)
 
 
-def build_penalty_graph(sqdist, labels, k_b: int) -> WeightedGraph:
+def build_penalty_graph(nbrs: NeighborOrder, labels, k_b: int) -> WeightedGraph:
     """Connect each sample to its k_b nearest different-label neighbors.
 
-    `sqdist` holds the squared distances between the samples. With a single
+    `nbrs` holds the squared distances between the samples. With a single
     class present there are no cross-class pairs; an empty graph is
     returned and a warning is emitted.
     """
-    same = _same_label(sqdist, labels)
-    if same.all():
+    codes, sizes = _label_classes(nbrs, labels)
+    if np.all(sizes == nbrs.n):
         warnings.warn("penalty graph is empty: only one class present")
-        return WeightedGraph(sp.csr_array(same.shape))
-    return WeightedGraph(knn_heat_graph(sqdist, ~same, k_b))
+        return WeightedGraph(sp.csr_array((nbrs.n, nbrs.n)))
+    return _order_graph(nbrs, codes, np.minimum(max(int(k_b), 0), nbrs.n - sizes),
+                        same=False)
 
 
 def _degrees(G: WeightedGraph) -> np.ndarray:
@@ -215,23 +326,23 @@ def _sandwich(X, G: WeightedGraph) -> np.ndarray:
     return (S + S.T) / 2.0
 
 
-def locality_scatters(X, sqdist, labels, hyper: Hyperparams):
+def locality_scatters(X, nbrs: NeighborOrder, labels, hyper: Hyperparams):
     """(S_w, S_b) of one domain: its intrinsic and penalty graphs sandwiched."""
-    return (_sandwich(X, build_intrinsic_graph(sqdist, labels, hyper.k_w)),
-            _sandwich(X, build_penalty_graph(sqdist, labels, hyper.k_b)))
+    return (_sandwich(X, build_intrinsic_graph(nbrs, labels, hyper.k_w)),
+            _sandwich(X, build_penalty_graph(nbrs, labels, hyper.k_b)))
 
 
-def scatter_matrices(X_s, sqdist_s, labels_s, X_u, sqdist_u, pseudo_labels_u,
-                     hyper: Hyperparams) -> ScatterSet:
+def scatter_matrices(X_s, nbrs_s: NeighborOrder, labels_s, X_u, nbrs_u: NeighborOrder,
+                     pseudo_labels_u, hyper: Hyperparams) -> ScatterSet:
     """Build all four graph scatter matrices and the target covariance.
 
     Source graphs use the ground-truth labels, target graphs the current
-    pseudo labels; `sqdist_*` are the squared distances within each domain
+    pseudo labels; `nbrs_*` hold the squared distances within each domain
     (`pairwise_sqdist`). S_h_u = X_u (I - 11^T/n_u) X_u^T.
     """
     X_u = as_features(X_u)
-    S_w_s, S_b_s = locality_scatters(X_s, sqdist_s, labels_s, hyper)
-    S_w_u, S_b_u = locality_scatters(X_u, sqdist_u, pseudo_labels_u, hyper)
+    S_w_s, S_b_s = locality_scatters(X_s, nbrs_s, labels_s, hyper)
+    S_w_u, S_b_u = locality_scatters(X_u, nbrs_u, pseudo_labels_u, hyper)
 
     centered = X_u.data - X_u.data.mean(axis=1, keepdims=True)
     S_h_u = centered @ centered.T

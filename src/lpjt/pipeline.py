@@ -123,7 +123,10 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
         train0 = LabeledDataset(as_features(_pca_scores(Xs, m)), y_s, C)
         test0 = as_features(_pca_scores(Xu, m))
     if cfg.init_strategy == "nn_raw":
-        nearest = np.argmin(cdist(test0.data.T, train0.features.data.T), axis=1)
+        # C-order copies: scipy's cdist is several times slower on the
+        # transposed views, at the same result
+        nearest = np.argmin(cdist(np.ascontiguousarray(test0.data.T),
+                                  np.ascontiguousarray(train0.features.data.T)), axis=1)
         labels_cur = train0.labels[nearest]
     else:
         labels_cur = labelprop.classify(train0, test0, hyper)
@@ -149,30 +152,33 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
     if hyper.d > d_s + d_t:
         raise ValueError(f"subspace dim {hyper.d} exceeds d_s + d_t = {d_s + d_t}")
 
-    # the graph distances of each domain, fixed for the whole fit
-    sqdist_s = graph.pairwise_sqdist(Xs)
-    sqdist_u = graph.pairwise_sqdist(Xu)
+    # the graph distances of each domain and their neighbor order, fixed for
+    # the whole fit; the source graphs are built once, so its distances are
+    # let go after that
+    nbrs_s = graph.NeighborOrder(graph.pairwise_sqdist(Xs))
+    nbrs_u = graph.NeighborOrder(graph.pairwise_sqdist(Xu))
     weights = landmark.uniform_weights(n_s, n_u, hyper.delta)
-    scat = graph.scatter_matrices(Xs, sqdist_s, y_s, Xu, sqdist_u, labels_cur, hyper)
-    coeffs = mmd.build_coeffs(weights.alpha, weights.beta, y_s, labels_cur,
-                              hyper.delta, C)
-    blocks = mmd.assemble_M(Xs, Xu, coeffs)
+    scat = graph.scatter_matrices(Xs, nbrs_s, y_s, Xu, nbrs_u, labels_cur, hyper)
+    del nbrs_s
 
-    def refresh(labels, weights):
-        """Target scatters and MMD blocks for new pseudo labels and weights."""
-        S_w_u, S_b_u = graph.locality_scatters(Xu, sqdist_u, labels, hyper)
+    def target_scatters(labels):
+        S_w_u, S_b_u = graph.locality_scatters(Xu, nbrs_u, labels, hyper)
+        return dataclasses.replace(scat, S_w_u=S_w_u, S_b_u=S_b_u)
+
+    def mmd_blocks(labels, weights):
         coeffs = mmd.build_coeffs(weights.alpha, weights.beta, y_s, labels,
                                   hyper.delta, C)
-        return (dataclasses.replace(scat, S_w_u=S_w_u, S_b_u=S_b_u),
-                mmd.assemble_M(Xs, Xu, coeffs))
+        return mmd.assemble_M(Xs, Xu, coeffs)
 
+    blocks = mmd_blocks(labels_cur, weights)
     objective_tr, mmd_tr, change_tr = [], [], []
     prev_obj = None
-    labels_prev = None
+    labels_prev = scat_prev = None
     A = B = None
     for it in range(hyper.T):
         if it > 0:
-            scat, blocks = refresh(labels_cur, weights)
+            scat_prev, scat = scat, target_scatters(labels_cur)
+            blocks = mmd_blocks(labels_cur, weights)
         problem = eigsolve.assemble_problem(blocks, scat, hyper, couple)
         sol = eigsolve.solve(problem, hyper.d)
         obj = _ratio_objective(sol)
@@ -183,9 +189,11 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
             and labels_prev is not None
             and not np.array_equal(labels_prev, labels_cur)
         ):
-            # damping: keep the previous pseudo labels for this iteration
-            labels_cur = labels_prev
-            scat, blocks = refresh(labels_cur, weights)
+            # damping: keep the previous pseudo labels for this iteration;
+            # the previous iteration's scatters were built for exactly them,
+            # and only the MMD blocks see the new weights
+            labels_cur, scat = labels_prev, scat_prev
+            blocks = mmd_blocks(labels_cur, weights)
             problem = eigsolve.assemble_problem(blocks, scat, hyper, couple)
             sol = eigsolve.solve(problem, hyper.d)
             obj = _ratio_objective(sol)

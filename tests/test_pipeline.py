@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.spatial.distance import cdist
 
-from lpjt import eigsolve, graph, mmd
+from lpjt import eigsolve, graph, mmd, pipeline
 from lpjt.core import (
     NORMALIZE_MODES,
     FeatureMatrix,
@@ -180,12 +180,81 @@ class TestFitBasics:
         Xs, ys, Xt, _ = synth_rotated(20, 3, 0)
         src = LabeledDataset(FeatureMatrix(Xs), ys, 3)
         fit(src, Xt, None, FitConfig(hyper=Hyperparams(d=2, T=3)))
-        # the initial build, one refresh per iteration after the first, one
-        # per rollback
-        refreshes = 3 + (calls["solve"] - 3)
-        assert calls["build_coeffs"] == calls["assemble_M"] == refreshes
-        # the source graphs are built once
-        assert calls["build_intrinsic_graph"] == calls["build_penalty_graph"] == refreshes + 1
+        # this fit rolls back: one more solve than iterations
+        assert calls["solve"] > 3
+        # the MMD blocks: the initial build, one refresh per iteration after
+        # the first, one per rollback
+        assert calls["build_coeffs"] == calls["assemble_M"] == calls["solve"]
+        # the graphs: the source's once, the target's once per iteration; a
+        # rollback reuses the previous iteration's
+        assert calls["build_intrinsic_graph"] == calls["build_penalty_graph"] == 3 + 1
+
+    def test_rollback_reuses_scatters_built_for_its_labels(self, monkeypatch):
+        scats, labels, target = [], [], []
+        build_coeffs, assemble_problem = mmd.build_coeffs, eigsolve.assemble_problem
+        locality_scatters = graph.locality_scatters
+
+        def recording_coeffs(*args):
+            labels.append(args[3])
+            return build_coeffs(*args)
+
+        def recording_problem(blocks, scat, *args):
+            scats.append(scat)
+            return assemble_problem(blocks, scat, *args)
+
+        def recording_scatters(X, nbrs, *args):
+            target[:] = [X, nbrs.sqdist]    # the target domain is built last
+            return locality_scatters(X, nbrs, *args)
+
+        monkeypatch.setattr(mmd, "build_coeffs", recording_coeffs)
+        monkeypatch.setattr(eigsolve, "assemble_problem", recording_problem)
+        monkeypatch.setattr(graph, "locality_scatters", recording_scatters)
+        Xs, ys, Xt, _ = synth_rotated(20, 3, 0)
+        hyper = Hyperparams(d=2, T=3)
+        fit(LabeledDataset(FeatureMatrix(Xs), ys, 3), Xt, None, FitConfig(hyper=hyper))
+        reused = [j for j in range(len(scats)) if any(scats[j] is s for s in scats[:j])]
+        assert reused and len(scats) == len(labels)
+        X_u, sqdist_u = target
+        for j in reused:
+            S_w, S_b = locality_scatters(X_u, graph.NeighborOrder(sqdist_u.copy()),
+                                         labels[j], hyper)
+            assert np.array_equal(scats[j].S_w_u, S_w)
+            assert np.array_equal(scats[j].S_b_u, S_b)
+
+    def test_neighbor_order_computed_once_per_domain(self, monkeypatch):
+        sorts, solves = [], []
+        rank_rows, solve = graph._rank_rows, eigsolve.solve
+
+        def counting_sort(sqdist):
+            sorts.append(sqdist.shape)
+            return rank_rows(sqdist)
+
+        def counting_solve(*args):
+            solves.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(graph, "_rank_rows", counting_sort)
+        monkeypatch.setattr(eigsolve, "solve", counting_solve)
+        Xs, ys, Xt, _ = synth_rotated(20, 3, 0)
+        src = LabeledDataset(FeatureMatrix(Xs), ys, 3)
+        for T in (1, 3, 6):
+            sorts.clear()
+            fit(src, Xt, None, FitConfig(hyper=Hyperparams(d=2, T=T)))
+            assert sorts == [(60, 60), (60, 60)]
+        assert len(solves) > 1 + 3 + 6      # the fits roll back
+
+    def test_nearest_neighbor_init_passes_c_order_to_cdist(self, monkeypatch):
+        seen = []
+
+        def checking(XA, XB, *args):
+            seen.append(XA.flags.c_contiguous and XB.flags.c_contiguous)
+            return cdist(XA, XB, *args)
+
+        monkeypatch.setattr(pipeline, "cdist", checking)
+        X, y = separated_blobs()
+        src = LabeledDataset(FeatureMatrix(X), y, 3)
+        fit(src, X + 0.1, None, FitConfig(hyper=Hyperparams(d=2, T=1), init_strategy="nn_raw"))
+        assert seen == [True]
 
     def test_final_weights_feasible(self):
         Xs, ys, Xt, _ = synth_rotated(30, 3, 0)
