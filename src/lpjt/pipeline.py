@@ -104,8 +104,6 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
     target subset in semisupervised mode, from the source on the shared
     feature space when both domains have the same feature count, and
     otherwise across per-domain PCA embeddings of a common dimensionality.
-    If the objective worsens by more than 1% after a pseudo-label refresh,
-    the refresh is rolled back for that iteration.
     """
     if cfg is None:
         cfg = FitConfig()
@@ -161,42 +159,18 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
     scat = graph.scatter_matrices(Xs, nbrs_s, y_s, Xu, nbrs_u, labels_cur, hyper)
     del nbrs_s
 
-    def target_scatters(labels):
-        S_w_u, S_b_u = graph.locality_scatters(Xu, nbrs_u, labels, hyper)
-        return dataclasses.replace(scat, S_w_u=S_w_u, S_b_u=S_b_u)
-
-    def mmd_blocks(labels, weights):
-        coeffs = mmd.build_coeffs(weights.alpha, weights.beta, y_s, labels,
-                                  hyper.delta, C)
-        return mmd.assemble_M(Xs, Xu, coeffs)
-
-    blocks = mmd_blocks(labels_cur, weights)
     objective_tr, mmd_tr, change_tr = [], [], []
-    prev_obj = None
-    labels_prev = scat_prev = None
     A = B = None
     for it in range(hyper.T):
         if it > 0:
-            scat_prev, scat = scat, target_scatters(labels_cur)
-            blocks = mmd_blocks(labels_cur, weights)
+            S_w_u, S_b_u = graph.locality_scatters(Xu, nbrs_u, labels_cur, hyper)
+            scat = dataclasses.replace(scat, S_w_u=S_w_u, S_b_u=S_b_u)
+        coeffs = mmd.build_coeffs(weights.alpha, weights.beta, y_s, labels_cur,
+                                  hyper.delta, C)
+        blocks = mmd.assemble_M(Xs, Xu, coeffs)
         problem = eigsolve.assemble_problem(blocks, scat, hyper, couple)
         sol = eigsolve.solve(problem, hyper.d)
         obj = _ratio_objective(sol)
-        if (
-            prev_obj is not None
-            and np.isfinite(prev_obj)
-            and obj > 1.01 * prev_obj
-            and labels_prev is not None
-            and not np.array_equal(labels_prev, labels_cur)
-        ):
-            # damping: keep the previous pseudo labels for this iteration;
-            # the previous iteration's scatters were built for exactly them,
-            # and only the MMD blocks see the new weights
-            labels_cur, scat = labels_prev, scat_prev
-            blocks = mmd_blocks(labels_cur, weights)
-            problem = eigsolve.assemble_problem(blocks, scat, hyper, couple)
-            sol = eigsolve.solve(problem, hyper.d)
-            obj = _ratio_objective(sol)
         if not np.isfinite(obj):
             raise RuntimeError(
                 "objective is not finite: the maximized side is zero "
@@ -216,13 +190,10 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
 
         qp = landmark.build_qp(Z_s, Z_u, y_s, new_labels, hyper.delta, C)
         weights = landmark.solve_qp(qp, landmark.project_feasible(qp, weights))
-
-        labels_prev = labels_cur
         labels_cur = new_labels
 
         objective_tr.append(obj)
         change_tr.append(changes)
-        prev_obj = obj
 
     trace = TrainTrace(
         objective=np.asarray(objective_tr),

@@ -134,8 +134,10 @@ def test_03_qp_feasibility_and_grid_oracle():
         solver_obj = 0.5 * z @ qp.Bq @ z
         A_grid = _stack([_lattice(m, 0.5) for m in sizes_s])
         B_grid = _stack([_lattice(m, 0.5) for m in sizes_u])
-        quad = 0.5 * np.einsum("ij,jk,ik->i", A_grid, qp.K_ss, A_grid)
-        best = float((quad[:, None] - A_grid @ qp.K_su @ B_grid.T).min())
+        quad_s = 0.5 * np.einsum("ij,jk,ik->i", A_grid, qp.K_ss, A_grid)
+        quad_u = 0.5 * np.einsum("ij,jk,ik->i", B_grid, qp.K_uu, B_grid)
+        cross = A_grid @ qp.K_su @ B_grid.T
+        best = float((quad_s[:, None] + quad_u[None, :] - cross).min())
         worst_gap = max(worst_gap, solver_obj - best)
         assert solver_obj <= best + 1e-4
 

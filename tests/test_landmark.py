@@ -59,9 +59,19 @@ class TestBuildQp:
         qp = build_qp(Z_s, Z_u, [0, 1], [0, 1], 0.5, 2)
         assert np.all(qp.Bq[:2, 2:] == 0.0)
 
-    def test_lower_right_block_zero(self):
-        qp, *_ = random_qp(1)
-        assert np.all(qp.Bq[qp.n_s:, qp.n_s:] == 0.0)
+    def test_half_quadratic_form_equals_mmd_value(self):
+        # classes present in one domain only stay out of E_CD and are pinned
+        for seed in range(25):
+            qp, Z_s, Z_u, ys, yu, delta = mixed_instance(seed)
+            rng = np.random.default_rng(seed + 500)
+            a, b = rng.uniform(0, 1, qp.n_s), rng.uniform(0, 1, qp.n_u)
+            z = np.concatenate([a, b])
+            eye = np.eye(Z_s.shape[0])
+            e = sum(mmd_value(Z_s, Z_u, eye, eye, a, b, ys, yu, delta))
+            assert abs(0.5 * z @ qp.matvec(z) - e) <= 1e-12 * e
+            assert abs(0.5 * z @ qp.Bq @ z - e) <= 1e-12 * e
+            eigs = np.linalg.eigvalsh(qp.Bq)
+            assert eigs[0] >= -1e-12 * eigs[-1]
 
     def test_class_absent_everywhere_rejected(self):
         rng = np.random.default_rng(3)
@@ -71,33 +81,35 @@ class TestBuildQp:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_alpha_gradient_matches_finite_differences(self, seed):
+        # and the beta gradient: Bq z is the gradient of E in both blocks
         qp, Z_s, Z_u, ys, yu = random_qp(seed, n_s=6, n_u=5)
         rng = np.random.default_rng(seed + 10)
         delta = 0.5
-        alpha = rng.uniform(0.1, 0.9, 6)
-        beta = rng.uniform(0.1, 0.9, 5)
+        z = rng.uniform(0.1, 0.9, 11)
         d = Z_s.shape[0]
         A = np.eye(d)   # embeddings are already projected
         B = np.eye(d)
 
-        def total(a):
-            e_mg, e_cd = mmd_value(Z_s, Z_u, A, B, a, beta, ys, yu, delta)
+        def total(w):
+            e_mg, e_cd = mmd_value(Z_s, Z_u, A, B, w[:6], w[6:], ys, yu, delta)
             return e_mg + e_cd
 
-        grad = qp.K_ss @ alpha - qp.K_su @ beta
+        grad = qp.matvec(z)
         h = 1e-6
-        for i in range(6):
-            e = np.zeros(6); e[i] = h
-            fd = (total(alpha + e) - total(alpha - e)) / (2 * h)
+        for i in range(11):
+            e = np.zeros(11); e[i] = h
+            fd = (total(z + e) - total(z - e)) / (2 * h)
             assert abs(fd - grad[i]) <= 1e-6 * max(1.0, abs(fd))
 
 
 def dense_blocks(Z_s, Z_u, ys, yu, delta, C):
-    """K_ss and K_su from the explicit per-class formulas."""
+    """K_ss, K_uu and K_su from the explicit per-class formulas."""
     n_s, n_u = Z_s.shape[1], Z_u.shape[1]
     Gs = Z_s.T @ Z_s
+    Gu = Z_u.T @ Z_u
     Gsu = Z_s.T @ Z_u
     K_ss = 2.0 * Gs / (delta**2 * n_s**2)
+    K_uu = 2.0 * Gu / (delta**2 * n_u**2)
     K_su = 2.0 * Gsu / (delta**2 * n_s * n_u)
     for c in range(C):
         si = np.flatnonzero(ys == c)
@@ -105,75 +117,50 @@ def dense_blocks(Z_s, Z_u, ys, yu, delta, C):
         if si.size and ui.size:
             K_ss[np.ix_(si, si)] += 2.0 * Gs[np.ix_(si, si)] / (delta**2 * si.size**2)
             K_ss[si, si] += 2.0 * Gs[si, si] / (delta**2 * si.size)
+            K_uu[np.ix_(ui, ui)] += 2.0 * Gu[np.ix_(ui, ui)] / (delta**2 * ui.size**2)
+            K_uu[ui, ui] += 2.0 * Gu[ui, ui] / (delta**2 * ui.size)
             K_su[np.ix_(si, ui)] += 4.0 * Gsu[np.ix_(si, ui)] / (delta**2 * si.size * ui.size)
-    return K_ss, K_su
+    return K_ss, K_uu, K_su
+
+
+def mixed_instance(seed):
+    """A random instance whose last class is present in the source only."""
+    rng = np.random.default_rng(seed)
+    C = int(rng.integers(2, 5))
+    n_s, n_u = int(rng.integers(C + 1, 40)), int(rng.integers(C + 1, 40))
+    d = int(rng.integers(1, 5))
+    ys = rng.integers(0, C, n_s); ys[:C] = np.arange(C)
+    yu = rng.integers(0, C, n_u); yu[:C] = np.arange(C)
+    yu[yu == C - 1] = 0
+    delta = float(rng.choice([0.3, 0.5, 0.8]))
+    Z_s = rng.normal(size=(d, n_s))
+    Z_u = rng.normal(size=(d, n_u))
+    return build_qp(Z_s, Z_u, ys, yu, delta, C), Z_s, Z_u, ys, yu, delta
 
 
 class TestFactoredOperators:
     @pytest.mark.parametrize("seed", range(20))
     def test_products_match_dense_formulas(self, seed):
-        rng = np.random.default_rng(seed)
-        C = int(rng.integers(2, 5))
-        n_s, n_u = int(rng.integers(C + 1, 40)), int(rng.integers(C + 1, 40))
-        d = int(rng.integers(1, 5))
-        ys = rng.integers(0, C, n_s); ys[:C] = np.arange(C)
-        yu = rng.integers(0, C, n_u); yu[:C] = np.arange(C)
-        yu[yu == C - 1] = 0     # the last class is present in the source only
-        delta = float(rng.choice([0.3, 0.5, 0.8]))
-        Z_s = rng.normal(size=(d, n_s))
-        Z_u = rng.normal(size=(d, n_u))
-        qp = build_qp(Z_s, Z_u, ys, yu, delta, C)
-        K_ss, K_su = dense_blocks(Z_s, Z_u, ys, yu, delta, C)
-        a, b = rng.uniform(0, 1, n_s), rng.uniform(0, 1, n_u)
-        z = np.concatenate([a, b])
-
-        def close(got, want):
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-        close(qp.kss_matvec(a), K_ss @ a)
-        close(qp.ksu_matvec(b), K_su @ b)
-        close(qp.ksu_rmatvec(a), K_su.T @ a)
-        close(qp.matvec(z), np.concatenate([K_ss @ a - K_su @ b, -K_su.T @ a]))
+        qp, Z_s, Z_u, ys, yu, delta = mixed_instance(seed)
+        K_ss, K_uu, K_su = dense_blocks(Z_s, Z_u, ys, yu, delta, int(ys.max()) + 1)
+        rng = np.random.default_rng(seed + 700)
+        a, b = rng.uniform(0, 1, qp.n_s), rng.uniform(0, 1, qp.n_u)
+        want = np.concatenate([K_ss @ a - K_su @ b, K_uu @ b - K_su.T @ a])
+        got = qp.matvec(np.concatenate([a, b]))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
         solve_qp(qp, full_output=True)
-        assert not {"Bq", "K_ss", "K_su"} & set(vars(qp))
+        assert not {"Bq", "K_ss", "K_uu", "K_su"} & set(vars(qp))
 
 
-def plain_alpha_pass(qp, z, lin, step):
-    """Projected gradient on the alpha subproblem, without momentum."""
-    n_s = qp.n_s
-    a = z[:n_s].copy()
-    f_a = 0.5 * a @ qp.kss_matvec(a) + lin @ a
-    for _ in range(100):
-        full = z.copy()
-        full[:n_s] = a - step * (qp.kss_matvec(a) + lin)
-        a_new = landmark._project(full, qp, source_only=True)[0][:n_s]
-        f_new = 0.5 * a_new @ qp.kss_matvec(a_new) + lin @ a_new
-        if f_new > f_a - 1e-12 * max(abs(f_a), 1e-30):
-            return a_new if f_new < f_a else a
-        a, f_a = a_new, f_new
-    return a
-
-
-def alpha_pass_instance(seed):
-    """One of the 20 fit-sized instances of TestAcceleratedAlphaPass."""
+def fit_sized_instance(seed):
+    """One of 20 instances with 100-160 samples per domain, as in the bench's fits."""
     rng = np.random.default_rng(seed + 100)
     C = int(rng.integers(2, 5))
     qp, *_ = random_qp(seed + 100, n_s=int(rng.integers(100, 160)),
                        n_u=int(rng.integers(100, 160)), C=C,
                        d=int(rng.integers(1, 4)))
     return qp
-
-
-class TestAcceleratedAlphaPass:
-    @pytest.mark.parametrize("seed", range(20))
-    def test_reaches_plain_gradient_objective(self, seed, monkeypatch):
-        qp = alpha_pass_instance(seed)
-        _, fast = solve_qp(qp, full_output=True)
-        monkeypatch.setattr(landmark, "_alpha_pass", plain_alpha_pass)
-        _, ref = solve_qp(qp, full_output=True)
-        f_fast, f_ref = fast["objective_trace"][-1], ref["objective_trace"][-1]
-        assert f_fast <= f_ref + 1e-9 * abs(f_ref)
 
 
 class TestSolveQp:
@@ -188,7 +175,9 @@ class TestSolveQp:
         qp = QpInstance(
             F_s=np.zeros((1, 2)),
             F_u=np.zeros((1, 1)),
+            cross=np.ones(1),
             diag_s=np.array([1.0, 1.0]),
+            diag_u=np.zeros(1),
             delta=0.5,
             groups=((np.array([0, 1]), True), (np.array([2]), True)),
         )
@@ -254,6 +243,75 @@ class TestSolveQp:
         w = solve_qp(qp)
         assert_allclose(w.alpha[2:], 0.5)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_never_raises_mmd_value(self, seed):
+        qp, Z_s, Z_u, ys, yu, delta = mixed_instance(seed)
+        rng = np.random.default_rng(seed + 900)
+        eye = np.eye(Z_s.shape[0])
+        rough = LandmarkWeights(rng.uniform(0, 1, qp.n_s), rng.uniform(0, 1, qp.n_u), delta)
+        for init in (uniform_weights(qp.n_s, qp.n_u, delta), project_feasible(qp, rough)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                w, info = solve_qp(qp, init, full_output=True)
+            assert info["converged"]
+            e0 = sum(mmd_value(Z_s, Z_u, eye, eye, init.alpha, init.beta, ys, yu, delta))
+            e1 = sum(mmd_value(Z_s, Z_u, eye, eye, w.alpha, w.beta, ys, yu, delta))
+            assert e1 <= e0 * (1 + 1e-12)
+
+    def test_step_cap_warns_and_reports_not_converged(self, monkeypatch):
+        qp = fit_sized_instance(0)
+        _, info = solve_qp(qp, full_output=True)
+        assert info["converged"] and info["iterations"] > 1
+        monkeypatch.setattr(landmark, "MAX_STEPS", 1)
+        with pytest.warns(UserWarning, match="hit its 1-step cap"):
+            _, capped = solve_qp(qp, full_output=True)
+        assert not capped["converged"] and capped["iterations"] == 1
+        # the capped run is the uncapped one cut after its first step
+        tr = capped["objective_trace"]
+        assert np.array_equal(tr, info["objective_trace"][: tr.size])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_step_norm_is_the_curvature_along_free_directions(self, seed):
+        qp, *_ = mixed_instance(seed)
+        n = qp.n_s + qp.n_u
+        P = np.column_stack([qp.tangent(e) for e in np.eye(n)])
+        # P is the orthogonal projection onto {zero sum per free group,
+        # zero on pinned coordinates}
+        assert np.allclose(P, P.T) and np.allclose(P @ P, P)
+        for idx, both in qp.groups:
+            assert np.allclose(P[np.ix_(idx, idx)].sum(axis=0), 0.0)
+        # a power iteration approaches the norm from below
+        want = np.linalg.norm(P @ qp.Bq @ P, 2)
+        assert 0.9 * want <= qp.norm_tangent <= want * (1 + 1e-12)
+
+    def test_pinned_curvature_does_not_shorten_the_step(self):
+        # a source-only class far from the origin curves E along its pinned
+        # weights over 1000 times more than along the free ones
+        rng = np.random.default_rng(3)
+        ys, yu = np.repeat([0, 1, 2], 60), np.repeat([0, 1], 90)
+        Z_s = rng.normal(size=(2, ys.size))
+        Z_s[:, ys == 2] += 300.0
+        qp = build_qp(Z_s, rng.normal(size=(2, yu.size)), ys, yu, 0.5, 3)
+        assert np.linalg.norm(qp.Bq, 2) > 1000 * qp.norm_tangent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, info = solve_qp(qp, full_output=True)
+        assert info["converged"] and info["iterations"] <= 100
+        assert_allclose(w.alpha[ys == 2], 0.5)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_long_step_halves_instead_of_stopping(self, seed, monkeypatch):
+        # a norm estimate 100x too small: plain steps that raise E halve the
+        # step, and none of them reads as convergence
+        qp = fit_sized_instance(seed)
+        _, ref = solve_qp(qp, full_output=True)
+        short = qp.norm_tangent / 100.0
+        monkeypatch.setattr(QpInstance, "norm_tangent", property(lambda self: short))
+        _, info = solve_qp(fit_sized_instance(seed), full_output=True)
+        assert info["converged"]
+        f_ref = ref["objective_trace"][-1]
+        assert info["objective_trace"][-1] <= f_ref + 1e-6 * abs(f_ref)
+
 
 def grid_instance(seed):
     """One of the 6 small instances TestGridSearchOracle enumerates, with
@@ -299,124 +357,11 @@ class TestGridSearchOracle:
 
         A_grid = self._stack_grids([self.lattice(m, delta) for m in sizes_s])
         B_grid = self._stack_grids([self.lattice(m, delta) for m in sizes_u])
-        quad = 0.5 * np.einsum("ij,jk,ik->i", A_grid, qp.K_ss, A_grid)
+        quad_s = 0.5 * np.einsum("ij,jk,ik->i", A_grid, qp.K_ss, A_grid)
+        quad_u = 0.5 * np.einsum("ij,jk,ik->i", B_grid, qp.K_uu, B_grid)
         cross = A_grid @ qp.K_su @ B_grid.T
-        best = float((quad[:, None] - cross).min())
+        best = float((quad_s[:, None] + quad_u[None, :] - cross).min())
         assert solver_obj <= best + 1e-4
-
-
-def six_round_polish(qp, z, tol=1e-10):
-    """The alternating passes capped at 6 rounds, as the burst loop ran them."""
-    n_s = qp.n_s
-    L = qp.norm_kss
-    f = landmark._objective(qp, z)
-    for _ in range(6):
-        improved = False
-        coef = -qp.ksu_rmatvec(z[:n_s])
-        cand = z.copy()
-        for idx, both in qp.groups:
-            if both and idx[0] >= n_s:
-                cand[idx] = landmark._greedy_linear_min(coef[idx - n_s], qp.delta, idx.size)
-        f_cand = landmark._objective(qp, cand)
-        if f_cand < f - tol * max(abs(f), 1e-30):
-            z, f, improved = cand, f_cand, True
-        if L > 0.0:
-            cand = z.copy()
-            cand[:n_s] = landmark._alpha_pass(qp, z, -qp.ksu_matvec(z[n_s:]), 1.0 / L)
-            f_cand = landmark._objective(qp, cand)
-            if f_cand < f - tol * max(abs(f), 1e-30):
-                z, f, improved = cand, f_cand, True
-        if not improved:
-            break
-    return z, f
-
-
-def burst_loop_solve_qp(qp, max_iter=500, tol=1e-9):
-    """The solver with the outer burst loop: bursts of up to 100 projected-
-    gradient steps from the uniform point, each followed by `six_round_polish`,
-    until a burst stalls and its passes do not improve. The reference for
-    the one-burst `solve_qp`; returns the final objective."""
-    z = uniform_weights(qp.n_s, qp.n_u, qp.delta).stacked()
-    f = landmark._objective(qp, z)
-    iters = 0
-    while iters < max_iter:
-        burst_end = min(iters + 100, max_iter)
-        stalled = False
-        g = qp.matvec(z)
-        while iters < burst_end:
-            iters += 1
-            t = 1.0 / qp.norm_bq
-            for _ in range(40):
-                z_new, _ = landmark._project(z - t * g, qp)
-                step_vec = z_new - z
-                g_new = qp.matvec(z_new)
-                f_new = 0.5 * float(z_new @ g_new)
-                slack = 1e-12 * max(abs(f), 1.0e-30)
-                if f_new <= f + g @ step_vec + step_vec @ step_vec / (2.0 * t) + slack:
-                    break
-                t /= 2.0
-            else:
-                stalled = True
-                break
-            rel_drop = (f - f_new) / max(abs(f), 1e-30)
-            z, f, g = z_new, f_new, g_new
-            if rel_drop < tol:
-                stalled = True
-                break
-        f_before = f
-        z, f = six_round_polish(qp, z)
-        if stalled and f >= f_before - tol * max(abs(f_before), 1e-30):
-            break
-    return f
-
-
-class TestOneBurstSolver:
-    """One burst, then alternating passes to a fixed point, against the
-    burst loop it replaced."""
-
-    @pytest.mark.parametrize("family,seed",
-                             [("alpha_pass", s) for s in range(20)]
-                             + [("grid", s) for s in range(6)])
-    def test_matches_burst_loop_reference(self, family, seed):
-        qp = alpha_pass_instance(seed) if family == "alpha_pass" else grid_instance(seed)[0]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            _, info = solve_qp(qp, full_output=True)
-        f_new, f_ref = info["objective_trace"][-1], burst_loop_solve_qp(qp)
-        assert f_new <= f_ref + 1e-9 * abs(f_ref)
-        assert info["iterations"] <= 100
-        assert info["converged"]
-
-    @pytest.mark.parametrize("family,seed",
-                             [("alpha_pass", s) for s in range(20)]
-                             + [("grid", s) for s in range(6)])
-    def test_warm_projections_match_cold_solve(self, family, seed, monkeypatch):
-        qp = alpha_pass_instance(seed) if family == "alpha_pass" else grid_instance(seed)[0]
-        _, warm = solve_qp(qp, full_output=True)
-        cold = landmark._project
-        monkeypatch.setattr(landmark, "_project",
-                            lambda z, qp, source_only=False, shift=None:
-                            cold(z, qp, source_only))
-        _, ref = solve_qp(qp, full_output=True)
-        assert warm["iterations"] == ref["iterations"]
-        tw, tr = warm["objective_trace"], ref["objective_trace"]
-        assert tw.shape == tr.shape
-        # relative to the trace's scale: traces that cross zero have entries
-        # near 0 whose own relative error means nothing
-        assert np.max(np.abs(tw - tr)) <= 1e-12 * np.max(np.abs(tr))
-
-    def test_round_cap_warns_and_reports_not_converged(self, monkeypatch):
-        qp = alpha_pass_instance(0)
-        _, info = solve_qp(qp, full_output=True)
-        # the passes improved on the burst, so the fixed point took >= 2 rounds
-        assert len(info["objective_trace"]) > info["iterations"] + 1
-        monkeypatch.setattr(landmark, "POLISH_ROUNDS", 1)
-        with pytest.warns(UserWarning, match="passes hit their 1-round cap"):
-            _, capped = solve_qp(qp, full_output=True)
-        assert not capped["converged"]
-        # the capped run is the uncapped one cut after its first round
-        tr = capped["objective_trace"]
-        assert np.array_equal(tr, info["objective_trace"][: tr.size])
 
 
 class TestProjectFeasible:
@@ -474,10 +419,10 @@ class TestNonFiniteWeights:
             assert not check_feasible(bad, [0, 1], [2, 3])    # no shared class
 
 
-def lexsort_project(z, qp, source_only=False):
+def lexsort_project(z, qp):
     """`_project` with one np.lexsort over (group, breakpoint), ties kept in
     index order: the reference for the two-pass sort."""
-    meta = qp._meta_source if source_only else qp._meta_all
+    meta = qp._meta
     act, gid, targets = meta.act, meta.gid, meta.targets
     out = z.copy()
     out[meta.pinned] = qp.delta
@@ -530,9 +475,8 @@ class TestProjectSort:
 
     @staticmethod
     def check(qp, z):
-        for source_only in (False, True):
-            got, _ = landmark._project(z, qp, source_only)
-            assert np.array_equal(got, lexsort_project(z, qp, source_only))
+        got, _ = landmark._project(z, qp)
+        assert np.array_equal(got, lexsort_project(z, qp))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_inputs(self, seed):
@@ -552,15 +496,9 @@ class TestProjectSort:
     def test_more_than_256_groups(self, seed):
         rng = np.random.default_rng(seed + 90)
         qp = self.instance(rng, 140, 420)
-        assert qp._meta_all.ev_gid.dtype == np.uint16
+        assert qp._meta.ev_gid.dtype == np.uint16
         self.check(qp, rng.normal(0.5, 1.5, qp.n_s + qp.n_u))
         self.check(qp, rng.integers(-4, 9, qp.n_s + qp.n_u) / 4.0)
-
-
-def free_groups(qp, source_only):
-    """Indices of the groups `_project` shifts: classes in both domains."""
-    return [idx for idx, both in qp.groups
-            if both and not (source_only and idx[0] >= qp.n_s)]
 
 
 class TestWarmProjection:
@@ -580,17 +518,17 @@ class TestWarmProjection:
         """Warm from the exact shift of z and from that of a nearby point;
         returns how many of the warm calls skipped the sweep."""
         warm = 0
-        for source_only in (False, True):
-            _, shift = landmark._project(z, qp, source_only)
-            if shift is None:
-                continue
-            for near in (z, z + 1e-3 * rng.normal(size=z.size)):
-                want, _ = landmark._project(near, qp, source_only)
-                before = len(sweeps)
-                got, _ = landmark._project(near, qp, source_only, shift=shift)
-                warm += len(sweeps) == before
-                assert np.max(np.abs(got - want)) <= 1e-12
-                for idx in free_groups(qp, source_only):
+        _, shift = landmark._project(z, qp)
+        if shift is None:
+            return warm
+        for near in (z, z + 1e-3 * rng.normal(size=z.size)):
+            want, _ = landmark._project(near, qp)
+            before = len(sweeps)
+            got, _ = landmark._project(near, qp, shift=shift)
+            warm += len(sweeps) == before
+            assert np.max(np.abs(got - want)) <= 1e-12
+            for idx, both in qp.groups:
+                if both:
                     assert abs(got[idx].sum() - qp.delta * idx.size) <= 1e-12
         return warm
 
@@ -631,7 +569,7 @@ class TestWarmProjection:
         qp = build_qp(rng.normal(size=(1, ys.size)), rng.normal(size=(1, yu.size)),
                       ys, yu, float(rng.choice([0.25, 0.5, 0.75])), C)
         for _ in range(5):
-            assert self.check(qp, rng.normal(0.5, 1.0, ys.size + yu.size), rng, sweeps) == 4
+            assert self.check(qp, rng.normal(0.5, 1.0, ys.size + yu.size), rng, sweeps) == 2
 
     @pytest.mark.parametrize("seed", range(6))
     def test_unsettled_shift_falls_back_to_sweep(self, seed, monkeypatch):
@@ -640,44 +578,27 @@ class TestWarmProjection:
         qp = TestProjectSort.instance(rng, int(rng.integers(2, 6)), 60,
                                       one_sided=seed % 2 == 1)
         z = rng.normal(0.5, 1.5, qp.n_s + qp.n_u)
-        for source_only in (False, True):
-            _, exact = landmark._project(z, qp, source_only)
-            # every coordinate at 1, every one at 0, and one group at a bound
-            # while the others keep their exact shift
-            one_group = exact.copy()
-            one_group[int(rng.integers(exact.size))] = 10.0
-            for shift in (np.full(exact.size, 10.0), np.full(exact.size, -10.0), one_group):
-                before = len(sweeps)
-                got, _ = landmark._project(z, qp, source_only, shift=shift)
-                assert len(sweeps) == before + 1
-                assert np.array_equal(got, lexsort_project(z, qp, source_only))
+        _, exact = landmark._project(z, qp)
+        # every coordinate at 1, every one at 0, and one group at a bound
+        # while the others keep their exact shift
+        one_group = exact.copy()
+        one_group[int(rng.integers(exact.size))] = 10.0
+        for shift in (np.full(exact.size, 10.0), np.full(exact.size, -10.0), one_group):
+            before = len(sweeps)
+            got, _ = landmark._project(z, qp, shift=shift)
+            assert len(sweeps) == before + 1
+            assert np.array_equal(got, lexsort_project(z, qp))
 
-
-def loop_greedy_linear_min(coef, delta, m):
-    """The budget-filling loop: the reference for the vectorized greedy step."""
-    budget = delta * m
-    v = np.zeros(m)
-    for i in np.argsort(coef, kind="stable"):
-        take = min(1.0, budget)
-        v[i] = take
-        budget -= take
-        if budget <= 0:
-            break
-    return v
-
-
-class TestGreedyLinearMin:
-    """`_greedy_linear_min` is bit-identical to the loop, ties included."""
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_matches_loop(self, seed):
-        rng = np.random.default_rng(seed + 200)
-        for _ in range(100):
-            m = int(rng.integers(1, 40))
-            delta = float(rng.choice([0.0, 0.1, 0.25, 0.5, 1 / 3, 0.75, 1.0, rng.uniform()]))
-            # integer coefficients tie often; the stable order breaks ties by index
-            coef = rng.integers(-3, 4, m).astype(float) if rng.uniform() < 0.5 \
-                else rng.normal(size=m)
-            got = landmark._greedy_linear_min(coef, delta, m)
-            assert np.array_equal(got, loop_greedy_linear_min(coef, delta, m))
-            assert np.isclose(got.sum(), delta * m)
+    @pytest.mark.parametrize("family,seed",
+                             [("fit_sized", s) for s in range(20)]
+                             + [("grid", s) for s in range(6)])
+    def test_solve_matches_cold_projections(self, family, seed, monkeypatch):
+        qp = fit_sized_instance(seed) if family == "fit_sized" else grid_instance(seed)[0]
+        _, warm = solve_qp(qp, full_output=True)
+        cold = landmark._project
+        monkeypatch.setattr(landmark, "_project", lambda z, qp, shift=None: cold(z, qp))
+        _, ref = solve_qp(qp, full_output=True)
+        assert warm["iterations"] == ref["iterations"]
+        tw, tr = warm["objective_trace"], ref["objective_trace"]
+        assert tw.shape == tr.shape
+        assert np.max(np.abs(tw - tr)) <= 1e-12 * np.max(np.abs(tr))

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.spatial.distance import cdist
 
-from lpjt import eigsolve, graph, mmd, pipeline
+from lpjt import eigsolve, graph, landmark, mmd, pipeline
 from lpjt.core import (
     NORMALIZE_MODES,
     FeatureMatrix,
@@ -180,46 +180,11 @@ class TestFitBasics:
         Xs, ys, Xt, _ = synth_rotated(20, 3, 0)
         src = LabeledDataset(FeatureMatrix(Xs), ys, 3)
         fit(src, Xt, None, FitConfig(hyper=Hyperparams(d=2, T=3)))
-        # this fit rolls back: one more solve than iterations
-        assert calls["solve"] > 3
-        # the MMD blocks: the initial build, one refresh per iteration after
-        # the first, one per rollback
+        assert calls["solve"] == 3
+        # the MMD blocks and the target's graphs once per iteration, the
+        # source's graphs once
         assert calls["build_coeffs"] == calls["assemble_M"] == calls["solve"]
-        # the graphs: the source's once, the target's once per iteration; a
-        # rollback reuses the previous iteration's
         assert calls["build_intrinsic_graph"] == calls["build_penalty_graph"] == 3 + 1
-
-    def test_rollback_reuses_scatters_built_for_its_labels(self, monkeypatch):
-        scats, labels, target = [], [], []
-        build_coeffs, assemble_problem = mmd.build_coeffs, eigsolve.assemble_problem
-        locality_scatters = graph.locality_scatters
-
-        def recording_coeffs(*args):
-            labels.append(args[3])
-            return build_coeffs(*args)
-
-        def recording_problem(blocks, scat, *args):
-            scats.append(scat)
-            return assemble_problem(blocks, scat, *args)
-
-        def recording_scatters(X, nbrs, *args):
-            target[:] = [X, nbrs.sqdist]    # the target domain is built last
-            return locality_scatters(X, nbrs, *args)
-
-        monkeypatch.setattr(mmd, "build_coeffs", recording_coeffs)
-        monkeypatch.setattr(eigsolve, "assemble_problem", recording_problem)
-        monkeypatch.setattr(graph, "locality_scatters", recording_scatters)
-        Xs, ys, Xt, _ = synth_rotated(20, 3, 0)
-        hyper = Hyperparams(d=2, T=3)
-        fit(LabeledDataset(FeatureMatrix(Xs), ys, 3), Xt, None, FitConfig(hyper=hyper))
-        reused = [j for j in range(len(scats)) if any(scats[j] is s for s in scats[:j])]
-        assert reused and len(scats) == len(labels)
-        X_u, sqdist_u = target
-        for j in reused:
-            S_w, S_b = locality_scatters(X_u, graph.NeighborOrder(sqdist_u.copy()),
-                                         labels[j], hyper)
-            assert np.array_equal(scats[j].S_w_u, S_w)
-            assert np.array_equal(scats[j].S_b_u, S_b)
 
     def test_neighbor_order_computed_once_per_domain(self, monkeypatch):
         sorts, solves = [], []
@@ -241,7 +206,7 @@ class TestFitBasics:
             sorts.clear()
             fit(src, Xt, None, FitConfig(hyper=Hyperparams(d=2, T=T)))
             assert sorts == [(60, 60), (60, 60)]
-        assert len(solves) > 1 + 3 + 6      # the fits roll back
+        assert len(solves) == 1 + 3 + 6
 
     def test_nearest_neighbor_init_passes_c_order_to_cdist(self, monkeypatch):
         seen = []
@@ -262,6 +227,36 @@ class TestFitBasics:
         model = fit(src, Xt, None, FitConfig(hyper=Hyperparams(d=2, T=3)))
         assert check_feasible(model.weights, ys, model.pseudo_labels)
         assert model.weights.alpha.shape == (ys.size,)
+
+    @pytest.mark.parametrize("synth", [synth_rotated, synth_hetero_map])
+    def test_weight_steps_never_raise_mmd_value(self, synth, monkeypatch):
+        steps = []
+        build_qp, solve_qp = landmark.build_qp, landmark.solve_qp
+
+        def recording_build(*args):
+            steps.append([args])
+            return build_qp(*args)
+
+        def recording_solve(qp, init, **kwargs):
+            steps[-1] += [init, solve_qp(qp, init, **kwargs)]
+            return steps[-1][-1]
+
+        monkeypatch.setattr(landmark, "build_qp", recording_build)
+        monkeypatch.setattr(landmark, "solve_qp", recording_solve)
+        Xs, ys, Xt, _ = synth(30, 3, 0)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", "weight solver")
+            fit(LabeledDataset(FeatureMatrix(Xs), ys, 3), Xt, None,
+                FitConfig(hyper=Hyperparams(d=2, T=4)))
+        assert len(steps) == 4
+        for (Z_s, Z_u, y_s, y_u, delta, _), init, w in steps:
+            eye = np.eye(Z_s.shape[0])
+
+            def energy(weights):
+                return sum(mmd.mmd_value(Z_s, Z_u, eye, eye, weights.alpha, weights.beta,
+                                         y_s, y_u, delta))
+
+            assert energy(w) <= energy(init) * (1 + 1e-12)
 
     def test_deterministic_given_inputs(self):
         Xs, ys, Xt, _ = synth_rotated(30, 3, 1)
