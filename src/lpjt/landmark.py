@@ -16,12 +16,14 @@ classes) rows and `cross` is 1 on the marginal rows and 2 on the class rows.
 The weight step stores O(r * n) numbers and every product with Bq costs
 O(r * n).
 
-The solver is one accelerated projected gradient (FISTA) with exact
-per-group projection onto {[0,1]^m, mean = delta}. A projection is a
-per-group dual shift tau; each starts from the previous one's shifts and
-takes at most NEWTON_STEPS Newton steps on them, O(m) and without a sort;
-when a group's active set has not settled by then, a sorted sweep over all
-breakpoints finds the shifts instead.
+The solver is an exact active-set method. Each step minimizes E exactly on
+one face of the polytope: weights at 0 or 1 are held, and the free weights
+of each group share one multiplier for its mean. The face solve eliminates
+the free weights through the diagonal. The rest is one square system of
+2 * (d + 1) unknowns per shared class, for its class rows and its two
+multipliers, and one d x d system for the marginal rows that couple the
+classes. A step therefore costs O(n * d^2) and forms no r x r or n x n
+matrix.
 """
 
 import warnings
@@ -31,11 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-# solve_qp's step cap and the relative drop of E that ends it
+# solve_qp's cap on active-set steps
 MAX_STEPS = 500
-REL_TOL = 1e-9
-# Newton steps a carried projection shift gets before the sorted sweep
-NEWTON_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -82,6 +81,18 @@ class _ProjectionMeta(NamedTuple):
     first: np.ndarray        # first free coordinate of each group
 
 
+class _FaceMeta(NamedTuple):
+    """Per-instance constants of `_face_min`, padded to the largest free group."""
+
+    dinv: np.ndarray    # 1 / diagonal of Bq on the free groups' coordinates, 0 where it is 0
+    zero: np.ndarray    # free groups' coordinates whose diagonal is 0
+    pad: np.ndarray     # each free group's positions in `act`, padded with act.size
+    Y: np.ndarray       # per free group: class rows, ones, signed marginal rows
+    held: np.ndarray    # marginal rows times the pinned weights
+    omega: np.ndarray   # per shared class: the inverse cross weights on its class rows
+    dc: int             # class rows per shared class
+
+
 @dataclass(frozen=True)
 class QpInstance:
     """Quadratic program data in factored form, plus the per-class bookkeeping.
@@ -93,8 +104,13 @@ class QpInstance:
     `Bq`, `K_ss`, `K_uu` and `K_su` are built lazily for inspection and
     tests; the solver never touches them.
 
+    The rows with cross weight 1 are the marginal rows and come first. The
+    others hold d rows per class present in both domains, in class order,
+    each zero outside that class's samples.
+
     `groups` lists (global indices, free) per class and domain, where pinned
-    groups (class in one domain only) are not free.
+    groups (class in one domain only) are not free. The free groups come in
+    pairs, source then target of one shared class.
     """
 
     F_s: np.ndarray
@@ -121,26 +137,6 @@ class QpInstance:
         top = self.F_s.T @ (p - self.cross * q) + self.diag_s * a
         bottom = self.F_u.T @ (q - self.cross * p) + self.diag_u * b
         return np.concatenate([top, bottom])
-
-    def tangent(self, v):
-        """v projected onto the directions the constraints leave free: zero
-        sum within each free group, zero on pinned coordinates."""
-        meta = self._meta
-        out = np.zeros_like(v)
-        if meta.act.size:
-            x = v[meta.act]
-            out[meta.act] = x - (np.add.reduceat(x, meta.first) / (meta.counts // 2))[meta.gid]
-        return out
-
-    @cached_property
-    def norm_tangent(self):
-        """Power-iteration estimate, from below, of ||P Bq P||_2 for P =
-        `tangent`. Feasible points differ only along those directions, so
-        this is the curvature that bounds a projected step; pinned weights,
-        which can curve E far more, do not shorten it."""
-        # a generic start: the all-ones vector has no component there
-        start = self.tangent(np.random.default_rng(0).standard_normal(self.n_s + self.n_u))
-        return _spectral_norm_estimate(lambda v: self.tangent(self.matvec(v)), start)
 
     @cached_property
     def K_ss(self):
@@ -175,6 +171,44 @@ class QpInstance:
             act=act, gid=gid, targets=self.delta * sizes, pinned=pin, ev_gid=ev_gid,
             slope_delta=np.concatenate([np.ones(act.size), -np.ones(act.size)]),
             counts=counts, starts=2 * first, first=first,
+        )
+
+    @cached_property
+    def _face(self):
+        """Constants of `_face_min`, built on first use."""
+        act, first = self._meta.act, self._meta.first
+        diag = np.concatenate([self.diag_s, self.diag_u])[act]
+        dm = int(np.count_nonzero(self.cross == 1.0))
+        nb = first.size // 2
+        dc = (self.cross.size - dm) // nb
+        sizes = np.diff(np.append(first, act.size))
+        pad = np.full((first.size, sizes.max()), act.size)
+        pad[np.arange(pad.shape[1]) < sizes[:, None]] = np.arange(act.size)
+        # each group's columns in its own domain's factor; padding reads
+        # column 0, and `_face_min` gives it zero weight
+        local = np.append(act - np.where(act < self.n_s, 0, self.n_s), 0)[pad]
+        # per group: its class's rows, a row of ones, the marginal rows
+        rows = np.hstack([dm + np.arange(nb)[:, None] * dc + np.arange(dc),
+                          np.tile(np.arange(dm), (nb, 1))])
+        Y = np.empty((first.size, dc + 1 + dm, pad.shape[1]))
+        for side, (F, sign) in enumerate(((self.F_s, 1.0), (self.F_u, -1.0))):
+            V = F[rows[:, :, None], local[side::2, None, :]]
+            Y[side::2, :dc] = V[:, :dc]
+            Y[side::2, dc + 1:] = sign * V[:, dc:]
+        Y[:, dc] = 1.0
+        pinned = np.full(self.n_s + self.n_u, self.delta)
+        pinned[act] = 0.0
+        held = self.F_s[:dm] @ pinned[:self.n_s] - self.F_u[:dm] @ pinned[self.n_s:]
+        # a class row with cross weight c adds [[1, -c], [-c, 1]] between its
+        # source and target copies; its inverse enters the class's system
+        c = self.cross[dm:dm + nb * dc].reshape(nb, dc)
+        k, q = np.arange(dc), dc + 1
+        omega = np.zeros((nb, 2 * q, 2 * q))
+        omega[:, k, k] = omega[:, q + k, q + k] = 1.0 / (1.0 - c * c)
+        omega[:, k, q + k] = omega[:, q + k, k] = c / (1.0 - c * c)
+        return _FaceMeta(
+            dinv=np.divide(1.0, diag, out=np.zeros_like(diag), where=diag > 0.0),
+            zero=diag == 0.0, pad=pad, Y=Y, held=held, omega=omega, dc=dc,
         )
 
 
@@ -265,20 +299,14 @@ def project_box_mean(x, delta):
     return v
 
 
-def _project(z, qp: QpInstance, shift=None):
+def _project(z, qp: QpInstance):
     """Project onto the feasible polytope, every group in one pass.
 
-    Returns the projection and the per-group dual shift tau (None when no
-    group is free to shift), for the solver's next call to pass back as
-    `shift`. sum(clip(x + tau, 0, 1)) is piecewise linear in tau with
-    breakpoints at -x_i (a coordinate starts rising) and 1 - x_i (it
-    saturates). From a carried shift, Newton's method
-    on tau (Cominetti, Mascarenhas & Silva, Math. Prog. Comp. 2014) lands on
-    the crossing segment in O(m) when the shift moved only a little. Without
-    one, or when any group has no interior coordinate or its active set
-    still moves after NEWTON_STEPS steps, one segmented sorted sweep locates
-    the segment. Either way the result is that of per-group bisection,
-    without the iteration loop.
+    sum(clip(x + tau, 0, 1)) is piecewise linear in the group's dual shift
+    tau, with breakpoints at -x_i (a coordinate starts rising) and 1 - x_i
+    (it saturates). One segmented sorted sweep over the breakpoints locates
+    the crossing segment of every group, so the result is that of per-group
+    bisection without the iteration loop.
     """
     meta = qp._meta
     act, gid, targets = meta.act, meta.gid, meta.targets
@@ -286,14 +314,12 @@ def _project(z, qp: QpInstance, shift=None):
     if meta.pinned.size:
         out[meta.pinned] = qp.delta
     if act.size == 0:
-        return out, None
+        return out
     if not 0.0 < qp.delta < 1.0:
         out[act] = min(max(qp.delta, 0.0), 1.0)
-        return out, None
+        return out
     x = z[act]
-    tau = None if shift is None else _newton_shift(x, meta, shift)
-    if tau is None:
-        tau = _sweep_shift(x, meta)
+    tau = _sweep_shift(x, meta)
 
     # clip, then put the rounding error of the group sums on the interior
     v = np.clip(x + tau[gid], 0.0, 1.0)
@@ -304,33 +330,7 @@ def _project(z, qp: QpInstance, shift=None):
     # adding corr * 0 leaves the bound coordinates bit for bit
     v += corr[gid] * interior
     out[act] = np.clip(v, 0.0, 1.0)
-    return out, tau
-
-
-def _newton_shift(x, meta, tau):
-    """Newton steps on sum(clip(x + tau, 0, 1)) = target from a carried shift.
-
-    Each step sorts every coordinate into at 0, interior or at 1, and solves
-    that linear piece: tau = (target - #at 1 - sum of interior x) / #interior.
-    Returns the shifts once no group's sorting changes at the new tau, or
-    None when a group has no interior coordinate or NEWTON_STEPS run out.
-    """
-    gid, first = meta.gid, meta.first
-    y = x + tau[gid]
-    low, high = y <= 0.0, y >= 1.0
-    for _ in range(NEWTON_STEPS):
-        interior = ~(low | high)
-        n_int = np.add.reduceat(interior, first, dtype=np.int64)
-        if not n_int.all():
-            return None
-        # on this piece sum(clip(y)) = #at 1 + sum of interior (x + tau)
-        tau = tau + (meta.targets - np.add.reduceat(np.clip(y, 0.0, 1.0), first)) / n_int
-        y = x + tau[gid]
-        new_low, new_high = y <= 0.0, y >= 1.0
-        if (new_low == low).all() and (new_high == high).all():
-            return tau
-        low, high = new_low, new_high
-    return None
+    return out
 
 
 def _sweep_shift(x, meta):
@@ -369,81 +369,200 @@ def project_feasible(qp: QpInstance, weights: LandmarkWeights) -> LandmarkWeight
     labels move between iterations, so a previously feasible point may
     violate the new per-class means).
     """
-    z, _ = _project(weights.stacked(), qp)
+    z = _project(weights.stacked(), qp)
     return LandmarkWeights(z[: qp.n_s], z[qp.n_s:], qp.delta)
 
 
-def _spectral_norm_estimate(matvec, v):
-    for _ in range(30):
-        w = matvec(v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-    return float(np.linalg.norm(matvec(v)))
+def _face_min(qp: QpInstance, low, high):
+    """Minimize E over one face of the polytope.
+
+    `low` and `high` mark the free groups' coordinates held at 0 and at 1;
+    the rest of each free group is free and keeps the group's sum, and
+    pinned weights stay at delta. Returns the face's minimizer and each free
+    group's multiplier mu, with (Bq z)_i = mu at every free weight i.
+
+    Bq restricted to the free weights is D + V^T Omega V, D its diagonal
+    and V the class rows and the signed marginal rows. With the mean
+    constraints as rows of V at Omega = 0, the free weights are
+    z = -D^-1 V^T y for the y that solves (V D^-1 V^T + Omega) y = b. That
+    system is block diagonal by shared class except for the marginal rows,
+    so it is solved through its Schur complement on them. A free weight
+    with diagonal 0 has a zero row in Bq: its group's multiplier is 0, and
+    such weights share what the group's other free weights leave of its sum.
+    """
+    meta, face = qp._meta, qp._face
+    act, gid, first = meta.act, meta.gid, meta.first
+    dc, q, Y = face.dc, face.dc + 1, face.Y
+    free = ~(low | high)
+    # per free group: the inverse diagonal of its free weights, the values
+    # of its held ones
+    dv = np.append(np.where(free, face.dinv, 0.0), 0.0)[face.pad]
+    hv = np.append(high, 0.0)[face.pad]
+    G = (Y * dv[:, None, :]) @ Y.transpose(0, 2, 1)
+    S = face.omega.copy()
+    S[:, :q, :q] += G[0::2, :q, :q]
+    S[:, q:, q:] += G[1::2, :q, :q]
+    R = np.concatenate([G[0::2, :q, q:], G[1::2, :q, q:]], axis=1)
+    T = np.eye(Y.shape[1] - q) + G[:, q:, q:].sum(axis=0)
+    b = np.einsum("gkm,gm->gk", Y, hv)
+    c = face.held + b[:, q:].sum(axis=0)
+    b = b[:, :q]
+    b[:, dc] -= meta.targets
+    b = b.reshape(S.shape[:2])
+    zero = free & face.zero
+    absorb = np.add.reduceat(zero, first, dtype=np.int64) > 0
+    if absorb.any():
+        # those groups' multipliers are 0 and their sums are left free
+        j, e = np.divmod(np.flatnonzero(absorb), 2)
+        e = e * q + dc
+        S[j, e, :] = S[j, :, e] = 0.0
+        S[j, e, e] = 1.0
+        R[j, e] = b[j, e] = 0.0
+
+    X = np.linalg.solve(S, np.concatenate([R, b[..., None]], axis=2))
+    h = np.linalg.solve(T - np.einsum("jka,jkb->ab", R, X[..., :-1]),
+                        c - np.einsum("jka,jk->a", R, X[..., -1]))
+    y = (X[..., -1] - X[..., :-1] @ h).reshape(-1, q)
+    x = np.zeros(act.size + 1)
+    x[face.pad] = dv * np.einsum("gkm,gk->gm", Y, np.hstack([y, np.tile(h, (y.shape[0], 1))]))
+    x = high - x[:-1]
+    if absorb.any():
+        left = meta.targets - np.add.reduceat(np.where(zero, 0.0, x), first)
+        x[zero] = (left / np.maximum(np.add.reduceat(zero, first, dtype=np.int64), 1))[gid[zero]]
+    z = np.full(qp.n_s + qp.n_u, qp.delta)
+    z[act] = x
+    return z, -y[:, dc]
+
+
+def _keep_one_free(low, high, first):
+    """Free the first weight of every group that has none free."""
+    bare = first[np.add.reduceat(~(low | high), first, dtype=np.int64) == 0]
+    low[bare] = high[bare] = False
+    return low, high
 
 
 def solve_qp(qp: QpInstance, init: LandmarkWeights | None = None, full_output=False):
-    """Minimize E = 1/2 z^T Bq z over the feasible weight polytope.
+    """Minimize E = 1/2 z^T Bq z over the feasible weight polytope, exactly.
 
-    Accelerated projected gradient (FISTA; Beck & Teboulle, SIAM J. Imaging
-    Sci. 2009) from `init` (default: the uniform feasible point) with step
-    1 / `norm_tangent`, restarted from the last accepted point whenever a
-    step raises E (O'Donoghue & Candes, Found. Comput. Math. 2015). That
-    norm is a power-iteration estimate from below, so a step can be too
-    long for the descent guarantee: a plain step, without momentum, that
-    raises E halves the step length. `converged` reports that an accepted step
-    lowered E by at most REL_TOL relative, within MAX_STEPS gradient steps;
-    `iterations` counts those steps, and `objective_trace` holds E at init
-    and after each accepted step. Uses only the instance's factored
-    products. The returned point is always feasible and its E never exceeds
-    that of init. Deterministic given init.
+    Primal-dual active-set steps (Hintermüller, Ito & Kunisch, SIAM J.
+    Optim. 2002) start from the bounds that `init` (default: the uniform
+    feasible point) touches. Each step minimizes E on the current face
+    (`_face_min`), then holds at a bound every free weight that left [0, 1]
+    and frees every held weight whose reduced gradient points inward. When
+    a pair of active sets repeats, or a step would leave a group without a
+    free weight, monotone primal active-set steps (Nocedal & Wright,
+    Numerical Optimization, 16.3) finish from the projection of the
+    current point: a ratio test holds one more weight at a bound, or a
+    feasible face minimizer frees the held weight whose reduced gradient
+    most violates its sign.
+
+    `converged` reports that the KKT conditions hold, within MAX_STEPS face
+    solves; `iterations` counts them, and `objective_trace` holds E at init
+    and at each feasible step point that did not raise it. Uses only the
+    instance's factored products. The returned point is the last of those
+    points, or the KKT point once converged, so it is always feasible and
+    its E never exceeds that of init. Deterministic given init.
     """
     if init is None:
         init = uniform_weights(qp.n_s, qp.n_u, qp.delta)
+    if init.delta != qp.delta:
+        raise ValueError(f"init has delta {init.delta} but the QP has delta {qp.delta}")
     z = init.stacked()
     if z.size != qp.n_s + qp.n_u:
         raise ValueError("init size does not match the QP")
-    feas, _ = _project(z, qp)
+    feas = _project(z, qp)
     if np.max(np.abs(feas - z)) > 1e-6:
         raise ValueError("init is not feasible")
     z = feas
-
-    g = qp.matvec(z)
-    f = 0.5 * float(z @ g)
+    f = 0.5 * float(z @ qp.matvec(z))
     trace = [f]
-    # delta 0 or 1 pins every weight, and without curvature along the free
-    # directions every feasible point is optimal
-    if qp.delta >= 1.0 or qp.delta <= 0.0 or qp.norm_tangent <= 0.0:
+    meta = qp._meta
+    # delta 1 pins every weight
+    if meta.act.size == 0 or not 0.0 < qp.delta < 1.0:
         return _finalize(qp, z, trace, True, 0, full_output)
 
-    step = 1.0 / qp.norm_tangent
-    y, g_y, t, mom = z, g, 1.0, 0.0
-    shift = None
-    converged = False
+    act, gid, first = meta.act, meta.gid, meta.first
+    low, high = _keep_one_free(z[act] <= 0.0, z[act] >= 1.0, first)
+    seen = {(low.tobytes(), high.tobytes())}
+    best, f_best = z, f
+    monotone, released, converged = False, None, False
     for iters in range(1, MAX_STEPS + 1):
-        z_new, shift = _project(y - step * g_y, qp, shift=shift)
-        g_new = qp.matvec(z_new)
-        f_new = 0.5 * float(z_new @ g_new)
-        if f_new > f:
-            if mom == 0.0:
-                step /= 2.0
-            y, g_y, t, mom = z, g, 1.0, 0.0
-            continue
-        converged = f - f_new <= REL_TOL * abs(f)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        mom = (t - 1.0) / t_next
-        # Bq is linear, so the momentum point's gradient needs no product
-        y = z_new + mom * (z_new - z)
-        g_y = g_new + mom * (g_new - g)
-        z, g, f, t = z_new, g_new, f_new, t_next
-        trace.append(f)
+        z_face, mu = _face_min(qp, low, high)
+        if monotone:
+            z, f, released, converged = _monotone_step(qp, z, f, z_face, mu, low, high, released)
+            feasible = True
+        else:
+            free = ~(low | high)
+            g = qp.matvec(z_face)
+            x, lam = z_face[act], g[act] - mu[gid]
+            new_low = np.where(free, x < 0.0, low & (lam >= 0.0))
+            new_high = np.where(free, x > 1.0, high & (lam <= 0.0))
+            z, f = z_face, 0.5 * float(z_face @ g)
+            converged = np.array_equal(new_low, low) and np.array_equal(new_high, high)
+            feasible = not (free & (new_low | new_high)).any()
+        if converged or (feasible and f <= f_best):
+            best, f_best = z, f
+            trace.append(f)
         if converged:
             break
+        if monotone:
+            continue
+        key = (new_low.tobytes(), new_high.tobytes())
+        if key not in seen and np.add.reduceat(~(new_low | new_high), first, dtype=np.int64).all():
+            seen.add(key)
+            low, high = new_low, new_high
+        else:
+            monotone = True
+            z = _project(z, qp)
+            f = 0.5 * float(z @ qp.matvec(z))
+            low, high = _keep_one_free(z[act] <= 0.0, z[act] >= 1.0, first)
     if not converged:
         warnings.warn(f"weight solver hit its {MAX_STEPS}-step cap; "
                       "returning best feasible point")
-    return _finalize(qp, z, trace, converged, iters, full_output)
+    return _finalize(qp, best, trace, converged, iters, full_output)
+
+
+def _monotone_step(qp, z, f, z_face, mu, low, high, released):
+    """One primal active-set step from the feasible z, with E = f, toward
+    the minimizer z_face of its face.
+
+    A ratio test stops the step at the first bound a free weight reaches and
+    holds that weight there; a feasible z_face instead frees the held weight
+    whose reduced gradient most violates its sign. Updates `low` and `high`
+    in place. Returns the new point, its E, the freed weight with the sign
+    its next move must have, and whether z_face satisfies the KKT
+    conditions.
+    """
+    meta = qp._meta
+    act, gid, first = meta.act, meta.gid, meta.first
+    free = ~(low | high)
+    x = z[act]
+    p = z_face[act] - x
+    # a freed weight that moves back out through its bound was freed on a
+    # reduced gradient at rounding level
+    if released is not None and p[released[0]] * released[1] <= 0.0:
+        return z, f, None, True
+    # the only free weight of a group is fixed by its mean, so cannot stop the step
+    movable = free & (np.add.reduceat(free, first, dtype=np.int64)[gid] > 1) & (p != 0.0)
+    ratio = np.full(p.size, np.inf)
+    ratio[movable] = np.where(p[movable] < 0.0, -x[movable], 1.0 - x[movable]) / p[movable]
+    k = int(np.argmin(ratio))
+    if ratio[k] < 1.0:
+        x = np.clip(x + ratio[k] * p, 0.0, 1.0)
+        x[k] = float(p[k] > 0.0)
+        low[k], high[k] = p[k] < 0.0, p[k] > 0.0
+        z = z.copy()
+        z[act] = x
+        return z, 0.5 * float(z @ qp.matvec(z)), None, False
+    g = qp.matvec(z_face)
+    lam = g[act] - mu[gid]
+    viol = np.where(low, -lam, np.where(high, lam, 0.0))
+    k = int(np.argmax(viol))
+    if viol[k] <= 0.0:
+        return z_face, 0.5 * float(z_face @ g), None, True
+    released = (k, 1.0 if low[k] else -1.0)
+    low[k] = high[k] = False
+    return z_face, 0.5 * float(z_face @ g), released, False
 
 
 def _finalize(qp, z, trace, converged, iters, full_output=False):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lpjt import landmark
+from lpjt import FeatureMatrix, FitConfig, Hyperparams, LabeledDataset, landmark
+from lpjt.dataio import synth_hetero_map, synth_rotated
 from lpjt.landmark import (
     LandmarkWeights,
     QpInstance,
@@ -18,6 +19,7 @@ from lpjt.landmark import (
     uniform_weights,
 )
 from lpjt.mmd import mmd_value
+from lpjt.pipeline import fit
 
 
 def random_qp(seed, n_s=8, n_u=6, C=2, d=2, delta=0.5):
@@ -228,6 +230,12 @@ class TestSolveQp:
         assert_allclose(i2["objective_trace"][-1], 9.0 * i1["objective_trace"][-1],
                         rtol=1e-6, atol=1e-12)
 
+    def test_init_with_another_delta_rejected(self):
+        qp, *_ = random_qp(11)
+        other = uniform_weights(qp.n_s, qp.n_u, 0.3)
+        with pytest.raises(ValueError, match=r"delta 0\.3 .*delta 0\.5"):
+            solve_qp(qp, other)
+
     def test_infeasible_init_rejected(self):
         qp, *_ = random_qp(11)
         bad = LandmarkWeights(np.ones(qp.n_s), np.zeros(qp.n_u), qp.delta)
@@ -270,47 +278,234 @@ class TestSolveQp:
         tr = capped["objective_trace"]
         assert np.array_equal(tr, info["objective_trace"][: tr.size])
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_step_norm_is_the_curvature_along_free_directions(self, seed):
-        qp, *_ = mixed_instance(seed)
-        n = qp.n_s + qp.n_u
-        P = np.column_stack([qp.tangent(e) for e in np.eye(n)])
-        # P is the orthogonal projection onto {zero sum per free group,
-        # zero on pinned coordinates}
-        assert np.allclose(P, P.T) and np.allclose(P @ P, P)
-        for idx, both in qp.groups:
-            assert np.allclose(P[np.ix_(idx, idx)].sum(axis=0), 0.0)
-        # a power iteration approaches the norm from below
-        want = np.linalg.norm(P @ qp.Bq @ P, 2)
-        assert 0.9 * want <= qp.norm_tangent <= want * (1 + 1e-12)
 
-    def test_pinned_curvature_does_not_shorten_the_step(self):
-        # a source-only class far from the origin curves E along its pinned
-        # weights over 1000 times more than along the free ones
-        rng = np.random.default_rng(3)
-        ys, yu = np.repeat([0, 1, 2], 60), np.repeat([0, 1], 90)
-        Z_s = rng.normal(size=(2, ys.size))
-        Z_s[:, ys == 2] += 300.0
-        qp = build_qp(Z_s, rng.normal(size=(2, yu.size)), ys, yu, 0.5, 3)
-        assert np.linalg.norm(qp.Bq, 2) > 1000 * qp.norm_tangent
+def assert_kkt(qp, weights, rtol=1e-9):
+    """The KKT conditions of the weight QP at `weights`, from the dense Bq
+    and independent of the solver.
+
+    One multiplier mu per free group must make every interior weight
+    stationary, (Bq z)_i = mu, leave weights at 0 a nonnegative reduced
+    gradient (Bq z)_i - mu and weights at 1 a nonpositive one. Such a mu
+    exists exactly when the largest gradient over the interior weights and
+    those at 1 is at most the smallest over the interior weights and those
+    at 0. Group means and pinned weights must equal delta.
+    """
+    z = weights.stacked()
+    g = qp.Bq @ z
+    tol = rtol * np.abs(g).max()
+    for idx, free in qp.groups:
+        w, gi = z[idx], g[idx]
+        if not free:
+            assert np.all(w == qp.delta)
+            continue
+        assert abs(w.mean() - qp.delta) <= 1e-10
+        inner, at0, at1 = (w > 0.0) & (w < 1.0), w == 0.0, w == 1.0
+        assert np.all(inner | at0 | at1)
+        if inner.any():
+            assert np.ptp(gi[inner]) <= tol
+        assert gi[inner | at1].max(initial=-np.inf) <= gi[inner | at0].min(initial=np.inf) + tol
+
+
+def quiet_fit(Xs, ys, Xt, cfg):
+    """`fit` on 3 classes without label propagation's warning about
+    unreached samples, which these small problems can raise."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r"\d+ of \d+ test samples have all-zero",
+                                RuntimeWarning)
+        return fit(LabeledDataset(FeatureMatrix(Xs), ys, 3), Xt, None, cfg)
+
+
+def fit_qps(synth):
+    """Every weight QP of a 4-iteration fit on a `synth` problem, 30 per class."""
+    qps = []
+    build_qp = landmark.build_qp
+
+    def recording_build(*args):
+        qps.append(build_qp(*args))
+        return qps[-1]
+
+    Xs, ys, Xt, _ = synth(30, 3, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(landmark, "build_qp", recording_build)
+        quiet_fit(Xs, ys, Xt, FitConfig(hyper=Hyperparams(d=2, T=4)))
+    return qps
+
+
+class TestKktCertificate:
+    """The solver's answers satisfy the KKT conditions of the QP, checked on
+    the dense Bq: for a convex QP that is optimality itself."""
+
+    @pytest.mark.parametrize("synth", [synth_rotated, synth_hetero_map])
+    def test_every_qp_of_a_fit(self, synth):
+        qps = fit_qps(synth)
+        assert len(qps) == 4
+        for qp in qps:
+            w, info = solve_qp(qp, full_output=True)
+            assert info["converged"]
+            assert_kkt(qp, w)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_and_mixed_instances(self, seed):
+        for qp in (random_qp(seed)[0], random_qp(seed, n_s=30, n_u=25, C=3, d=1)[0],
+                   mixed_instance(seed)[0]):
+            w, info = solve_qp(qp, full_output=True)
+            assert info["converged"]
+            assert_kkt(qp, w)
+
+
+def dense_face_min(qp, low, high):
+    """`_face_min` from the dense KKT system of the face, by least squares."""
+    meta = qp._meta
+    free = ~(low | high)
+    held = np.full(qp.n_s + qp.n_u, qp.delta)
+    held[meta.act] = high
+    F = meta.act[free]
+    E = (meta.gid[free][None, :] == np.arange(meta.first.size)[:, None]).astype(float)
+    K = np.block([[qp.Bq[np.ix_(F, F)], -E.T], [E, np.zeros((E.shape[0],) * 2)]])
+    rhs = np.concatenate([-qp.Bq[F] @ held,
+                          meta.targets - np.bincount(meta.gid, held[meta.act], meta.first.size)])
+    sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
+    held[F] = sol[:F.size]
+    return held, sol[F.size:]
+
+
+def pdas_pairs(qp, steps):
+    """The active-set pairs of the primal-dual steps from the uniform start,
+    each step's update read off the dense Bq; stops once a pair repeats or
+    the sets settle."""
+    meta = qp._meta
+    low = np.zeros(meta.act.size, dtype=bool)
+    high = low.copy()
+    pairs = [(low, high)]
+    for _ in range(steps):
+        z, mu = landmark._face_min(qp, low, high)
+        x, lam = z[meta.act], (qp.Bq @ z)[meta.act] - mu[meta.gid]
+        free = ~(low | high)
+        low = np.where(free, x < 0, low & (lam >= 0))
+        high = np.where(free, x > 1, high & (lam <= 0))
+        if any(np.array_equal(low, a) and np.array_equal(high, b) for a, b in pairs):
+            break
+        pairs.append((low, high))
+    return pairs, (low, high)
+
+
+class TestSolverEdgeCases:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_face_min_matches_dense_kkt(self, seed):
+        qp, *_ = mixed_instance(seed)
+        meta = qp._meta
+        u = np.random.default_rng(seed + 40).uniform(size=meta.act.size)
+        # a face that keeps the first weight of every group free
+        u[meta.first] = 0.5
+        low, high = u < 0.2, u > 0.85
+        z, mu = landmark._face_min(qp, low, high)
+        want_z, want_mu = dense_face_min(qp, low, high)
+        assert np.max(np.abs(z - want_z)) <= 1e-9
+        assert np.max(np.abs(mu - want_mu)) <= 1e-9 * np.max(np.abs(want_mu))
+
+    def test_singular_face(self):
+        # with 1-D embeddings every class's block of Bq has a null vector,
+        # a_i x_i = b_j y_j for all its pairs, so Bq restricted to the free
+        # weights of the uniform start is singular
+        qp, *_ = random_qp(13, d=1)
+        free = qp._meta.act
+        eigs = np.linalg.eigvalsh(qp.Bq[np.ix_(free, free)])
+        assert eigs[0] <= 1e-12 * eigs[-1]
+        w, info = solve_qp(qp, full_output=True)
+        assert info["converged"]
+        assert_kkt(qp, w)
+
+    def test_face_with_many_minimizers(self):
+        # +-x in both groups: v = (1/x; 1/y) keeps every mean and Bq v = 0,
+        # so E is flat along v on every face that frees these weights
+        Z_s, Z_u = np.array([[1.0, -1.0, 2.0, -2.0]]), np.array([[1.0, -1.0]])
+        qp = build_qp(Z_s, Z_u, [0, 0, 0, 0], [0, 0], 0.5, 1)
+        v = 1.0 / np.concatenate([Z_s[0], Z_u[0]])
+        assert np.max(np.abs(qp.Bq @ v)) <= 1e-12 and v[:4].sum() == v[4:].sum() == 0.0
+        w, info = solve_qp(qp, full_output=True)
+        assert info["converged"]
+        assert_kkt(qp, w)
+
+    def test_group_with_every_weight_past_a_bound(self):
+        # the first face of random_qp(12) puts both source weights of class
+        # 0 outside [0, 1]; holding both at a bound would leave the group
+        # without a free weight
+        qp, _, _, ys, yu = random_qp(12)
+        meta = qp._meta
+        none = np.zeros(meta.act.size, dtype=bool)
+        x = landmark._face_min(qp, none, none)[0][qp.groups[0][0]]
+        assert qp.groups[0][0].size == 2 and np.all((x < 0.0) | (x > 1.0))
+        w, info = solve_qp(qp, full_output=True)
+        assert info["converged"]
+        assert_kkt(qp, w)
+        assert check_feasible(w, ys, yu)
+
+    def test_free_weight_with_zero_diagonal(self):
+        # a sample embedded at the origin has a zero row and column in Bq:
+        # its group's multiplier must then be 0 or the weight at a bound
+        rng = np.random.default_rng(5)
+        Z_s, Z_u = rng.normal(size=(2, 9)), rng.normal(size=(2, 7))
+        Z_s[:, [0, 4]] = 0.0
+        Z_u[:, 1] = 0.0
+        ys, yu = np.arange(9) % 2, np.arange(7) % 2
+        qp = build_qp(Z_s, Z_u, ys, yu, 0.5, 2)
+        assert qp.diag_s[0] == qp.diag_s[4] == qp.diag_u[1] == 0.0
+        assert not qp.Bq[[0, 4, 10]].any()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             w, info = solve_qp(qp, full_output=True)
-        assert info["converged"] and info["iterations"] <= 100
-        assert_allclose(w.alpha[ys == 2], 0.5)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_long_step_halves_instead_of_stopping(self, seed, monkeypatch):
-        # a norm estimate 100x too small: plain steps that raise E halve the
-        # step, and none of them reads as convergence
-        qp = fit_sized_instance(seed)
-        _, ref = solve_qp(qp, full_output=True)
-        short = qp.norm_tangent / 100.0
-        monkeypatch.setattr(QpInstance, "norm_tangent", property(lambda self: short))
-        _, info = solve_qp(fit_sized_instance(seed), full_output=True)
         assert info["converged"]
-        f_ref = ref["objective_trace"][-1]
-        assert info["objective_trace"][-1] <= f_ref + 1e-6 * abs(f_ref)
+        assert_kkt(qp, w)
+
+    @pytest.mark.parametrize("normalize", ["none", "unit"])
+    def test_fit_with_an_all_zero_sample(self, normalize):
+        Xs, ys, Xt, _ = synth_rotated(30, 3, 0)
+        Xs[:, 0] = Xt[:, 5] = 0.0
+        with np.errstate(divide="raise", invalid="raise"):
+            model = quiet_fit(Xs, ys, Xt,
+                              FitConfig(hyper=Hyperparams(d=2, T=3), normalize=normalize))
+        assert check_feasible(model.weights, ys, model.pseudo_labels)
+
+    def test_cycling_active_sets_finish_with_monotone_steps(self, monkeypatch):
+        # the primal-dual steps on mixed_instance(285) return to an earlier
+        # pair of active sets; monotone steps from the projection of the
+        # current point finish the solve
+        qp, *_ = mixed_instance(285)
+        pairs, last = pdas_pairs(qp, 20)
+        assert any(np.array_equal(last[0], a) and np.array_equal(last[1], b) for a, b in pairs)
+        calls = []
+        project = landmark._project
+        monkeypatch.setattr(landmark, "_project", lambda *a: calls.append(1) or project(*a))
+        w, info = solve_qp(qp, full_output=True)
+        # one projection checks the start, one starts the monotone steps
+        assert len(calls) == 2
+        assert info["converged"]
+        assert_kkt(qp, w)
+
+    def test_release_at_rounding_level_ends_the_solve(self):
+        # half-integer 1-D embeddings make degenerate faces: the monotone
+        # steps free a held weight whose reduced gradient is rounding noise,
+        # and the next face minimizer moves it back out through its bound
+        Z_s = np.array([[1.0, 0.0, -1.0, 1.0, -0.5, 0.5, 1.0, 0.5, 0.5, 1.0, 0.5, -0.5]])
+        Z_u = np.array([[-0.5, 1.0, -1.0, 0.0, 0.5, 0.5, -1.0, -1.0, 1.0, -1.0]])
+        ys = np.array([0, 1, 2, 2, 0, 0, 1, 2, 2, 2, 2, 2])
+        yu = np.array([0, 1, 2, 2, 0, 2, 0, 0, 1, 2])
+        qp = build_qp(Z_s, Z_u, ys, yu, 0.5, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, info = solve_qp(qp, full_output=True)
+        assert info["converged"] and info["iterations"] <= 10
+        assert_kkt(qp, w)
+
+    def test_delta_one(self):
+        # every weight is 1, pinned class included: no step is taken
+        _, Z_s, Z_u, ys, yu, _ = mixed_instance(3)
+        qp = build_qp(Z_s, Z_u, ys, yu, 1.0, int(ys.max()) + 1)
+        assert not all(free for _, free in qp.groups)
+        w, info = solve_qp(qp, full_output=True)
+        assert np.all(w.stacked() == 1.0)
+        assert info["converged"] and info["iterations"] == 0
+        assert_kkt(qp, w)
 
 
 def grid_instance(seed):
@@ -475,7 +670,7 @@ class TestProjectSort:
 
     @staticmethod
     def check(qp, z):
-        got, _ = landmark._project(z, qp)
+        got = landmark._project(z, qp)
         assert np.array_equal(got, lexsort_project(z, qp))
 
     @pytest.mark.parametrize("seed", range(10))
@@ -499,106 +694,3 @@ class TestProjectSort:
         assert qp._meta.ev_gid.dtype == np.uint16
         self.check(qp, rng.normal(0.5, 1.5, qp.n_s + qp.n_u))
         self.check(qp, rng.integers(-4, 9, qp.n_s + qp.n_u) / 4.0)
-
-
-class TestWarmProjection:
-    """`_project` from a carried shift: Newton steps when the active set
-    settles, else the sorted sweep, bit for bit the cold result."""
-
-    @staticmethod
-    def count_sweeps(monkeypatch):
-        calls = []
-        sweep = landmark._sweep_shift
-        monkeypatch.setattr(landmark, "_sweep_shift",
-                            lambda *a: calls.append(1) or sweep(*a))
-        return calls
-
-    @staticmethod
-    def check(qp, z, rng, sweeps):
-        """Warm from the exact shift of z and from that of a nearby point;
-        returns how many of the warm calls skipped the sweep."""
-        warm = 0
-        _, shift = landmark._project(z, qp)
-        if shift is None:
-            return warm
-        for near in (z, z + 1e-3 * rng.normal(size=z.size)):
-            want, _ = landmark._project(near, qp)
-            before = len(sweeps)
-            got, _ = landmark._project(near, qp, shift=shift)
-            warm += len(sweeps) == before
-            assert np.max(np.abs(got - want)) <= 1e-12
-            for idx, both in qp.groups:
-                if both:
-                    assert abs(got[idx].sum() - qp.delta * idx.size) <= 1e-12
-        return warm
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_random_inputs_match_sweep(self, seed, monkeypatch):
-        sweeps = self.count_sweeps(monkeypatch)
-        rng = np.random.default_rng(seed)
-        qp = TestProjectSort.instance(rng, int(rng.integers(2, 6)), 60,
-                                      one_sided=seed % 2 == 1)
-        for _ in range(5):
-            self.check(qp, rng.normal(0.5, 1.5, qp.n_s + qp.n_u), rng, sweeps)
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_quarter_grid_hits_bounds(self, seed, monkeypatch):
-        sweeps = self.count_sweeps(monkeypatch)
-        rng = np.random.default_rng(seed + 50)
-        qp = TestProjectSort.instance(rng, int(rng.integers(1, 5)), 40,
-                                      one_sided=seed % 2 == 1)
-        for _ in range(5):
-            self.check(qp, rng.integers(-4, 9, qp.n_s + qp.n_u) / 4.0, rng, sweeps)
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_more_than_256_groups(self, seed, monkeypatch):
-        sweeps = self.count_sweeps(monkeypatch)
-        rng = np.random.default_rng(seed + 90)
-        qp = TestProjectSort.instance(rng, 140, 420)
-        self.check(qp, rng.normal(0.5, 1.5, qp.n_s + qp.n_u), rng, sweeps)
-        self.check(qp, rng.integers(-4, 9, qp.n_s + qp.n_u) / 4.0, rng, sweeps)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_fit_sized_groups_skip_the_sweep(self, seed, monkeypatch):
-        # classes of 100-200 samples per domain, as in the bench's fits;
-        # small groups can have every coordinate at a bound, which falls back
-        sweeps = self.count_sweeps(monkeypatch)
-        rng = np.random.default_rng(seed + 400)
-        C = int(rng.integers(2, 5))
-        ys, yu = (np.repeat(np.arange(C), rng.integers(100, 200, C)) for _ in range(2))
-        qp = build_qp(rng.normal(size=(1, ys.size)), rng.normal(size=(1, yu.size)),
-                      ys, yu, float(rng.choice([0.25, 0.5, 0.75])), C)
-        for _ in range(5):
-            assert self.check(qp, rng.normal(0.5, 1.0, ys.size + yu.size), rng, sweeps) == 2
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_unsettled_shift_falls_back_to_sweep(self, seed, monkeypatch):
-        sweeps = self.count_sweeps(monkeypatch)
-        rng = np.random.default_rng(seed + 300)
-        qp = TestProjectSort.instance(rng, int(rng.integers(2, 6)), 60,
-                                      one_sided=seed % 2 == 1)
-        z = rng.normal(0.5, 1.5, qp.n_s + qp.n_u)
-        _, exact = landmark._project(z, qp)
-        # every coordinate at 1, every one at 0, and one group at a bound
-        # while the others keep their exact shift
-        one_group = exact.copy()
-        one_group[int(rng.integers(exact.size))] = 10.0
-        for shift in (np.full(exact.size, 10.0), np.full(exact.size, -10.0), one_group):
-            before = len(sweeps)
-            got, _ = landmark._project(z, qp, shift=shift)
-            assert len(sweeps) == before + 1
-            assert np.array_equal(got, lexsort_project(z, qp))
-
-    @pytest.mark.parametrize("family,seed",
-                             [("fit_sized", s) for s in range(20)]
-                             + [("grid", s) for s in range(6)])
-    def test_solve_matches_cold_projections(self, family, seed, monkeypatch):
-        qp = fit_sized_instance(seed) if family == "fit_sized" else grid_instance(seed)[0]
-        _, warm = solve_qp(qp, full_output=True)
-        cold = landmark._project
-        monkeypatch.setattr(landmark, "_project", lambda z, qp, shift=None: cold(z, qp))
-        _, ref = solve_qp(qp, full_output=True)
-        assert warm["iterations"] == ref["iterations"]
-        tw, tr = warm["objective_trace"], ref["objective_trace"]
-        assert tw.shape == tr.shape
-        assert np.max(np.abs(tw - tr)) <= 1e-12 * np.max(np.abs(tr))
