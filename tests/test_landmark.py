@@ -694,3 +694,118 @@ class TestProjectSort:
         assert qp._meta.ev_gid.dtype == np.uint16
         self.check(qp, rng.normal(0.5, 1.5, qp.n_s + qp.n_u))
         self.check(qp, rng.integers(-4, 9, qp.n_s + qp.n_u) / 4.0)
+
+
+class TestWarmProjection:
+    """`_project` of points at or near a feasible one: the warm starts that
+    `fit` carries between outer iterations, the feasibility check of a
+    solve's init and the start of the monotone phase. A projected point is
+    kept, the group means are exact, and the solve's answer is a fixed
+    point of cold projected-gradient steps."""
+
+    @staticmethod
+    def count_sweeps(monkeypatch):
+        calls = []
+        sweep = landmark._sweep_shift
+        monkeypatch.setattr(landmark, "_sweep_shift",
+                            lambda *a: calls.append(1) or sweep(*a))
+        return calls
+
+    @staticmethod
+    def check(qp, z, rng, sweeps):
+        """Project z and a nearby point, then re-project both results;
+        returns how many sweeps the four projections took."""
+        before = len(sweeps)
+        near = z + 1e-3 * rng.normal(size=z.size)
+        p, q = landmark._project(z, qp), landmark._project(near, qp)
+        for x, px in ((z, p), (near, q)):
+            assert np.array_equal(px, lexsort_project(x, qp))
+            # a projected point is feasible, so projecting it keeps it
+            assert np.max(np.abs(landmark._project(px, qp) - px)) <= 1e-12
+            for idx, both in qp.groups:
+                if both:
+                    assert abs(px[idx].sum() - qp.delta * idx.size) <= 1e-12
+        # the projection onto a convex set: z - p is normal to it at p
+        assert (z - p) @ (q - p) <= 1e-12
+        assert np.linalg.norm(p - q) <= np.linalg.norm(z - near) * (1 + 1e-12)
+        return len(sweeps) - before
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_inputs_match_sweep(self, seed, monkeypatch):
+        sweeps = self.count_sweeps(monkeypatch)
+        rng = np.random.default_rng(seed)
+        qp = TestProjectSort.instance(rng, int(rng.integers(2, 6)), 60,
+                                      one_sided=seed % 2 == 1)
+        for _ in range(5):
+            assert self.check(qp, rng.normal(0.5, 1.5, qp.n_s + qp.n_u), rng, sweeps) == 4
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_quarter_grid_hits_bounds(self, seed, monkeypatch):
+        sweeps = self.count_sweeps(monkeypatch)
+        rng = np.random.default_rng(seed + 50)
+        qp = TestProjectSort.instance(rng, int(rng.integers(1, 5)), 40,
+                                      one_sided=seed % 2 == 1)
+        for _ in range(5):
+            self.check(qp, rng.integers(-4, 9, qp.n_s + qp.n_u) / 4.0, rng, sweeps)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_more_than_256_groups(self, seed, monkeypatch):
+        sweeps = self.count_sweeps(monkeypatch)
+        rng = np.random.default_rng(seed + 90)
+        qp = TestProjectSort.instance(rng, 140, 420)
+        self.check(qp, rng.normal(0.5, 1.5, qp.n_s + qp.n_u), rng, sweeps)
+        self.check(qp, rng.integers(-4, 9, qp.n_s + qp.n_u) / 4.0, rng, sweeps)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fit_sized_groups_skip_the_sweep(self, seed, monkeypatch):
+        # classes of 100-200 samples per domain, as in the bench's fits: the
+        # active-set steps project nothing; only the check of init sweeps,
+        # and the start of a monotone phase would add one more
+        sweeps = self.count_sweeps(monkeypatch)
+        rng = np.random.default_rng(seed + 400)
+        C = int(rng.integers(2, 5))
+        ys, yu = (np.repeat(np.arange(C), rng.integers(100, 200, C)) for _ in range(2))
+        qp = build_qp(rng.normal(size=(1, ys.size)), rng.normal(size=(1, yu.size)),
+                      ys, yu, float(rng.choice([0.25, 0.5, 0.75])), C)
+        w, info = solve_qp(qp, full_output=True)
+        assert info["converged"] and len(sweeps) <= 2 < info["iterations"]
+        assert_kkt(qp, w)
+        for _ in range(5):
+            self.check(qp, rng.normal(0.5, 1.0, ys.size + yu.size), rng, sweeps)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_unsettled_shift_falls_back_to_sweep(self, seed, monkeypatch):
+        # every coordinate past 1, every one past 0, and one coordinate far
+        # out of a feasible point: one sweep each, and the lexsort's answer
+        sweeps = self.count_sweeps(monkeypatch)
+        rng = np.random.default_rng(seed + 300)
+        qp = TestProjectSort.instance(rng, int(rng.integers(2, 6)), 60,
+                                      one_sided=seed % 2 == 1)
+        n = qp.n_s + qp.n_u
+        one_out = landmark._project(rng.normal(0.5, 1.5, n), qp)
+        one_out[int(rng.integers(n))] = 10.0
+        for z in (np.full(n, 10.0), np.full(n, -10.0), one_out):
+            before = len(sweeps)
+            got = landmark._project(z, qp)
+            assert len(sweeps) == before + 1
+            assert np.array_equal(got, lexsort_project(z, qp))
+
+    @pytest.mark.parametrize("family,seed",
+                             [("fit_sized", s) for s in range(20)]
+                             + [("grid", s) for s in range(6)])
+    def test_solve_matches_cold_projections(self, family, seed):
+        # z solves min E over the polytope exactly when it is kept by the
+        # projected gradient step z -> _project(z - t Bq z) for any t > 0
+        qp = fit_sized_instance(seed) if family == "fit_sized" else grid_instance(seed)[0]
+        w, info = solve_qp(qp, full_output=True)
+        assert info["converged"]
+        z = w.stacked()
+        g = qp.Bq @ z
+        L = np.linalg.norm(qp.Bq, 2)
+        for t in (1.0 / L, 10.0 / L):
+            assert np.max(np.abs(landmark._project(z - t * g, qp) - z)) <= 1e-12
+        # the uniform start, where it is not the answer, is not such a point
+        u = uniform_weights(qp.n_s, qp.n_u, qp.delta).stacked()
+        if np.max(np.abs(z - u)) > 1e-6:
+            gu = qp.Bq @ u
+            assert np.max(np.abs(landmark._project(u - gu / L, qp) - u)) > 1e-6
