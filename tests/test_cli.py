@@ -83,8 +83,7 @@ class TestRoundTrips:
             A=rng.normal(size=(5, 3)),
             B=rng.normal(size=(4, 3)),
             cfg=FitConfig(hyper=Hyperparams(d=3, gamma=0.123), mode="semisupervised",
-                          init_strategy="nn_raw", normalize="unit+zscore",
-                          homogeneous=True, embed_norm=False),
+                          normalize="unit+zscore", homogeneous=True, embed_norm=False),
             weights=LandmarkWeights(rng.uniform(0, 1, 6), rng.uniform(0, 1, 7), 0.5),
             trace=TrainTrace(objective=[3.0, 2.0], mmd=[0.5, 0.25], label_changes=[4, 1]),
             num_classes=4,
@@ -137,6 +136,24 @@ class TestRoundTrips:
         self.write_v1_with_kernel_keys(path, A, B, "rbf")
         with pytest.raises(ConfigError, match="kernel"):
             load_model(path)
+
+    @pytest.mark.parametrize("init_strategy", ["labelprop_raw", "nn_raw"])
+    def test_model_with_removed_init_strategy_loads(self, tmp_path, init_strategy):
+        # only the current FitConfig fields are read back from the metadata
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert main(synth_args(data, n=5)) == 0
+        run.mkdir()
+        rng = np.random.default_rng(9)
+        A, B = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
+        meta = {**self.v1_metadata(2), "init_strategy": init_strategy}
+        self.write_v1(run / "model.lpjt", A, B, json.dumps(meta).encode("utf-8"))
+        loaded = load_model(run / "model.lpjt")
+        assert loaded.cfg == FitConfig(hyper=Hyperparams(d=2))
+        assert np.array_equal(loaded.A, A) and np.array_equal(loaded.B, B)
+        cfg = write_config(tmp_path / "c.cfg", source=data / "source.csv",
+                           target_unlabeled=data / "target.csv", output_dir=run)
+        assert main(["predict", "--config", cfg]) == 0
+        assert read_predictions(run / "predictions.csv").shape == (15,)
 
     @staticmethod
     def model_file_parts(path):
@@ -315,7 +332,8 @@ class TestConfig:
             main(["fit", "--config", path, "--seed", "1"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("key,value", [("kernel", "linear"), ("bandwidth", 2.5)])
+    @pytest.mark.parametrize("key,value", [("kernel", "linear"), ("bandwidth", 2.5),
+                                           ("init_strategy", "nn_raw")])
     def test_removed_kernel_keys_are_unknown(self, tmp_path, capsys, key, value):
         path = write_config(tmp_path / "c.cfg", **{key: value})
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
@@ -422,6 +440,20 @@ class TestEndToEnd:
         assert main(["fit", "--config", cfg]) == 2
         assert f"{key} must be finite, got {float(value)}" in capsys.readouterr().err
 
+    def test_heterogeneous_fit_without_labeled_targets_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(synth_args(data, kind="hetero_map", n=10, labeled=2)) == 0
+        paths = {"source": data / "source.csv", "target_unlabeled": data / "target.csv",
+                 "output_dir": tmp_path / "run", "d": 2, "T": 1}
+        for extra in ({}, {"mode": "semisupervised"},
+                      {"target_labeled": data / "target_labeled.csv"}):
+            cfg = write_config(tmp_path / "c.cfg", **paths, **extra)
+            assert main(["fit", "--config", cfg]) == 2
+            assert ("config error: the source has 10 features and the target 3: heterogeneous "
+                    "fits need labeled target samples (target_labeled with "
+                    "mode=semisupervised)") in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_numeric_failure_exits_3(self, tmp_path, capsys):
         data = tmp_path / "data"
         assert main(synth_args(data, n=10)) == 0
@@ -463,8 +495,7 @@ class TestEndToEnd:
         assert main(["fit", "--config", cfg]) == 3
         assert "numeric failure: Singular matrix" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key,value", [("mode", "bogus"), ("normalize", "l2"),
-                                           ("init_strategy", "random")])
+    @pytest.mark.parametrize("key,value", [("mode", "bogus"), ("normalize", "l2")])
     def test_every_verb_validates_the_settings(self, tmp_path, capsys, key, value):
         data, run, cfg_path, _ = self._workflow(tmp_path, capsys)
         with open(cfg_path, "a") as fh:

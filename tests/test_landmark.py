@@ -306,17 +306,19 @@ def assert_kkt(qp, weights, rtol=1e-9):
         assert gi[inner | at1].max(initial=-np.inf) <= gi[inner | at0].min(initial=np.inf) + tol
 
 
-def quiet_fit(Xs, ys, Xt, cfg):
+def quiet_fit(Xs, ys, Xt, cfg, tgt_l=None):
     """`fit` on 3 classes without label propagation's warning about
     unreached samples, which these small problems can raise."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", r"\d+ of \d+ test samples have all-zero",
                                 RuntimeWarning)
-        return fit(LabeledDataset(FeatureMatrix(Xs), ys, 3), Xt, None, cfg)
+        return fit(LabeledDataset(FeatureMatrix(Xs), ys, 3), Xt, tgt_l, cfg)
 
 
 def fit_qps(synth):
-    """Every weight QP of a 4-iteration fit on a `synth` problem, 30 per class."""
+    """Every weight QP of a 4-iteration fit on a `synth` problem, 30 per
+    class; semisupervised, with 3 labeled targets per class, on
+    `synth_hetero_map`, whose domains' feature counts differ."""
     qps = []
     build_qp = landmark.build_qp
 
@@ -324,10 +326,16 @@ def fit_qps(synth):
         qps.append(build_qp(*args))
         return qps[-1]
 
-    Xs, ys, Xt, _ = synth(30, 3, 0)
+    Xs, ys, Xt, yt = synth(30, 3, 0)
+    tgt_l, cfg = None, FitConfig(hyper=Hyperparams(d=2, T=4))
+    if synth is synth_hetero_map:
+        hold = np.concatenate([np.flatnonzero(yt == c)[:3] for c in range(3)])
+        tgt_l = LabeledDataset(FeatureMatrix(Xt[:, hold]), yt[hold], 3)
+        Xt = np.delete(Xt, hold, axis=1)
+        cfg = FitConfig(hyper=cfg.hyper, mode="semisupervised")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(landmark, "build_qp", recording_build)
-        quiet_fit(Xs, ys, Xt, FitConfig(hyper=Hyperparams(d=2, T=4)))
+        quiet_fit(Xs, ys, Xt, cfg, tgt_l)
     return qps
 
 

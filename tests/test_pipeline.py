@@ -1,3 +1,4 @@
+import dataclasses
 import time
 import warnings
 
@@ -61,15 +62,26 @@ def reference_apply_normalizer(X, state):
     return apply_zscore(unit_normalize(X), state[1], state[2])
 
 
-def lifted_blobs(seed=0, n=5, dim=30):
-    """Separated blobs mapped into more features than samples per domain."""
+def lifted_blobs(seed=0, n=5, dim=30, gap=8.0):
+    """Blobs mapped into more features than samples per domain."""
     rng = np.random.default_rng(seed)
     R = rng.normal(size=(dim, 2))
-    Xs, ys = separated_blobs(seed, n=n)
-    Xt, _ = separated_blobs(seed + 1, n=n)
+    Xs, ys = separated_blobs(seed, n=n, gap=gap)
+    Xt, yt = separated_blobs(seed + 1, n=n, gap=gap)
     Xs = R @ Xs + 0.1 * rng.normal(size=(dim, Xs.shape[1]))
     Xt = R @ (Xt + 0.5) + 0.1 * rng.normal(size=(dim, Xt.shape[1]))
-    return Xs, ys, Xt
+    return Xs, ys, Xt, yt
+
+
+def labeled_split(Xt, yt):
+    """(unlabeled targets, labeled targets): the first 3 target samples of
+    each of 3 classes are labeled."""
+    hold = np.concatenate([np.flatnonzero(yt == c)[:3] for c in range(3)])
+    rest = np.setdiff1d(np.arange(yt.size), hold)
+    return Xt[:, rest], LabeledDataset(FeatureMatrix(Xt[:, hold]), yt[hold], 3)
+
+
+SEMI = FitConfig(hyper=Hyperparams(d=2, T=3), mode="semisupervised")
 
 
 class TestSharedSteps:
@@ -95,19 +107,43 @@ class TestSharedSteps:
 
     @pytest.mark.parametrize("case", ["rotated", "gauss_shift", "hetero_map", "span_map"])
     def test_pseudo_labels_are_what_predict_returns(self, case):
-        # unsupervised: fit's last refresh and predict label the same way
+        # fit's last refresh and predict label the same way: unsupervised,
+        # but for the heterogeneous case, which needs labeled targets
+        tgt_l, cfg = None, FitConfig(hyper=Hyperparams(d=2, T=3))
         if case == "rotated":
             Xs, ys, Xt, _ = synth_rotated(30, 3, 0)
         elif case == "gauss_shift":
             Xs, ys, Xt, _ = synth_gauss_shift(30, 3, 1)
         elif case == "hetero_map":
-            Xs, ys, Xt, _ = synth_hetero_map(30, 3, 2)
+            Xs, ys, Xt, yt = synth_hetero_map(30, 3, 2)
+            (Xt, tgt_l), cfg = labeled_split(Xt, yt), SEMI
         else:
-            Xs, ys, Xt = lifted_blobs()
+            Xs, ys, Xt, _ = lifted_blobs()
             assert Xs.shape[0] > Xs.shape[1]
         src = LabeledDataset(FeatureMatrix(Xs), ys, 3)
-        model = fit(src, Xt, None, FitConfig(hyper=Hyperparams(d=2, T=3)))
-        assert np.array_equal(model.pseudo_labels, predict(model, src, Xt))
+        model = fit(src, Xt, tgt_l, cfg)
+        assert np.array_equal(model.pseudo_labels, predict(model, src, Xt, tgt_l))
+
+    @pytest.mark.parametrize("case", ["hetero_map", "gauss_shift", "span_map"])
+    def test_semisupervised_refresh_propagates_from_the_labeled_targets(self, case):
+        # each problem is one where the labeled targets change what predict
+        # returns, so a refresh that left them out would differ from it
+        if case == "hetero_map":
+            Xs, ys, Xt, yt = synth_hetero_map(30, 3, 3)
+        elif case == "gauss_shift":
+            Xs, ys, Xt, yt = synth_gauss_shift(30, 3, 4)
+        else:
+            Xs, ys, Xt, yt = lifted_blobs(seed=4, n=20, dim=80, gap=2.5)
+            assert Xt.shape[0] > Xt.shape[1]
+        Xu, tgt_l = labeled_split(Xt, yt)
+        src = LabeledDataset(FeatureMatrix(Xs), ys, 3)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", r"\d+ of \d+ test samples have all-zero",
+                                    RuntimeWarning)
+            model = fit(src, Xu, tgt_l, SEMI)
+            pred = predict(model, src, Xu, tgt_l)
+            assert not np.array_equal(pred, predict(model, src, Xu))
+        assert np.array_equal(model.pseudo_labels, pred)
 
 
 class TestFitBasics:
@@ -120,10 +156,11 @@ class TestFitBasics:
 
     def test_homogeneous_flag_warns_when_it_cannot_apply(self):
         cfg = FitConfig(hyper=Hyperparams(d=2, T=1), homogeneous=True)
-        Xs, ys, Xt, _ = synth_hetero_map(10, 3, 0)
+        Xs, ys, Xt, yt = synth_hetero_map(10, 3, 0)
         src = LabeledDataset(FeatureMatrix(Xs), ys, 3)
+        semi = dataclasses.replace(cfg, mode="semisupervised")
         with pytest.warns(RuntimeWarning, match="homogeneous=True is ignored"):
-            fit(src, Xt, None, cfg)
+            fit(src, *labeled_split(Xt, yt), semi)
         # equal feature counts, but more features than samples: the span map
         rng = np.random.default_rng(0)
         X = rng.normal(size=(12, 9))
@@ -208,19 +245,6 @@ class TestFitBasics:
             assert sorts == [(60, 60), (60, 60)]
         assert len(solves) == 1 + 3 + 6
 
-    def test_nearest_neighbor_init_passes_c_order_to_cdist(self, monkeypatch):
-        seen = []
-
-        def checking(XA, XB, *args):
-            seen.append(XA.flags.c_contiguous and XB.flags.c_contiguous)
-            return cdist(XA, XB, *args)
-
-        monkeypatch.setattr(pipeline, "cdist", checking)
-        X, y = separated_blobs()
-        src = LabeledDataset(FeatureMatrix(X), y, 3)
-        fit(src, X + 0.1, None, FitConfig(hyper=Hyperparams(d=2, T=1), init_strategy="nn_raw"))
-        assert seen == [True]
-
     def test_final_weights_feasible(self):
         Xs, ys, Xt, _ = synth_rotated(30, 3, 0)
         src = LabeledDataset(FeatureMatrix(Xs), ys, 3)
@@ -243,11 +267,14 @@ class TestFitBasics:
 
         monkeypatch.setattr(landmark, "build_qp", recording_build)
         monkeypatch.setattr(landmark, "solve_qp", recording_solve)
-        Xs, ys, Xt, _ = synth(30, 3, 0)
+        Xs, ys, Xt, yt = synth(30, 3, 0)
+        tgt_l, cfg = None, FitConfig(hyper=Hyperparams(d=2, T=4))
+        if synth is synth_hetero_map:
+            Xt, tgt_l = labeled_split(Xt, yt)
+            cfg = dataclasses.replace(cfg, mode="semisupervised")
         with warnings.catch_warnings():
             warnings.filterwarnings("error", "weight solver")
-            fit(LabeledDataset(FeatureMatrix(Xs), ys, 3), Xt, None,
-                FitConfig(hyper=Hyperparams(d=2, T=4)))
+            fit(LabeledDataset(FeatureMatrix(Xs), ys, 3), Xt, tgt_l, cfg)
         assert len(steps) == 4
         for (Z_s, Z_u, y_s, y_u, delta, _), init, w in steps:
             eye = np.eye(Z_s.shape[0])
@@ -322,19 +349,21 @@ class TestAdaptationQuality:
         pred = predict(model, src, Xt[:, rest], tgt_l)
         assert evaluate(pred, yt[rest]) >= 0.6
 
-    def test_heterogeneous_unsupervised_fits(self):
-        Xs, ys, Xt, _ = synth_hetero_map(20, 3, 1)
-        src = LabeledDataset(FeatureMatrix(Xs), ys, 3)
-        model = fit(src, Xt, None, FitConfig(hyper=Hyperparams(d=2, T=2)))
-        assert model.A.shape == (10, 2)
-        assert model.B.shape == (3, 2)
+    def test_heterogeneous_unsupervised_fits(self, monkeypatch):
+        # refused: no labeled sample shares the target's feature space
+        def never(*args):
+            raise AssertionError("work started before the refusal")
 
-    def test_nearest_neighbor_init_strategy(self):
-        Xs, ys, Xt, yt = synth_rotated(40, 3, 3)
+        monkeypatch.setattr(pipeline.labelprop, "classify", never)
+        Xs, ys, Xt, yt = synth_hetero_map(20, 3, 1)
         src = LabeledDataset(FeatureMatrix(Xs), ys, 3)
-        cfg = FitConfig(hyper=Hyperparams(d=2, T=2), init_strategy="nn_raw")
-        model = fit(src, Xt, None, cfg)
-        assert evaluate(predict(model, src, Xt), yt) >= 0.5
+        Xu, labeled = labeled_split(Xt, yt)
+        message = (r"the source has 10 features and the target 3: heterogeneous fits need "
+                   r"labeled target samples \(target_labeled with mode=semisupervised\)")
+        for tgt_l, mode in ((None, "unsupervised"), (None, "semisupervised"),
+                            (labeled, "unsupervised")):
+            with pytest.raises(ValueError, match=message):
+                fit(src, Xu, tgt_l, FitConfig(hyper=Hyperparams(d=2, T=2), mode=mode))
 
     def test_embed_norm_flag_changes_classification_path(self):
         Xs, ys, Xt, _ = synth_rotated(40, 3, 4)
