@@ -10,7 +10,9 @@ distances and the order (at most 2 bytes a pair up to 65536 samples) are
 the only n x n arrays left. Label propagation's graph over all pairs
 comes from `tree_knn_heat_graph`, the same rule found by an exact k-d
 tree search (Friedman, Bentley & Finkel, ACM TOMS 1977) in O(n * k)
-memory. `knn_heat_graph`, the rule over a dense mask, is the test oracle
+memory. All three builders OR-symmetrize their chosen pairs in `_heat_csr`
+by one sort of packed integer keys, and weigh each final edge once.
+`knn_heat_graph`, the rule over a dense mask, is the test oracle
 of all three builders. Every graph is a sparse CSR array. Sandwiching
 the graph Laplacian L = D - W between the data, S = X L X^T
 = 1/2 sum_ij W_ij (x_i - x_j)(x_i - x_j)^T, turns the graph objective
@@ -127,17 +129,26 @@ def _rank_rows(sqdist) -> np.ndarray:
     return order
 
 
-def _heat_csr(rows, cols, sq, n: int) -> sp.csr_array:
+def _heat_csr(rows, cols, n: int, sqdist) -> sp.csr_array:
     """OR-symmetrized CSR graph of the chosen pairs (rows[i], cols[i]), each
-    edge weighted exp(-sq[i] / 2).
+    edge weighted exp(-sqdist(rows, cols) / 2).
 
-    A pair chosen from both ends must carry the same squared distance
-    either way; it is stored once. Indices come out sorted.
+    The pairs and their mirrors are packed into keys row * n + col, sorted
+    once, and a pair chosen from both ends is stored once. `sqdist` then
+    gives the squared distances of the final edges (r, c) with r <= c, and
+    each mirror takes its edge's weight. Indices come out sorted.
     """
-    key, first = np.unique(np.concatenate([rows * n + cols, cols * n + rows]),
-                           return_index=True)
-    rows, cols = np.divmod(key, n)
-    weights = np.exp(-np.concatenate([sq, sq])[first] / 2.0)
+    key = np.sort(np.concatenate([rows * n + cols, cols * n + rows]))
+    rows, cols = np.divmod(key[np.diff(key, prepend=-1) != 0], n)
+    upper = np.flatnonzero(rows <= cols)
+    sq = np.empty(rows.size)
+    sq[upper] = sqdist(rows[upper], cols[upper])
+    # the pattern is symmetric, so the j-th edge by (column, row) is the
+    # mirror of the j-th by (row, column); a stable sort by column (a radix
+    # sort in 16 bits up to 65536 samples) orders them so
+    mirror = np.argsort(cols.astype(np.min_scalar_type(max(n - 1, 0))), kind="stable")
+    sq[mirror[upper]] = sq[upper]
+    weights = np.exp(-sq / 2.0)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
     return sp.csr_array((weights, cols, indptr), shape=(n, n))
 
@@ -188,10 +199,14 @@ def tree_knn_heat_graph(X, k: int) -> sp.csr_array:
 
     Each sample keeps its min(k, n - 1) nearest others, ties to the lowest
     index; the squared distances are summed per feature in order, as
-    `cdist` sums them. Memory is O(n * k) plus the ties at each sample's
-    k-th distance. One difference: where squared distances overflow to inf
-    the dense rule keeps the lowest-index samples and this one the nearest,
-    so only the pattern of edges that weigh 0 either way can differ.
+    `cdist` sums them. A query for k + 2 neighbors settles most samples:
+    exactly k others lie within the sample's k-th distance (widened for
+    rounding), and it keeps all k. Only the rest, tied at that distance,
+    gather every candidate inside it by a ball query and rank them by
+    (squared distance, index). Memory is O(n * k) plus those ties. One
+    difference: where squared distances overflow to inf the dense rule
+    keeps the lowest-index samples and this one the nearest, so only the
+    pattern of edges that weigh 0 either way can differ.
     """
     Z = as_features(X).data
     d, n = Z.shape
@@ -212,29 +227,39 @@ def tree_knn_heat_graph(X, k: int) -> sp.csr_array:
     # square underflows, and the radius takes in all samples)
     slack = np.ldexp(2.0 * d, min(2 * shift, 2000) - 1074) + np.ldexp(2.0 * d, -1074)
     radius = np.sqrt(dist[:, k] ** 2 * (1.0 + 2e-9) + slack)
-    # a sample whose last neighbour found lies inside its radius may have
-    # more candidates there; the ball query gathers them all
+    # a sample whose last neighbour found lies outside its radius is
+    # settled: exactly k others lie inside, and it keeps them all
     done = dist[:, -1] > radius
-    rows, pos = np.nonzero(done[:, None] & (dist <= radius[:, None]))
+    rows, pos = np.nonzero(done[:, None] & (dist <= radius[:, None])
+                           & (idx != np.arange(n)[:, None]))
     cols = idx[rows, pos]
+    # any other sample may have more candidates there; the ball query
+    # gathers them all
     short = np.flatnonzero(~done)
     if short.size:
         found = tree.query_ball_point(P[short], radius[short], return_sorted=False)
-        rows = np.concatenate([rows, np.repeat(short, [len(f) for f in found])])
-        cols = np.concatenate([cols, *found])
-    other = rows != cols
-    rows, cols = rows[other], cols[other]
+        tied_rows = np.repeat(short, [len(f) for f in found])
+        tied_cols = np.concatenate(found)
+        other = tied_rows != tied_cols
+        tied_rows, tied_cols = tied_rows[other], tied_cols[other]
+        # rank these samples' candidates by (squared distance, index), keep k
+        order = np.lexsort((tied_cols, _pair_sqdist(Z, tied_rows, tied_cols), tied_rows))
+        ranked = tied_rows[order]
+        keep = order[np.arange(order.size) - np.searchsorted(ranked, ranked) < k]
+        rows = np.concatenate([rows, tied_rows[keep]])
+        cols = np.concatenate([cols, tied_cols[keep]])
+    return _heat_csr(rows, cols, n, functools.partial(_pair_sqdist, Z))
+
+
+def _pair_sqdist(Z, rows, cols) -> np.ndarray:
+    """Squared distances between the sample pairs (rows[i], cols[i]) of Z,
+    summed per feature in order, as `cdist` sums them."""
     sq = np.zeros(rows.size)
     with np.errstate(over="ignore"):
-        for f in range(d):
+        for f in range(Z.shape[0]):
             diff = Z[f, rows] - Z[f, cols]
             sq += diff * diff
-    # rank each sample's candidates by (squared distance, index), keep k
-    order = np.lexsort((cols, sq, rows))
-    ranked = rows[order]
-    keep = order[np.arange(order.size) - np.searchsorted(ranked, ranked) < k]
-    # a pair picked from both ends has the same squared distance either way
-    return _heat_csr(rows[keep], cols[keep], sq[keep], n)
+    return sq
 
 
 def _first_allowed(nbrs: NeighborOrder, codes, need, same: bool):
@@ -285,8 +310,8 @@ def _order_graph(nbrs: NeighborOrder, codes, need, same: bool) -> WeightedGraph:
     D = nbrs.sqdist
     # the larger squared distance of the two directions, so the smaller
     # weight, as `knn_heat_graph` takes it
-    return WeightedGraph(_heat_csr(rows, cols, np.maximum(D[rows, cols], D[cols, rows]),
-                                   nbrs.n))
+    return WeightedGraph(_heat_csr(rows, cols, nbrs.n,
+                                   lambda r, c: np.maximum(D[r, c], D[c, r])))
 
 
 def build_intrinsic_graph(nbrs: NeighborOrder, labels, k_w: int) -> WeightedGraph:

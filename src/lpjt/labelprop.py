@@ -85,12 +85,17 @@ def closed_form(S, Y0, sigma: float) -> np.ndarray:
 
     S may be dense or `scipy.sparse`; I - sigma S is factored by a sparse
     LU (SuperLU), so a k-NN graph costs about its nonzeros plus fill, not
-    n^3.
+    n^3. The similarity graphs are symmetric, so SuperLU runs in its
+    symmetric mode with a minimum-degree order of A + A^T (Demmel et al.,
+    SIAM J. Matrix Anal. Appl. 1999), which factors these graphs faster
+    than its default column order. It still pivots, so any S is solved
+    exactly, and the rows of a component without a seed stay exactly 0.
     """
     S = sp.csc_array(S, dtype=np.float64)
     Y0 = np.asarray(Y0, dtype=np.float64)
     n = S.shape[0]
-    lu = splu(sp.identity(n, format="csc") - sigma * S)
+    lu = splu(sp.identity(n, format="csc") - sigma * S, permc_spec="MMD_AT_PLUS_A",
+              relax=1, panel_size=1, options=dict(SymmetricMode=True))
     return (1.0 - sigma) * lu.solve(Y0)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
 from lpjt.core import FeatureMatrix, Hyperparams, LabeledDataset
@@ -152,31 +153,44 @@ class TestSimilarityMatrix:
         assert (S != S.T).nnz == 0
 
 
+def assert_label_free_rows_zero(S, Y0, Y):
+    """Every node of a graph component that holds no labeled node scores
+    exactly 0.0."""
+    _, comp = connected_components(S, directed=False)
+    assert np.all(Y[~np.isin(comp, comp[Y0.any(axis=1)])] == 0.0)
+
+
 class TestClosedForm:
     @pytest.mark.parametrize("sigma", [0.5, 0.9, 0.99])
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_dense_solve_on_random_graphs(self, seed, sigma):
+    @pytest.mark.parametrize("seed,n", [
+        *(pytest.param(seed, None, id=str(seed)) for seed in range(6)),
+        *(pytest.param(6, n, id=f"{n}-nodes") for n in (600, 1200))])
+    def test_matches_dense_solve_on_random_graphs(self, seed, n, sigma):
+        # 5 to 79 nodes, or the 600 and 1200 of the bench workloads' graphs
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(5, 80))
+        n = n or int(rng.integers(5, 80))
         S = random_similarity(rng, n, k=int(rng.integers(1, 6)))
         Y0 = np.zeros((n, 3))
         labeled = rng.choice(n, size=max(1, n // 4), replace=False)
         Y0[labeled, rng.integers(0, 3, labeled.size)] = 1.0
-        assert_allclose(closed_form(S, Y0, sigma), dense_closed_form(S, Y0, sigma),
-                        rtol=0, atol=1e-12)
+        Y = closed_form(S, Y0, sigma)
+        assert_allclose(Y, dense_closed_form(S, Y0, sigma), rtol=0, atol=1e-12)
+        assert_label_free_rows_zero(S, Y0, Y)
 
     def test_disconnected_components(self):
-        # three 6-point clusters too far apart for any 2-NN edge between
-        # them; the last cluster holds no labeled sample
-        rng = np.random.default_rng(8)
-        Z = np.hstack([rng.normal(size=(2, 6)) + 100.0 * c for c in range(3)])
-        S = similarity_matrix(Z, k=2)
-        Y0 = np.zeros((18, 2))
-        Y0[0, 0] = Y0[6, 1] = 1.0
-        Y = closed_form(S, Y0, 0.9)
-        assert_allclose(Y, dense_closed_form(S, Y0, 0.9), rtol=0, atol=1e-12)
-        assert np.all(Y[12:] == 0.0)
-        assert np.all(Y[:6, 1] == 0.0) and np.all(Y[6:12, 0] == 0.0)
+        # three clusters too far apart for any 2-NN edge between them, of 6
+        # and of 200 points; the last holds no labeled sample
+        for size in (6, 200):
+            rng = np.random.default_rng(8)
+            Z = np.hstack([rng.normal(size=(2, size)) + 100.0 * c for c in range(3)])
+            S = similarity_matrix(Z, k=2)
+            Y0 = np.zeros((3 * size, 2))
+            Y0[0, 0] = Y0[size, 1] = 1.0
+            Y = closed_form(S, Y0, 0.9)
+            assert_allclose(Y, dense_closed_form(S, Y0, 0.9), rtol=0, atol=1e-12)
+            assert np.all(Y[2 * size:] == 0.0)
+            assert np.all(Y[:size, 1] == 0.0) and np.all(Y[size:2 * size, 0] == 0.0)
+            assert_label_free_rows_zero(S, Y0, Y)
 
     def test_underflowed_graph_returns_scaled_seeds(self):
         # every heat weight underflows: S has all-zero rows
