@@ -16,7 +16,6 @@ from .core import (
 )
 from .eigsolve import EigProblem, EigSolution, SolverError, assemble_problem, solve
 from .graph import (
-    NeighborOrder,
     WeightedGraph,
     build_intrinsic_graph,
     build_penalty_graph,
@@ -46,7 +45,6 @@ __all__ = [
     "WeightedGraph",
     "build_intrinsic_graph",
     "build_penalty_graph",
-    "NeighborOrder",
     "pairwise_sqdist",
     "LandmarkWeights",
     "QpInstance",

@@ -11,10 +11,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _freeze(a):
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.setflags(write=False)
-    return a
+def _freeze(a, dtype=np.float64):
+    """A read-only C-order array of a's values, at least 1-D; a copy when it
+    would share the caller's writeable data, which stays writeable."""
+    out = np.ascontiguousarray(a, dtype=dtype)
+    if out.flags.writeable and isinstance(a, np.ndarray) and np.may_share_memory(out, a):
+        out = out.copy()
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -24,14 +28,14 @@ class FeatureMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        data = np.atleast_2d(np.asarray(self.data, dtype=np.float64))
+        data = np.atleast_2d(_freeze(self.data))
         if data.ndim != 2:
             raise ValueError("feature matrix must be 2-D")
         if data.shape[0] < 1 or data.shape[1] < 1:
             raise ValueError("feature matrix must be non-empty")
         if not np.all(np.isfinite(data)):
             raise ValueError("feature matrix contains NaN or Inf entries")
-        object.__setattr__(self, "data", _freeze(data))
+        object.__setattr__(self, "data", data)
 
     @property
     def dim(self):
@@ -44,9 +48,14 @@ class FeatureMatrix:
 
 def as_features(X) -> FeatureMatrix:
     """Coerce a FeatureMatrix or a (dim, n) array into a FeatureMatrix."""
-    if isinstance(X, FeatureMatrix):
-        return X
-    return FeatureMatrix(np.asarray(X, dtype=np.float64))
+    return X if isinstance(X, FeatureMatrix) else FeatureMatrix(X)
+
+
+def _fresh_features(data) -> FeatureMatrix:
+    """FeatureMatrix of an array just computed here that nothing else holds,
+    marked read-only first so that it is stored without a copy."""
+    data.setflags(write=False)
+    return FeatureMatrix(data)
 
 
 @dataclass(frozen=True)
@@ -58,7 +67,7 @@ class LabeledDataset:
     num_classes: int
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64).ravel()
+        labels = _freeze(self.labels, np.int64).ravel()
         if labels.shape[0] != self.features.n:
             raise ValueError(
                 f"got {labels.shape[0]} labels for {self.features.n} samples"
@@ -70,8 +79,6 @@ class LabeledDataset:
                 f"labels must lie in [0, {self.num_classes}), "
                 f"got range [{labels.min()}, {labels.max()}]"
             )
-        labels = np.ascontiguousarray(labels)
-        labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
 
     @property
@@ -139,11 +146,9 @@ class TrainTrace:
     label_changes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
 
     def __post_init__(self):
-        object.__setattr__(self, "objective", _freeze(np.atleast_1d(self.objective)).ravel())
-        object.__setattr__(self, "mmd", _freeze(np.atleast_1d(self.mmd)).ravel())
-        lc = np.ascontiguousarray(np.atleast_1d(self.label_changes), dtype=np.int64).ravel()
-        lc.setflags(write=False)
-        object.__setattr__(self, "label_changes", lc)
+        object.__setattr__(self, "objective", _freeze(self.objective).ravel())
+        object.__setattr__(self, "mmd", _freeze(self.mmd).ravel())
+        object.__setattr__(self, "label_changes", _freeze(self.label_changes, np.int64).ravel())
         if np.any(self.mmd < 0):
             raise ValueError("mmd trace entries must be nonnegative")
 
@@ -198,16 +203,15 @@ class SubspaceModel:
     pseudo_labels: np.ndarray | None = None
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=np.float64)
-        B = np.asarray(self.B, dtype=np.float64)
+        A, B = _freeze(self.A), _freeze(self.B)
         if A.ndim != 2 or B.ndim != 2:
             raise ValueError("A and B must be 2-D")
         if A.shape[1] != B.shape[1]:
             raise ValueError("A and B must share the subspace dimension")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
             raise ValueError("projections contain non-finite entries")
-        object.__setattr__(self, "A", _freeze(A))
-        object.__setattr__(self, "B", _freeze(B))
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
 
     @property
     def d(self):
@@ -238,7 +242,7 @@ def apply_zscore(X, mean, std) -> FeatureMatrix:
     keep = std >= 1e-12
     out[keep] /= std[keep, None]
     out[~keep] = 0.0
-    return FeatureMatrix(out)
+    return _fresh_features(out)
 
 
 def unit_normalize(X) -> FeatureMatrix:
@@ -246,7 +250,7 @@ def unit_normalize(X) -> FeatureMatrix:
     X = as_features(X)
     norms = np.linalg.norm(X.data, axis=0)
     scale = np.where(norms > 0, norms, 1.0)
-    return FeatureMatrix(X.data / scale)
+    return _fresh_features(X.data / scale)
 
 
 def validate_pair(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None) -> FeatureMatrix:
@@ -254,7 +258,9 @@ def validate_pair(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = Non
 
     Heterogeneous dimensionalities (d_s != d_t) are allowed; the labeled
     target subset, when given, must match the unlabeled target's feature
-    count and the source's class count. Inputs are never mutated.
+    count and the source's class count. Every declared class needs a
+    labeled sample in the source or the labeled target. Inputs are never
+    mutated.
     """
     if not isinstance(src, LabeledDataset):
         raise TypeError("src must be a LabeledDataset")
@@ -272,4 +278,11 @@ def validate_pair(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = Non
                 f"class count mismatch: source has {src.num_classes}, "
                 f"labeled target has {tgt_l.num_classes}"
             )
+    labeled = src.labels if tgt_l is None else np.concatenate([src.labels, tgt_l.labels])
+    missing = np.flatnonzero(np.bincount(labeled, minlength=src.num_classes) == 0)
+    if missing.size:
+        raise ValueError(
+            f"class {', '.join(map(str, missing))} of the {src.num_classes} declared has "
+            "no labeled sample in the source or the labeled target"
+        )
     return tgt_u

@@ -1,26 +1,22 @@
 """Neighborhood graphs and the scatter matrices built from them.
 
-The intrinsic graph connects nearest same-class pairs, the penalty graph
-nearest different-class pairs; both are weighted with the heat kernel
-exp(-||x_i - x_j||^2 / 2) and symmetrized by OR. `fit` computes each
-domain's squared distances once, and a `NeighborOrder` ranks every row of
-them once; each refresh then reads each sample's first allowed neighbors
-off that order, in O(n * k) work when they lie near the front. The
-distances and the order (at most 2 bytes a pair up to 65536 samples) are
-the only n x n arrays left. Label propagation's graph over all pairs
-comes from `tree_knn_heat_graph`, the same rule found by an exact k-d
-tree search (Friedman, Bentley & Finkel, ACM TOMS 1977) in O(n * k)
-memory. All three builders OR-symmetrize their chosen pairs in `_heat_csr`
-by one sort of packed integer keys, and weigh each final edge once.
-`knn_heat_graph`, the rule over a dense mask, is the test oracle
-of all three builders. Every graph is a sparse CSR array. Sandwiching
-the graph Laplacian L = D - W between the data, S = X L X^T
-= 1/2 sum_ij W_ij (x_i - x_j)(x_i - x_j)^T, turns the graph objective
-into a quadratic form in feature space; it is formed from the edges in
-O(nnz * d) plus O(n * d^2), never as a dense n x n Laplacian.
+Three graphs follow one k-nearest-neighbor heat rule, with pairs weighted
+exp(-||x_i - x_j||^2 / 2) and symmetrized by OR: the intrinsic graph joins
+each sample to its nearest samples of its class, the penalty graph to
+those of other classes, label propagation's graph to those of any class.
+One exact k-d tree search (Friedman, Bentley & Finkel, ACM TOMS 1977),
+`_knn_pairs`, finds all their pairs, over all samples or class by class,
+in O(n * k) memory; no n x n distance state is kept across refreshes.
+`_heat_csr` OR-symmetrizes the pairs by one sort of packed integer keys
+and weighs each final edge once. `knn_heat_graph`, the rule over a dense
+distance matrix and mask, is the test oracle of all three builders. Every
+graph is a sparse CSR array. Sandwiching the graph Laplacian L = D - W
+between the data, S = X L X^T = 1/2 sum_ij W_ij (x_i - x_j)(x_i - x_j)^T,
+turns the graph objective into a quadratic form in feature space; it is
+formed from the edges in O(nnz * d) plus O(n * d^2), never as a dense
+n x n Laplacian.
 """
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -52,10 +48,6 @@ class WeightedGraph:
             part.setflags(write=False)
         object.__setattr__(self, "W", W)
 
-    @property
-    def n(self):
-        return self.W.shape[0]
-
 
 @dataclass(frozen=True)
 class ScatterSet:
@@ -80,69 +72,21 @@ def pairwise_sqdist(X) -> np.ndarray:
     return cdist(P, P, "sqeuclidean")
 
 
-# entries sorted per pass, so that the sort's temporaries (int64 indices,
-# float64 values) stay near 32 KiB each, or one row past 4096 samples;
-# blocks of 64 rows raised a fit's peak RSS at 300 samples
-ORDER_BLOCK_ENTRIES = 4096
-
-
-class NeighborOrder:
-    """One domain's squared distances and each row's samples ranked by
-    (distance, index), computed on first use.
-
-    The distances are fixed for a whole fit and only the labels change, so
-    every refresh of the intrinsic and penalty graphs reads each row's first
-    allowed samples off this one order. It is stored in the smallest
-    unsigned integer type that holds n - 1.
-    """
-
-    def __init__(self, sqdist):
-        sqdist = np.asarray(sqdist, dtype=np.float64)
-        if sqdist.ndim != 2 or sqdist.shape[0] != sqdist.shape[1]:
-            raise ValueError("squared distances must form a square matrix")
-        self.sqdist = sqdist
-
-    @property
-    def n(self) -> int:
-        return self.sqdist.shape[0]
-
-    @functools.cached_property
-    def order(self) -> np.ndarray:
-        return _rank_rows(self.sqdist)
-
-
-def _rank_rows(sqdist) -> np.ndarray:
-    """Column indices of each row sorted by (value, index)."""
-    n = sqdist.shape[0]
-    order = np.empty((n, n), dtype=np.min_scalar_type(max(n - 1, 0)))
-    step = max(1, ORDER_BLOCK_ENTRIES // max(n, 1))
-    for lo in range(0, n, step):
-        block = sqdist[lo:lo + step]
-        idx = block.argsort(axis=1)
-        # the default sort may order equal values either way; only rows
-        # holding a tie pay for a stable sort
-        ranked = np.take_along_axis(block, idx, axis=1)
-        tied = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
-        if tied.size:
-            idx[tied] = block[tied].argsort(axis=1, kind="stable")
-        order[lo:lo + step] = idx
-    return order
-
-
-def _heat_csr(rows, cols, n: int, sqdist) -> sp.csr_array:
-    """OR-symmetrized CSR graph of the chosen pairs (rows[i], cols[i]), each
-    edge weighted exp(-sqdist(rows, cols) / 2).
+def _heat_csr(Z, rows, cols) -> sp.csr_array:
+    """OR-symmetrized CSR graph over the samples of Z of the chosen pairs
+    (rows[i], cols[i]), each edge weighted exp(-||z_r - z_c||^2 / 2).
 
     The pairs and their mirrors are packed into keys row * n + col, sorted
-    once, and a pair chosen from both ends is stored once. `sqdist` then
-    gives the squared distances of the final edges (r, c) with r <= c, and
-    each mirror takes its edge's weight. Indices come out sorted.
+    once, and a pair chosen from both ends is stored once. `_pair_sqdist`
+    then gives the squared distances of the final edges (r, c) with r <= c,
+    and each mirror takes its edge's weight. Indices come out sorted.
     """
+    n = Z.shape[1]
     key = np.sort(np.concatenate([rows * n + cols, cols * n + rows]))
     rows, cols = np.divmod(key[np.diff(key, prepend=-1) != 0], n)
     upper = np.flatnonzero(rows <= cols)
     sq = np.empty(rows.size)
-    sq[upper] = sqdist(rows[upper], cols[upper])
+    sq[upper] = _pair_sqdist(Z, rows[upper], cols[upper])
     # the pattern is symmetric, so the j-th edge by (column, row) is the
     # mirror of the j-th by (row, column); a stable sort by column (a radix
     # sort in 16 bits up to 65536 samples) orders them so
@@ -163,7 +107,8 @@ def knn_heat_graph(sqdist, allowed, k: int) -> sp.csr_array:
     exp(-sqdist / 2). Only the selected pairs are stored.
 
     This is the test oracle of `build_intrinsic_graph`, `build_penalty_graph`
-    and `tree_knn_heat_graph`; `fit` does not call it.
+    and `tree_knn_heat_graph`, with `pairwise_sqdist` as its input; `fit`
+    does not call it.
     """
     sqdist = np.asarray(sqdist, dtype=np.float64)
     n = sqdist.shape[0]
@@ -193,62 +138,71 @@ def knn_heat_graph(sqdist, allowed, k: int) -> sp.csr_array:
     return sp.csr_array((weights, cols, indptr), shape=(n, n))
 
 
-def tree_knn_heat_graph(X, k: int) -> sp.csr_array:
-    """`knn_heat_graph` over every pair of samples of X but self, bit for
-    bit, found by an exact k-d tree search instead of n x n distances.
+def _knn_pairs(Z, queries, refs, k: int, exclude_self: bool):
+    """(rows, cols) pairing each sample of `queries` with its k nearest
+    samples of `refs` (k clamped to those available), by an exact k-d tree
+    search.
 
-    Each sample keeps its min(k, n - 1) nearest others, ties to the lowest
-    index; the squared distances are summed per feature in order, as
-    `cdist` sums them. A query for k + 2 neighbors settles most samples:
-    exactly k others lie within the sample's k-th distance (widened for
-    rounding), and it keeps all k. Only the rest, tied at that distance,
-    gather every candidate inside it by a ball query and rank them by
-    (squared distance, index). Memory is O(n * k) plus those ties. One
-    difference: where squared distances overflow to inf the dense rule
-    keeps the lowest-index samples and this one the nearest, so only the
-    pattern of edges that weigh 0 either way can differ.
+    Both index the samples (columns) of Z, `refs` in ascending order; with
+    `exclude_self`, `queries` is `refs` and no sample pairs with itself.
+    Neighbors rank by (squared distance summed per feature in order, as
+    `cdist` sums it, index). A query for k + 1 neighbors beyond self
+    settles most samples: exactly k refs lie within the sample's k-th
+    distance (widened for rounding), and it keeps all k. Only the rest,
+    tied at that distance, gather every candidate inside it by a ball
+    query and rank them. Memory is O(n * k) plus those ties. Where squared
+    distances overflow to inf, `knn_heat_graph` keeps the lowest-index
+    samples and this search the nearest, so only the pattern of edges that
+    weigh 0 either way can differ.
     """
-    Z = as_features(X).data
-    d, n = Z.shape
-    k = min(max(int(k), 0), n - 1)
+    e = int(exclude_self)
+    k = min(max(int(k), 0), refs.size - e)
     if k == 0:
-        return sp.csr_array((n, n))
-    # the tree searches a copy scaled by an exact power of two, so that its
-    # squared distances neither overflow nor underflow; in C order, so the
-    # tree keeps it rather than copying it again
-    shift = -int(np.frexp(np.abs(Z).max())[1])
-    P = np.ldexp(Z.T, shift, order="C")
-    tree = cKDTree(P)
-    kq = min(k + 2, n)
-    dist, idx = tree.query(P, k=kq)
-    # radius of each sample's k nearest others, widened to cover rounding
-    # in either scale: 1e-9 relative, and 2d units of the least subnormal
-    # for squares that underflow (capped: with data under 2^-1000 every
-    # square underflows, and the radius takes in all samples)
+        return np.empty(0, np.intp), np.empty(0, np.intp)
+    # the tree searches C-order copies scaled by an exact power of two, so
+    # that its squared distances neither overflow nor underflow
+    d, shift = Z.shape[0], -int(np.frexp(max(Z.max(), -Z.min()))[1])
+
+    def scaled(idx):
+        pts = Z.T[idx]
+        return np.ldexp(pts, shift, out=pts)
+
+    R = scaled(refs)
+    Q = R if exclude_self else scaled(queries)
+    tree = cKDTree(R)
+    kq = min(k + e + 1, refs.size)
+    dist, idx = (a.reshape(-1, kq) for a in tree.query(Q, k=kq))
+    # radius of each sample's k nearest refs, widened to cover rounding in
+    # either scale: 1e-9 relative, and 2d units of the least subnormal for
+    # squares that underflow (capped: with data under 2^-1000 every square
+    # underflows, and the radius takes in all samples)
     slack = np.ldexp(2.0 * d, min(2 * shift, 2000) - 1074) + np.ldexp(2.0 * d, -1074)
-    radius = np.sqrt(dist[:, k] ** 2 * (1.0 + 2e-9) + slack)
+    radius = np.sqrt(dist[:, k + e - 1] ** 2 * (1.0 + 2e-9) + slack)
     # a sample whose last neighbour found lies outside its radius is
-    # settled: exactly k others lie inside, and it keeps them all
+    # settled: exactly k refs lie inside (besides itself, when excluded),
+    # and it keeps them all
     done = dist[:, -1] > radius
-    rows, pos = np.nonzero(done[:, None] & (dist <= radius[:, None])
-                           & (idx != np.arange(n)[:, None]))
+    # each query's own position among the refs, or -1
+    me = np.arange(queries.size) if exclude_self else np.full(queries.size, -1)
+    rows, pos = np.nonzero(done[:, None] & (dist <= radius[:, None]) & (idx != me[:, None]))
     cols = idx[rows, pos]
     # any other sample may have more candidates there; the ball query
     # gathers them all
     short = np.flatnonzero(~done)
     if short.size:
-        found = tree.query_ball_point(P[short], radius[short], return_sorted=False)
+        found = tree.query_ball_point(Q[short], radius[short], return_sorted=False)
         tied_rows = np.repeat(short, [len(f) for f in found])
-        tied_cols = np.concatenate(found)
-        other = tied_rows != tied_cols
+        tied_cols = np.concatenate(found).astype(np.intp)
+        other = tied_cols != me[tied_rows]
         tied_rows, tied_cols = tied_rows[other], tied_cols[other]
         # rank these samples' candidates by (squared distance, index), keep k
-        order = np.lexsort((tied_cols, _pair_sqdist(Z, tied_rows, tied_cols), tied_rows))
+        sq = _pair_sqdist(Z, queries[tied_rows], refs[tied_cols])
+        order = np.lexsort((tied_cols, sq, tied_rows))
         ranked = tied_rows[order]
         keep = order[np.arange(order.size) - np.searchsorted(ranked, ranked) < k]
         rows = np.concatenate([rows, tied_rows[keep]])
         cols = np.concatenate([cols, tied_cols[keep]])
-    return _heat_csr(rows, cols, n, functools.partial(_pair_sqdist, Z))
+    return queries[rows], refs[cols]
 
 
 def _pair_sqdist(Z, rows, cols) -> np.ndarray:
@@ -262,81 +216,43 @@ def _pair_sqdist(Z, rows, cols) -> np.ndarray:
     return sq
 
 
-def _first_allowed(nbrs: NeighborOrder, codes, need, same: bool):
-    """(rows, cols) of each row i's first need[i] allowed samples in the
-    neighbor order: those of its own class but itself when `same`, else
-    those of another class. need[i] must not exceed what row i allows.
-
-    The order is read in column chunks that double in width, and only for
-    the rows still short of neighbors.
-    """
-    rows = np.flatnonzero(need)
-    short = need[rows]
-    picked_rows, picked_cols = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
-    lo, width = 0, int(short.max(initial=0)) + 1
-    while rows.size:
-        cols = nbrs.order[rows, lo:lo + width]
-        if same:
-            ok = (np.take(codes, cols) == codes[rows, None]) & (cols != rows[:, None])
-        else:
-            ok = np.take(codes, cols) != codes[rows, None]
-        found = np.count_nonzero(ok, axis=1)
-        # only rows that found more than they need rank what they found
-        over = np.flatnonzero(found > short)
-        if over.size:
-            ok[over] &= np.cumsum(ok[over], axis=1, dtype=np.int32) <= short[over, None]
-        flat = np.flatnonzero(ok)
-        picked_rows.append(rows[flat // ok.shape[1]])
-        picked_cols.append(cols.ravel()[flat].astype(np.intp))
-        short = short - found
-        left = short > 0
-        rows, short = rows[left], short[left]
-        lo, width = lo + width, 2 * width
-    return np.concatenate(picked_rows), np.concatenate(picked_cols)
+def tree_knn_heat_graph(X, k: int) -> sp.csr_array:
+    """`knn_heat_graph` over every pair of samples of X but self, bit for
+    bit, with no n x n distances: each sample keeps its min(k, n - 1)
+    nearest others found by `_knn_pairs`, ties to the lowest index."""
+    Z = as_features(X).data
+    everyone = np.arange(Z.shape[1])
+    return _heat_csr(Z, *_knn_pairs(Z, everyone, everyone, k, exclude_self=True))
 
 
-def _label_classes(nbrs: NeighborOrder, labels):
-    """Each sample's class code and class size."""
+def _class_graph(X, labels, k: int, same: bool) -> WeightedGraph:
+    """The heat graph of each sample's k nearest samples of its own class
+    but itself when `same`, else of the other classes, searched class by
+    class."""
+    Z = as_features(X).data
     labels = np.asarray(labels, dtype=np.int64).ravel()
-    if labels.shape[0] != nbrs.n:
+    if labels.shape[0] != Z.shape[1]:
         raise ValueError("labels length must equal the sample count")
-    _, codes, sizes = np.unique(labels, return_inverse=True, return_counts=True)
-    return codes, sizes[codes]
+    pairs = []
+    for label in np.unique(labels):
+        members = np.flatnonzero(labels == label)
+        refs = members if same else np.flatnonzero(labels != label)
+        pairs.append(_knn_pairs(Z, members, refs, k, exclude_self=same))
+    return WeightedGraph(_heat_csr(Z, *map(np.concatenate, zip(*pairs))))
 
 
-def _order_graph(nbrs: NeighborOrder, codes, need, same: bool) -> WeightedGraph:
-    """The heat graph of `_first_allowed`'s pairs."""
-    rows, cols = _first_allowed(nbrs, codes, need, same)
-    D = nbrs.sqdist
-    # the larger squared distance of the two directions, so the smaller
-    # weight, as `knn_heat_graph` takes it
-    return WeightedGraph(_heat_csr(rows, cols, nbrs.n,
-                                   lambda r, c: np.maximum(D[r, c], D[c, r])))
+def build_intrinsic_graph(X, labels, k_w: int) -> WeightedGraph:
+    """Connect each sample of X to its k_w nearest same-label neighbors,
+    k_w clamped per class to the class size minus one."""
+    return _class_graph(X, labels, k_w, same=True)
 
 
-def build_intrinsic_graph(nbrs: NeighborOrder, labels, k_w: int) -> WeightedGraph:
-    """Connect each sample to its k_w nearest same-label neighbors.
-
-    `nbrs` holds the squared distances between the samples. k_w is clamped
-    per class to the class size minus one.
-    """
-    codes, sizes = _label_classes(nbrs, labels)
-    return _order_graph(nbrs, codes, np.minimum(max(int(k_w), 0), sizes - 1), same=True)
-
-
-def build_penalty_graph(nbrs: NeighborOrder, labels, k_b: int) -> WeightedGraph:
-    """Connect each sample to its k_b nearest different-label neighbors.
-
-    `nbrs` holds the squared distances between the samples. With a single
-    class present there are no cross-class pairs; an empty graph is
-    returned and a warning is emitted.
-    """
-    codes, sizes = _label_classes(nbrs, labels)
-    if np.all(sizes == nbrs.n):
+def build_penalty_graph(X, labels, k_b: int) -> WeightedGraph:
+    """Connect each sample of X to its k_b nearest different-label neighbors;
+    with a single class present the graph is empty, with a warning."""
+    if np.unique(labels).size == 1:
         warnings.warn("penalty graph is empty: only one class present")
-        return WeightedGraph(sp.csr_array((nbrs.n, nbrs.n)))
-    return _order_graph(nbrs, codes, np.minimum(max(int(k_b), 0), nbrs.n - sizes),
-                        same=False)
+    return _class_graph(X, labels, k_b, same=False)
 
 
 def _degrees(G: WeightedGraph) -> np.ndarray:
@@ -351,23 +267,23 @@ def _sandwich(X, G: WeightedGraph) -> np.ndarray:
     return (S + S.T) / 2.0
 
 
-def locality_scatters(X, nbrs: NeighborOrder, labels, hyper: Hyperparams):
-    """(S_w, S_b) of one domain: its intrinsic and penalty graphs sandwiched."""
-    return (_sandwich(X, build_intrinsic_graph(nbrs, labels, hyper.k_w)),
-            _sandwich(X, build_penalty_graph(nbrs, labels, hyper.k_b)))
+def locality_scatters(X, labels, hyper: Hyperparams):
+    """(S_w, S_b) of one domain's samples X: its intrinsic and penalty
+    graphs under `labels`, sandwiched."""
+    return (_sandwich(X, build_intrinsic_graph(X, labels, hyper.k_w)),
+            _sandwich(X, build_penalty_graph(X, labels, hyper.k_b)))
 
 
-def scatter_matrices(X_s, nbrs_s: NeighborOrder, labels_s, X_u, nbrs_u: NeighborOrder,
-                     pseudo_labels_u, hyper: Hyperparams) -> ScatterSet:
+def scatter_matrices(X_s, labels_s, X_u, pseudo_labels_u, hyper: Hyperparams) -> ScatterSet:
     """Build all four graph scatter matrices and the target covariance.
 
     Source graphs use the ground-truth labels, target graphs the current
-    pseudo labels; `nbrs_*` hold the squared distances within each domain
-    (`pairwise_sqdist`). S_h_u = X_u (I - 11^T/n_u) X_u^T.
+    pseudo labels; each is searched from the domain's samples.
+    S_h_u = X_u (I - 11^T/n_u) X_u^T.
     """
     X_u = as_features(X_u)
-    S_w_s, S_b_s = locality_scatters(X_s, nbrs_s, labels_s, hyper)
-    S_w_u, S_b_u = locality_scatters(X_u, nbrs_u, pseudo_labels_u, hyper)
+    S_w_s, S_b_s = locality_scatters(X_s, labels_s, hyper)
+    S_w_u, S_b_u = locality_scatters(X_u, pseudo_labels_u, hyper)
 
     centered = X_u.data - X_u.data.mean(axis=1, keepdims=True)
     S_h_u = centered @ centered.T

@@ -18,7 +18,7 @@ from scipy.sparse.linalg import splu
 from scipy.spatial.distance import cdist  # noqa: F401
 
 from . import graph
-from .core import FeatureMatrix, Hyperparams, LabeledDataset, as_features
+from .core import Hyperparams, LabeledDataset, _fresh_features, as_features
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def classify(train: LabeledDataset, test, hyper: Hyperparams) -> np.ndarray:
         raise ValueError(
             f"train dimensionality {train.features.dim} != test {test.dim}"
         )
-    joint = FeatureMatrix(np.hstack([train.features.data, test.data]))
+    joint = _fresh_features(np.hstack([train.features.data, test.data]))
     S = similarity_matrix(joint, k=hyper.k_w)
     n_train = train.n
     Y0 = np.zeros((joint.n, train.num_classes))

@@ -33,6 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .core import _freeze
+
 # solve_qp's cap on active-set steps
 MAX_STEPS = 500
 
@@ -46,15 +48,12 @@ class LandmarkWeights:
     delta: float
 
     def __post_init__(self):
-        alpha = np.ascontiguousarray(self.alpha, dtype=np.float64).ravel()
-        beta = np.ascontiguousarray(self.beta, dtype=np.float64).ravel()
+        alpha, beta = _freeze(self.alpha).ravel(), _freeze(self.beta).ravel()
         for name, w in (("alpha", alpha), ("beta", beta)):
             if not np.isfinite(w).all():
                 raise ValueError(f"{name} entries must be finite")
             if w.size and (w.min() < -1e-12 or w.max() > 1.0 + 1e-12):
                 raise ValueError(f"{name} entries must lie in [0, 1]")
-        alpha.setflags(write=False)
-        beta.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
 

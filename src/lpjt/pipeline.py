@@ -145,20 +145,14 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
     if hyper.d > d_s + d_t:
         raise ValueError(f"subspace dim {hyper.d} exceeds d_s + d_t = {d_s + d_t}")
 
-    # the graph distances of each domain and their neighbor order, fixed for
-    # the whole fit; the source graphs are built once, so its distances are
-    # let go after that
-    nbrs_s = graph.NeighborOrder(graph.pairwise_sqdist(Xs))
-    nbrs_u = graph.NeighborOrder(graph.pairwise_sqdist(Xu))
     weights = landmark.uniform_weights(n_s, n_u, hyper.delta)
-    scat = graph.scatter_matrices(Xs, nbrs_s, y_s, Xu, nbrs_u, labels_cur, hyper)
-    del nbrs_s
+    scat = graph.scatter_matrices(Xs, y_s, Xu, labels_cur, hyper)
 
     objective_tr, mmd_tr, change_tr = [], [], []
     A = B = None
     for it in range(hyper.T):
         if it > 0:
-            S_w_u, S_b_u = graph.locality_scatters(Xu, nbrs_u, labels_cur, hyper)
+            S_w_u, S_b_u = graph.locality_scatters(Xu, labels_cur, hyper)
             scat = dataclasses.replace(scat, S_w_u=S_w_u, S_b_u=S_b_u)
         coeffs = mmd.build_coeffs(weights.alpha, weights.beta, y_s, labels_cur,
                                   hyper.delta, C)

@@ -12,7 +12,7 @@ from scipy.spatial.distance import cdist
 from lpjt.core import FeatureMatrix, Hyperparams, LabeledDataset, zscore_normalize
 from lpjt.dataio import load_labeled, synth_hetero_map, synth_rotated
 from lpjt.eigsolve import EigProblem, assemble_problem, solve
-from lpjt.graph import NeighborOrder, pairwise_sqdist, scatter_matrices
+from lpjt.graph import scatter_matrices
 from lpjt.labelprop import closed_form, propagate, similarity_matrix
 from lpjt.landmark import build_qp, check_feasible, solve_qp
 from lpjt.mmd import (
@@ -270,8 +270,7 @@ def test_08_span_map_keeps_primal_optimum():
         coeffs = build_coeffs(alpha, beta, ys, yu, 0.5, C)
 
         def problem(Xs, Xu):
-            scat = scatter_matrices(Xs, NeighborOrder(pairwise_sqdist(Xs)), ys,
-                                    Xu, NeighborOrder(pairwise_sqdist(Xu)), yu, hyper)
+            scat = scatter_matrices(Xs, ys, Xu, yu, hyper)
             return assemble_problem(assemble_M(Xs, Xu, coeffs), scat, hyper)
 
         Q_s = _span_basis(FeatureMatrix(X_s))

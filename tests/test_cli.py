@@ -318,6 +318,21 @@ class TestDatasetErrors:
         assert f"{labeled}: labels must lie in [0, 3)" in capsys.readouterr().err
 
 
+    def test_source_missing_a_middle_class_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(synth_args(data, n=5)) == 0
+        source = data / "source.csv"
+        X, y = read_dataset(source)
+        keep = y != 1
+        write_dataset(source, X.data[:, keep], y[keep])
+        cfg = write_config(tmp_path / "c.cfg", source=source,
+                           target_unlabeled=data / "target.csv", output_dir=tmp_path / "run")
+        assert main(["fit", "--config", cfg]) == 2
+        assert ("config error: class 1 of the 3 declared has no labeled sample in the "
+                "source or the labeled target") in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
 class TestConfig:
     def test_unknown_key_named_in_error(self, tmp_path):
         path = write_config(tmp_path / "c.cfg", gamma=0.1, not_a_key=3)

@@ -4,10 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from lpjt.landmark import LandmarkWeights
 from lpjt.core import (
     FeatureMatrix,
     Hyperparams,
     LabeledDataset,
+    SubspaceModel,
+    TrainTrace,
     apply_zscore,
     unit_normalize,
     validate_pair,
@@ -32,6 +35,43 @@ class TestFeatureMatrix:
         X = FeatureMatrix(np.ones((2, 2)))
         with pytest.raises(ValueError):
             X.data[0, 0] = 5.0
+
+
+# each type with one of its stored arrays, built from a caller's array
+# whose first entry is 1
+STORED = {
+    "FeatureMatrix": (lambda a: FeatureMatrix(a).data, lambda: np.ones((2, 3))),
+    "LabeledDataset": (lambda a: LabeledDataset(FeatureMatrix(np.ones((1, 3))), a, 3).labels,
+                       lambda: np.array([1, 2, 0])),
+    "TrainTrace": (lambda a: TrainTrace(objective=a).objective, lambda: np.ones(3)),
+    "SubspaceModel.A": (lambda a: SubspaceModel(A=a, B=np.ones((2, 3)), cfg=None).A,
+                        lambda: np.ones((2, 3))),
+    "SubspaceModel.B": (lambda a: SubspaceModel(A=np.ones((2, 3)), B=a, cfg=None).B,
+                        lambda: np.ones((2, 3))),
+    "LandmarkWeights": (lambda a: LandmarkWeights(a, np.ones(2), 0.5).alpha,
+                        lambda: np.ones(3)),
+}
+
+
+class TestStoredArrays:
+    @pytest.mark.parametrize("name", sorted(STORED))
+    def test_caller_array_stays_writeable_and_apart(self, name):
+        store, make = STORED[name]
+        a = make()
+        stored = store(a)
+        assert a.flags.writeable and not stored.flags.writeable
+        first = (0,) * a.ndim
+        with pytest.raises(ValueError):
+            stored[first] = 0
+        a[first] = 0
+        assert stored[first] == 1
+
+    @pytest.mark.parametrize("name", sorted(STORED))
+    def test_read_only_array_shared_without_a_copy(self, name):
+        store, make = STORED[name]
+        a = make()
+        a.setflags(write=False)
+        assert np.shares_memory(store(a), a)
 
 
 class TestZscore:
@@ -120,6 +160,16 @@ class TestValidatePair:
         src = _dataset(4, 3, [0, 1, 2], 3)
         tgt = validate_pair(src, src.features, src)
         assert tgt is src.features and tgt.dim == src.features.dim
+
+    def test_class_without_labeled_sample_rejected(self):
+        src = _dataset(4, 6, [0, 0, 2, 2, 4, 4], 5)
+        with pytest.raises(ValueError, match=r"^class 1, 3 of the 5 declared has no labeled "):
+            validate_pair(src, np.ones((4, 5)))
+        # a class the labeled targets hold is enough
+        tgt_l = _dataset(3, 2, [1, 3], 5)
+        assert validate_pair(src, np.ones((3, 5)), tgt_l).n == 5
+        with pytest.raises(ValueError, match=r"^class 3 of the 5 declared"):
+            validate_pair(src, np.ones((3, 5)), _dataset(3, 2, [1, 1], 5))
 
     def test_never_mutates(self):
         src = _dataset(4, 3, [0, 1, 2], 3)

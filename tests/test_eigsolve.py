@@ -10,7 +10,7 @@ from lpjt.eigsolve import (
     solve,
     split_projection,
 )
-from lpjt.graph import NeighborOrder, ScatterSet, pairwise_sqdist, scatter_matrices
+from lpjt.graph import ScatterSet, scatter_matrices
 from lpjt.mmd import MmdBlocks, assemble_M, build_coeffs, mmd_value
 
 
@@ -67,8 +67,7 @@ class TestAssemble:
         d_s, d_t, d = X_s.shape[0], X_u.shape[0], 2
         delta, C = 0.5, 2
         hyper = Hyperparams(gamma=0.3, mu=0.2, delta=delta, eps_reg=1e-9)
-        scat = scatter_matrices(X_s, NeighborOrder(pairwise_sqdist(X_s)), ys,
-                                X_u, NeighborOrder(pairwise_sqdist(X_u)), yu, hyper)
+        scat = scatter_matrices(X_s, ys, X_u, yu, hyper)
         coeffs = build_coeffs(alpha, beta, ys, yu, delta, C)
         blocks = assemble_M(X_s, X_u, coeffs)
         prob = assemble_problem(blocks, scat, hyper)
@@ -144,8 +143,7 @@ class TestSolve:
     def test_ridge_halving_barely_moves_eigenvalues(self):
         X_s, X_u, ys, yu, alpha, beta = instance_for_assembly(21)
         hyper = Hyperparams(gamma=0.3, mu=0.2)
-        scat = scatter_matrices(X_s, NeighborOrder(pairwise_sqdist(X_s)), ys,
-                                X_u, NeighborOrder(pairwise_sqdist(X_u)), yu, hyper)
+        scat = scatter_matrices(X_s, ys, X_u, yu, hyper)
         blocks = assemble_M(X_s, X_u, build_coeffs(alpha, beta, ys, yu, 0.5, 2))
         prob = assemble_problem(blocks, scat, hyper)
         half = Hyperparams(gamma=0.3, mu=0.2, eps_reg=prob.eps_used / 2)
@@ -190,8 +188,7 @@ class TestCoupling:
         blocks = assemble_M(X_s, X_u, build_coeffs(alpha, beta, ys, yu, 0.5, 2))
         scale = np.linalg.norm(blocks.M_ss, 2)
         hyper = Hyperparams(gamma=0.3, mu=0.2, lambda_couple=1e6 * scale)
-        scat = scatter_matrices(X_s, NeighborOrder(pairwise_sqdist(X_s)), ys,
-                                X_u, NeighborOrder(pairwise_sqdist(X_u)), yu, hyper)
+        scat = scatter_matrices(X_s, ys, X_u, yu, hyper)
         prob = assemble_problem(blocks, scat, hyper, homogeneous=True)
         A, B = split_projection(solve(prob, 2).P, 4, 4)
         assert np.linalg.norm(A - B) / np.linalg.norm(A) <= 1e-2

@@ -12,7 +12,6 @@ from scipy.spatial.distance import cdist
 from lpjt import graph
 from lpjt.core import Hyperparams
 from lpjt.graph import (
-    NeighborOrder,
     WeightedGraph,
     build_intrinsic_graph,
     build_penalty_graph,
@@ -22,10 +21,6 @@ from lpjt.graph import (
     scatter_matrices,
     tree_knn_heat_graph,
 )
-
-
-def neighbors(X):
-    return NeighborOrder(pairwise_sqdist(X))
 
 
 def brute_force_knn(X, k, connects):
@@ -147,20 +142,33 @@ def assert_same_csr(W, expected):
 
 
 def assert_builders_match_oracle(X, labels, k):
-    """Both order-based builders against `knn_heat_graph` over
-    `pairwise_sqdist`, with the same-label mask (diagonal cleared) and the
-    other-label mask, bit for bit."""
+    """Both builders against `knn_heat_graph` over `pairwise_sqdist`, with
+    the same-label mask (diagonal cleared) and the other-label mask, bit for
+    bit. Where squared distances overflow, every weight is 0 and the oracle
+    ties them all to the lowest index while the builders keep each sample's
+    true nearest: there the dense matrices equal the oracle's, and the
+    stored pattern equals the oracle's on X scaled by an exact power of two."""
     D = pairwise_sqdist(X)
-    nbrs = NeighborOrder(D)
     same = labels[:, None] == labels[None, :]
-    assert_same_csr(build_intrinsic_graph(nbrs, labels, k).W,
-                    knn_heat_graph(D, same & ~np.eye(labels.size, dtype=bool), k))
+    masks = {build_intrinsic_graph: same & ~np.eye(labels.size, dtype=bool),
+             build_penalty_graph: ~same}
     if same.all():
         with pytest.warns(UserWarning, match="one class"):
-            g = build_penalty_graph(nbrs, labels, k)
+            g = build_penalty_graph(X, labels, k)
         assert g.W.shape == D.shape and g.W.nnz == 0
-    else:
-        assert_same_csr(build_penalty_graph(nbrs, labels, k).W, knn_heat_graph(D, ~same, k))
+        del masks[build_penalty_graph]
+    for build, allowed in masks.items():
+        W, expected = build(X, labels, k).W, knn_heat_graph(D, allowed, k)
+        if np.isfinite(D).all():
+            assert_same_csr(W, expected)
+            continue
+        assert np.all(W.data == 0.0) and np.all(expected.data == 0.0)
+        assert np.array_equal(W.toarray(), expected.toarray())
+        D_scaled = pairwise_sqdist(np.ldexp(X, -540))
+        assert np.isfinite(D_scaled).all() and W.has_canonical_format
+        scaled = knn_heat_graph(D_scaled, allowed, k)
+        assert np.array_equal(W.indptr, scaled.indptr)
+        assert np.array_equal(W.indices, scaled.indices)
 
 
 def order_instance(kind, n, seed=0, d=3):
@@ -186,8 +194,9 @@ ORDER_CASES = [(kind, n, k) for kind in ("random", "rounded", "duplicated", "gri
 
 
 class TestOrderBuilders:
-    """`build_intrinsic_graph` and `build_penalty_graph` read neighbors off
-    a `NeighborOrder`; `knn_heat_graph` over the dense masks is their oracle."""
+    """`build_intrinsic_graph` and `build_penalty_graph` search each class's
+    neighbors in the samples; `knn_heat_graph` over the dense masks is their
+    oracle."""
 
     @pytest.mark.parametrize("kind,n,k", ORDER_CASES)
     def test_equal_to_dense_builder(self, kind, n, k):
@@ -211,48 +220,24 @@ class TestOrderBuilders:
                                                min_size=X.shape[1], max_size=X.shape[1])))
         assert_builders_match_oracle(X, labels, k)
 
-    @pytest.mark.parametrize("kind", ["random", "duplicated", "grid"])
-    def test_order_ranks_by_distance_then_index(self, kind):
-        for n, dtype in ((40, np.uint8), (300, np.uint16)):
-            X, _ = order_instance(kind, n)
-            D = pairwise_sqdist(X)
-            order = NeighborOrder(D).order
-            assert order.dtype == dtype
-            assert np.array_equal(order, np.argsort(D, axis=1, kind="stable"))
+    def test_rejects_mismatched_inputs(self):
+        for build in (build_intrinsic_graph, build_penalty_graph):
+            with pytest.raises(ValueError, match="labels length"):
+                build(np.zeros((1, 3)), [0, 1], 1)
 
-    def test_order_computed_on_first_use_only(self, monkeypatch):
-        calls, rank_rows = [], graph._rank_rows
-
-        def counting(sqdist):
-            calls.append(sqdist.shape)
-            return rank_rows(sqdist)
-
-        monkeypatch.setattr(graph, "_rank_rows", counting)
-        X, labels = order_instance("random", 30)
-        nbrs = neighbors(X)
-        assert calls == []
-        for k in (1, 3):
-            build_intrinsic_graph(nbrs, labels, k)
-            build_penalty_graph(nbrs, labels, k)
-        assert calls == [(30, 30)]
-
-    def test_order_memory_below_half_a_dense_matrix(self):
+    @pytest.mark.parametrize("build", [build_intrinsic_graph, build_penalty_graph])
+    def test_memory_below_an_eighth_of_a_dense_matrix(self, build):
         n = 2000
-        nbrs = neighbors(np.random.default_rng(0).normal(size=(2, n)))
+        rng = np.random.default_rng(0)
+        X, labels = rng.normal(size=(3, n)), rng.integers(0, 10, n)
         tracemalloc.start()
         try:
-            nbrs.order
+            build(X, labels, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # half of one n x n float64 array (32 MB)
-        assert peak < n * n * 8 / 2
-
-    def test_rejects_mismatched_inputs(self):
-        with pytest.raises(ValueError, match="square"):
-            NeighborOrder(np.zeros((2, 3)))
-        with pytest.raises(ValueError, match="labels length"):
-            build_intrinsic_graph(neighbors(np.zeros((1, 3))), [0, 1], 1)
+        # an eighth of one n x n float64 array (4 MB)
+        assert peak < n * n * 8 / 8
 
 
 class TestPairwiseSqdist:
@@ -294,19 +279,19 @@ class TestWeightedGraph:
 class TestIntrinsicGraph:
     def test_two_samples_same_label(self):
         X = np.array([[0.0, 1.0]])
-        g = build_intrinsic_graph(neighbors(X), [0, 0], k_w=1)
+        g = build_intrinsic_graph(X, [0, 0], k_w=1)
         assert_allclose(g.W.toarray()[0, 1], np.exp(-0.5))
         assert g.W.toarray()[0, 0] == 0.0
 
     def test_two_samples_different_labels(self):
-        g = build_intrinsic_graph(neighbors(np.array([[0.0, 1.0]])), [0, 1], k_w=1)
+        g = build_intrinsic_graph(np.array([[0.0, 1.0]]), [0, 1], k_w=1)
         assert np.all(g.W.toarray() == 0.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(2, 6))
         labels = np.array([0, 0, 0, 1, 1, 1])
-        g = build_intrinsic_graph(neighbors(X), labels, k_w=1)
+        g = build_intrinsic_graph(X, labels, k_w=1)
         assert np.array_equal(g.W.toarray() > 0, brute_force_same_label(X, labels, 1))
 
     @pytest.mark.parametrize("seed", range(5))
@@ -314,7 +299,7 @@ class TestIntrinsicGraph:
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(3, 20))
         labels = rng.integers(0, 3, 20)
-        g = build_intrinsic_graph(neighbors(X), labels, k_w=2)
+        g = build_intrinsic_graph(X, labels, k_w=2)
         assert np.array_equal(g.W.toarray() > 0, brute_force_same_label(X, labels, 2))
 
     @pytest.mark.parametrize("kind,seed,k", TIE_CASES)
@@ -322,7 +307,7 @@ class TestIntrinsicGraph:
         # k = 30 exceeds every class's candidate count
         X, labels = tie_heavy_instance(kind, seed)
         D = pairwise_sqdist(X)
-        g = build_intrinsic_graph(NeighborOrder(D), labels, k_w=k)
+        g = build_intrinsic_graph(X, labels, k_w=k)
         adj = brute_force_same_label(X, labels, k)
         assert np.array_equal(g.W.toarray() > 0, adj)
         assert np.array_equal(g.W.toarray()[adj], np.exp(-D[adj] / 2.0))
@@ -330,14 +315,14 @@ class TestIntrinsicGraph:
 
     def test_k_clamped_to_class_size(self):
         X = np.array([[0.0, 1.0, 2.0]])
-        g = build_intrinsic_graph(neighbors(X), [0, 0, 0], k_w=10)
+        g = build_intrinsic_graph(X, [0, 0, 0], k_w=10)
         assert np.count_nonzero(g.W.toarray()) > 0   # no crash, edges capped at n_c - 1
 
     def test_edges_only_within_classes(self):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(2, 15))
         labels = rng.integers(0, 2, 15)
-        g = build_intrinsic_graph(neighbors(X), labels, k_w=3)
+        g = build_intrinsic_graph(X, labels, k_w=3)
         for i in range(15):
             for j in range(15):
                 if g.W.toarray()[i, j] > 0:
@@ -346,12 +331,12 @@ class TestIntrinsicGraph:
 
 class TestPenaltyGraph:
     def test_two_samples_one_edge(self):
-        g = build_penalty_graph(neighbors(np.array([[0.0, 1.0]])), [0, 1], k_b=1)
+        g = build_penalty_graph(np.array([[0.0, 1.0]]), [0, 1], k_b=1)
         assert g.W.toarray()[0, 1] > 0
 
     def test_single_class_empty_with_warning(self):
         with pytest.warns(UserWarning, match="one class"):
-            g = build_penalty_graph(neighbors(np.array([[0.0, 1.0]])), [0, 0], k_b=1)
+            g = build_penalty_graph(np.array([[0.0, 1.0]]), [0, 0], k_b=1)
         assert g.W.shape == (2, 2) and g.W.nnz == 0
 
     @pytest.mark.parametrize("seed", range(5))
@@ -359,7 +344,7 @@ class TestPenaltyGraph:
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(2, 6))
         labels = np.array([0, 1, 0, 1, 0, 1])
-        g = build_penalty_graph(neighbors(X), labels, k_b=1)
+        g = build_penalty_graph(X, labels, k_b=1)
         assert np.array_equal(g.W.toarray() > 0, brute_force_diff_label(X, labels, 1))
 
     @pytest.mark.parametrize("kind,seed,k", TIE_CASES)
@@ -367,7 +352,7 @@ class TestPenaltyGraph:
         # k = 30 exceeds every sample's candidate count
         X, labels = tie_heavy_instance(kind, seed)
         D = pairwise_sqdist(X)
-        g = build_penalty_graph(NeighborOrder(D), labels, k_b=k)
+        g = build_penalty_graph(X, labels, k_b=k)
         adj = brute_force_diff_label(X, labels, k)
         assert np.array_equal(g.W.toarray() > 0, adj)
         assert np.array_equal(g.W.toarray()[adj], np.exp(-D[adj] / 2.0))
@@ -376,7 +361,7 @@ class TestPenaltyGraph:
         rng = np.random.default_rng(12)
         X = rng.normal(size=(2, 15))
         labels = rng.integers(0, 3, 15)
-        g = build_penalty_graph(neighbors(X), labels, k_b=2)
+        g = build_penalty_graph(X, labels, k_b=2)
         for i in range(15):
             for j in range(15):
                 if g.W.toarray()[i, j] > 0:
@@ -404,11 +389,10 @@ class TestLocalityScatters:
             labels = rng.integers(0, 3, 20)
         else:
             X, labels = tie_heavy_instance(kind, seed)
-        nbrs = neighbors(X)
         hyper = Hyperparams(k_w=3, k_b=2)
-        S_w, S_b = locality_scatters(X, nbrs, labels, hyper)
-        for S, g in ((S_w, build_intrinsic_graph(nbrs, labels, hyper.k_w)),
-                     (S_b, build_penalty_graph(nbrs, labels, hyper.k_b))):
+        S_w, S_b = locality_scatters(X, labels, hyper)
+        for S, g in ((S_w, build_intrinsic_graph(X, labels, hyper.k_w)),
+                     (S_b, build_penalty_graph(X, labels, hyper.k_b))):
             assert g.W.nnz > 0
             oracle = self.edge_sum(X, g.W)
             assert np.max(np.abs(S - oracle)) <= 1e-12 * np.abs(oracle).max()
@@ -430,23 +414,20 @@ class TestScatterMatrices:
         X_u = rng.normal(size=(3, 10))
         X_u -= X_u.mean(axis=1, keepdims=True)
         X_s, ys, _, yu = self._build()
-        S = scatter_matrices(X_s, neighbors(X_s), ys, X_u, neighbors(X_u), yu[:10],
-                             Hyperparams())
+        S = scatter_matrices(X_s, ys, X_u, yu[:10], Hyperparams())
         assert_allclose(S.S_h_u, X_u @ X_u.T, atol=1e-10)
 
     def test_single_target_sample_zero_covariance(self):
         X_s, ys, _, _ = self._build()
         with pytest.warns(UserWarning):
-            S = scatter_matrices(X_s, neighbors(X_s), ys, np.ones((4, 1)), NeighborOrder(np.zeros((1, 1))),
-                                 [0], Hyperparams())
+            S = scatter_matrices(X_s, ys, np.ones((4, 1)), [0], Hyperparams())
         assert_allclose(S.S_h_u, 0.0)
 
     def test_covariance_against_two_pass_oracle(self):
         rng = np.random.default_rng(14)
         X_u = rng.normal(size=(4, 12))
         X_s, ys, _, yu = self._build()
-        S = scatter_matrices(X_s, neighbors(X_s), ys, X_u, neighbors(X_u), yu,
-                             Hyperparams())
+        S = scatter_matrices(X_s, ys, X_u, yu, Hyperparams())
         mean = X_u.mean(axis=1)
         oracle = sum(
             np.outer(X_u[:, j] - mean, X_u[:, j] - mean) for j in range(12)
@@ -455,8 +436,7 @@ class TestScatterMatrices:
 
     def test_all_symmetric_and_psd(self):
         X_s, ys, X_u, yu = self._build(seed=15)
-        S = scatter_matrices(X_s, neighbors(X_s), ys, X_u, neighbors(X_u), yu,
-                             Hyperparams())
+        S = scatter_matrices(X_s, ys, X_u, yu, Hyperparams())
         for M in (S.S_w_s, S.S_b_s, S.S_w_u, S.S_b_u, S.S_h_u):
             assert np.max(np.abs(M - M.T)) <= 1e-10
             assert np.linalg.eigvalsh(M).min() >= -1e-8

@@ -1,5 +1,6 @@
 import dataclasses
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -184,18 +185,34 @@ class TestFitBasics:
         assert model.trace.mmd.shape == (3,)
         assert model.trace.label_changes.shape == (3,)
 
-    def test_graph_distances_computed_once_per_domain(self, monkeypatch):
-        calls = []
+    def test_fit_computes_no_distance_matrix(self, monkeypatch):
+        # every graph comes from the tree search over the samples
+        def never(*args, **kwargs):
+            raise AssertionError("fit computed a distance matrix")
 
-        def counting_cdist(*args, **kwargs):
-            calls.append(args[0].shape)
-            return cdist(*args, **kwargs)
-
-        monkeypatch.setattr(graph, "cdist", counting_cdist)
+        for module, name in ((graph, "cdist"), (graph, "pairwise_sqdist"),
+                             (graph, "knn_heat_graph"), (pipeline, "cdist"),
+                             (pipeline.labelprop, "cdist")):
+            monkeypatch.setattr(module, name, never)
         Xs, ys, Xt, _ = synth_rotated(20, 3, 0)
         src = LabeledDataset(FeatureMatrix(Xs), ys, 3)
-        fit(src, Xt, None, FitConfig(hyper=Hyperparams(d=2, T=3)))
-        assert calls == [(60, 2), (60, 2)]
+        model = fit(src, Xt, None, FitConfig(hyper=Hyperparams(d=2, T=3)))
+        predict(model, src, Xt)
+
+    def test_fit_memory_below_one_dense_matrix(self):
+        # hetero-large's shape: 600 source and 591 unlabeled target samples
+        Xs, ys, Xt, yt = synth_hetero_map(200, 3, 0)
+        Xu, labeled = labeled_split(Xt, yt)
+        src = LabeledDataset(FeatureMatrix(Xs), ys, 3)
+        cfg = FitConfig(hyper=Hyperparams(d=2, T=5), mode="semisupervised")
+        tracemalloc.start()
+        try:
+            fit(src, Xu, labeled, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one n x n float64 array of the larger domain
+        assert peak < Xs.shape[1] ** 2 * 8
 
     def test_refresh_reaches_traced_module_attributes(self, monkeypatch):
         # the bench's mmd.* and graph.* layers wrap these module attributes
@@ -216,34 +233,14 @@ class TestFitBasics:
             counting(module, name)
         Xs, ys, Xt, _ = synth_rotated(20, 3, 0)
         src = LabeledDataset(FeatureMatrix(Xs), ys, 3)
-        fit(src, Xt, None, FitConfig(hyper=Hyperparams(d=2, T=3)))
-        assert calls["solve"] == 3
-        # the MMD blocks and the target's graphs once per iteration, the
-        # source's graphs once
-        assert calls["build_coeffs"] == calls["assemble_M"] == calls["solve"]
-        assert calls["build_intrinsic_graph"] == calls["build_penalty_graph"] == 3 + 1
-
-    def test_neighbor_order_computed_once_per_domain(self, monkeypatch):
-        sorts, solves = [], []
-        rank_rows, solve = graph._rank_rows, eigsolve.solve
-
-        def counting_sort(sqdist):
-            sorts.append(sqdist.shape)
-            return rank_rows(sqdist)
-
-        def counting_solve(*args):
-            solves.append(1)
-            return solve(*args)
-
-        monkeypatch.setattr(graph, "_rank_rows", counting_sort)
-        monkeypatch.setattr(eigsolve, "solve", counting_solve)
-        Xs, ys, Xt, _ = synth_rotated(20, 3, 0)
-        src = LabeledDataset(FeatureMatrix(Xs), ys, 3)
         for T in (1, 3, 6):
-            sorts.clear()
+            calls.clear()
             fit(src, Xt, None, FitConfig(hyper=Hyperparams(d=2, T=T)))
-            assert sorts == [(60, 60), (60, 60)]
-        assert len(solves) == 1 + 3 + 6
+            assert calls["solve"] == T
+            # the MMD blocks and the target's graphs once per iteration, the
+            # source's graphs once
+            assert calls["build_coeffs"] == calls["assemble_M"] == calls["solve"]
+            assert calls["build_intrinsic_graph"] == calls["build_penalty_graph"] == T + 1
 
     def test_final_weights_feasible(self):
         Xs, ys, Xt, _ = synth_rotated(30, 3, 0)
@@ -364,6 +361,17 @@ class TestAdaptationQuality:
                             (labeled, "unsupervised")):
             with pytest.raises(ValueError, match=message):
                 fit(src, Xu, tgt_l, FitConfig(hyper=Hyperparams(d=2, T=2), mode=mode))
+
+    def test_declared_class_without_labeled_sample_refused_first(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("work started before the refusal")
+
+        monkeypatch.setattr(pipeline.labelprop, "classify", never)
+        monkeypatch.setattr(eigsolve, "solve", never)
+        Xs, ys, Xt, _ = synth_rotated(10, 3, 0)
+        src = LabeledDataset(FeatureMatrix(Xs), ys, 4)
+        with pytest.raises(ValueError, match="^class 3 of the 4 declared has no labeled sample"):
+            fit(src, Xt, None, FitConfig(hyper=Hyperparams(d=2, T=2)))
 
     def test_embed_norm_flag_changes_classification_path(self):
         Xs, ys, Xt, _ = synth_rotated(40, 3, 4)
