@@ -5,7 +5,10 @@ Y(t+1) = sigma * S * Y(t) + (1 - sigma) * Y(0), whose fixed point is
 (1 - sigma) (I - sigma S)^{-1} Y(0). Used for pseudo-label initialization,
 per-iteration refresh, and as the final classifier in the learned subspace.
 The k-NN graph is found by an exact k-d tree search in O(n * k) memory,
-and S stays sparse from there to the fixed-point solve.
+and S stays sparse until the fixed-point solve, which reads only the band
+of I - sigma S in reverse Cuthill-McKee order and factors it by a banded
+Cholesky. Scores within a few ulps of their row's maximum tie, and the
+lowest class among them wins.
 """
 
 import warnings
@@ -13,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg import solveh_banded
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 # unused here; bench/tracer.py wraps labelprop.cdist by name
 from scipy.spatial.distance import cdist  # noqa: F401
 
@@ -24,8 +28,21 @@ from .core import Hyperparams, LabeledDataset, _fresh_features, as_features
 @dataclass(frozen=True)
 class PropagationResult:
     soft_labels: np.ndarray     # (n, C) diffusion scores
-    hard_labels: np.ndarray     # row argmax, ties to the lowest class index
+    hard_labels: np.ndarray     # row argmax, near ties to the lowest class
     iterations_used: int
+
+
+# scores this close to their row's maximum, relative to it, tie: a few ulps,
+# the rounding by which the solve's order can split equal scores
+_TIE_RTOL = 8 * np.finfo(np.float64).eps
+
+
+def _hard_labels(Y) -> np.ndarray:
+    """Row argmax of the scores Y, where scores within `_TIE_RTOL` of the
+    row's maximum tie and the lowest class among them wins (class 0 for an
+    all-zero row)."""
+    top = Y.max(axis=1, keepdims=True)
+    return np.argmax(Y >= top - _TIE_RTOL * np.abs(top), axis=1)
 
 
 def similarity_matrix(Z, k: int) -> sp.csr_array:
@@ -75,28 +92,53 @@ def propagate(S, Y0, sigma: float, tol: float = 1e-9, max_iter: int = 1000) -> P
             break
     return PropagationResult(
         soft_labels=Y,
-        hard_labels=np.argmax(Y, axis=1),
+        hard_labels=_hard_labels(Y),
         iterations_used=iterations,
     )
 
 
 def closed_form(S, Y0, sigma: float) -> np.ndarray:
-    """Fixed point (1 - sigma) (I - sigma S)^{-1} Y0 by direct solve.
+    """Fixed point (1 - sigma) (I - sigma S)^{-1} Y0 by a banded Cholesky.
 
-    S may be dense or `scipy.sparse`; I - sigma S is factored by a sparse
-    LU (SuperLU), so a k-NN graph costs about its nonzeros plus fill, not
-    n^3. The similarity graphs are symmetric, so SuperLU runs in its
-    symmetric mode with a minimum-degree order of A + A^T (Demmel et al.,
-    SIAM J. Matrix Anal. Appl. 1999), which factors these graphs faster
-    than its default column order. It still pivots, so any S is solved
-    exactly, and the rows of a component without a seed stay exactly 0.
+    S may be dense or `scipy.sparse`, but must be exactly symmetric with a
+    zero diagonal, as every `similarity_matrix` is; otherwise ValueError.
+    For such an S with spectral radius at most 1, I - sigma S is symmetric
+    positive definite (LAPACK raises if it is not). A reverse Cuthill-McKee
+    order of the graph gathers its edges near the diagonal (George & Liu,
+    Computer Solution of Large Sparse Positive Definite Systems, 1981), the
+    lower band of I - sigma S is read from S's CSR arrays in that order, and
+    LAPACK pbsv factors and solves it in place: O(n * b^2) time and
+    (b + 1) * n numbers for a bandwidth b. Cholesky fill stays inside a
+    graph component, so the rows of a component without a seed are exactly 0.
     """
-    S = sp.csc_array(S, dtype=np.float64)
+    S = sp.csr_array(S, dtype=np.float64)
+    if not S.has_canonical_format:
+        S = S.copy()
+        S.sum_duplicates()
     Y0 = np.asarray(Y0, dtype=np.float64)
     n = S.shape[0]
-    lu = splu(sp.identity(n, format="csc") - sigma * S, permc_spec="MMD_AT_PLUS_A",
-              relax=1, panel_size=1, options=dict(SymmetricMode=True))
-    return (1.0 - sigma) * lu.solve(Y0)
+    # S's CSC arrays are the CSR arrays of its transpose, in the fresh
+    # C-contiguous index arrays that reverse_cuthill_mckee requires
+    C = S.tocsc()
+    if not all(map(np.array_equal, (S.indptr, S.indices, S.data),
+                   (C.indptr, C.indices, C.data))):
+        raise ValueError("S must be exactly symmetric")
+    row = np.repeat(np.arange(n), np.diff(S.indptr))
+    if np.any(S.data[row == S.indices]):
+        raise ValueError("S must have a zero diagonal")
+    order = reverse_cuthill_mckee(C, symmetric_mode=True)
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    row, col = rank[row], rank[S.indices]
+    lower = row > col
+    offset, col = row[lower] - col[lower], col[lower]
+    band = np.zeros((offset.max(initial=0) + 1, n), order="F")
+    band[0] = 1.0
+    band[offset, col] = -sigma * S.data[lower]
+    X = solveh_banded(band, Y0[order], lower=True, overwrite_ab=True,
+                      overwrite_b=True, check_finite=False)
+    X *= 1.0 - sigma
+    return X[rank]
 
 
 def classify(train: LabeledDataset, test, hyper: Hyperparams) -> np.ndarray:
@@ -126,4 +168,4 @@ def classify(train: LabeledDataset, test, hyper: Hyperparams) -> np.ndarray:
             "(no graph path to a labeled sample) and are given class 0",
             RuntimeWarning,
         )
-    return np.argmax(Y, axis=1)
+    return _hard_labels(Y)

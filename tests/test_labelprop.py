@@ -65,8 +65,17 @@ def random_similarity(rng, n, k=3):
 
 def dense_closed_form(S, Y0, sigma):
     """Reference fixed point by a dense LU on the densified graph."""
-    n = S.shape[0]
-    return (1.0 - sigma) * np.linalg.solve(np.eye(n) - sigma * S.toarray(), Y0)
+    A = S.toarray()
+    A *= -sigma
+    A.flat[::A.shape[0] + 1] += 1.0
+    return (1.0 - sigma) * np.linalg.solve(A, Y0)
+
+
+def random_seeds(rng, n, C=3):
+    Y0 = np.zeros((n, C))
+    labeled = rng.choice(n, size=max(1, n // 4), replace=False)
+    Y0[labeled, rng.integers(0, C, labeled.size)] = 1.0
+    return Y0
 
 
 class TestSimilarityMatrix:
@@ -170,12 +179,75 @@ class TestClosedForm:
         rng = np.random.default_rng(seed)
         n = n or int(rng.integers(5, 80))
         S = random_similarity(rng, n, k=int(rng.integers(1, 6)))
-        Y0 = np.zeros((n, 3))
-        labeled = rng.choice(n, size=max(1, n // 4), replace=False)
-        Y0[labeled, rng.integers(0, 3, labeled.size)] = 1.0
+        Y0 = random_seeds(rng, n)
         Y = closed_form(S, Y0, sigma)
         assert_allclose(Y, dense_closed_form(S, Y0, sigma), rtol=0, atol=1e-12)
         assert_label_free_rows_zero(S, Y0, Y)
+
+    def test_matches_dense_solve_on_a_wide_band(self):
+        # 2000 unit-normalized 40-D samples: their graph keeps a band of
+        # about 1000 in reverse Cuthill-McKee order
+        rng = np.random.default_rng(11)
+        Z = rng.normal(size=(40, 2000))
+        Z /= np.linalg.norm(Z, axis=0)
+        S = similarity_matrix(Z, 5)
+        Y0 = random_seeds(rng, 2000)
+        assert_allclose(closed_form(S, Y0, 0.9), dense_closed_form(S, Y0, 0.9),
+                        rtol=0, atol=1e-12)
+
+    def test_matches_dense_solve_on_the_dense_builders_graph(self):
+        # knn_heat_graph's CSR takes its indices from np.nonzero; where scipy
+        # keeps int64 indices as given, they stay a strided view, which
+        # reverse_cuthill_mckee rejects
+        rng = np.random.default_rng(12)
+        Z = rng.normal(size=(3, 300))
+        S = dense_similarity(Z, 5)
+        Y0 = random_seeds(rng, 300)
+        assert_allclose(closed_form(S, Y0, 0.9), dense_closed_form(S, Y0, 0.9),
+                        rtol=0, atol=1e-12)
+
+    def test_unsorted_duplicated_csr_and_dense_input(self):
+        # S as a dense array, and as a CSR whose rows run backwards with
+        # every weight split into two equal halves
+        rng = np.random.default_rng(13)
+        S = random_similarity(rng, 50, k=4)
+        Y0 = random_seeds(rng, 50)
+        rows = np.repeat(np.arange(50), np.diff(S.indptr))
+        back = np.lexsort((-S.indices, rows))
+        split = sp.csr_array((np.repeat(S.data[back] / 2.0, 2), np.repeat(S.indices[back], 2),
+                              2 * S.indptr), shape=S.shape)
+        assert not split.has_canonical_format
+        expected = closed_form(S, Y0, 0.9)
+        for same in (S.toarray(), split):
+            assert np.array_equal(closed_form(same, Y0, 0.9), expected)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("defect", ["value", "pattern", "diagonal"])
+    def test_asymmetric_or_nonzero_diagonal_rejected(self, defect, dense):
+        rng = np.random.default_rng(14)
+        S = random_similarity(rng, 30, k=3).toarray()
+        i, j = np.argwhere(S > 0)[0]
+        if defect == "value":
+            S[i, j] *= 1.0 + 2.0 ** -52
+        elif defect == "pattern":
+            S[i, j] = 0.0
+        else:
+            S[i, i] = 0.1
+        with pytest.raises(ValueError):
+            closed_form(S if dense else sp.csr_array(S), random_seeds(rng, 30), 0.9)
+
+    def test_memory_of_a_1200_node_solve(self):
+        rng = np.random.default_rng(15)
+        S = random_similarity(rng, 1200, k=5)
+        Y0 = random_seeds(rng, 1200)
+        closed_form(S, Y0, 0.9)
+        tracemalloc.start()
+        try:
+            closed_form(S, Y0, 0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
     def test_disconnected_components(self):
         # three clusters too far apart for any 2-NN edge between them, of 6
@@ -310,6 +382,16 @@ class TestClassify:
         )
         pred = classify(train, np.array([[0.0]]), self._hyper(k_w=2))
         assert pred[0] == 0
+
+    @pytest.mark.parametrize("spacing", [0.01, 0.1, 0.3, 1.0, 3.0, 8.0])
+    @pytest.mark.parametrize("train_x,train_y", [([-1.0, 1.0], [1, 0]), ([1.0, -1.0], [0, 1])])
+    @pytest.mark.parametrize("n_test", [1, 2])
+    def test_equidistant_tie_in_either_sample_order(self, n_test, train_x, train_y, spacing):
+        # one class on each side of coincident test points: the two scores
+        # are equal but for rounding, whose sign depends on the solve's order
+        train = LabeledDataset(FeatureMatrix(spacing * np.array([train_x])), train_y, 2)
+        pred = classify(train, np.zeros((1, n_test)), self._hyper(k_w=2))
+        assert np.array_equal(pred, np.zeros(n_test))
 
     def test_unreachable_samples_warned(self):
         # the test points are too far for any heat weight to the training
