@@ -7,6 +7,8 @@ those of other classes, label propagation's graph to those of any class.
 One exact k-d tree search (Friedman, Bentley & Finkel, ACM TOMS 1977),
 `_knn_pairs`, finds all their pairs, over all samples or class by class,
 in O(n * k) memory; no n x n distance state is kept across refreshes.
+Over a fit, a `_Search` of the target keeps each class's pairs while the
+pseudo labels leave its members unchanged.
 `_heat_csr` OR-symmetrizes the pairs by one sort of packed integer keys
 and weighs each final edge once. `knn_heat_graph`, the rule over a dense
 distance matrix and mask, is the test oracle of all three builders. Every
@@ -35,10 +37,17 @@ class WeightedGraph:
     W: sp.csr_array
 
     def __post_init__(self):
-        W = sp.csr_array(self.W, dtype=np.float64)
+        W = self.W
+        if type(W) is not sp.csr_array or W.dtype != np.float64:
+            W = sp.csr_array(W, dtype=np.float64)
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise ValueError("weight matrix must be square")
-        if (W != W.T).nnz:
+        # W's CSC arrays are the CSR arrays of W.T, so equal arrays show
+        # symmetry; only when they differ (explicit zeros without a mirror,
+        # say) does the sparse comparison decide
+        C = W.tocsc()
+        if not all(map(np.array_equal, (W.indptr, W.indices, W.data),
+                       (C.indptr, C.indices, C.data))) and (W != W.T).nnz:
             raise ValueError("weight matrix must be exactly symmetric")
         if np.any(W.diagonal() != 0.0):
             raise ValueError("weight matrix must have a zero diagonal")
@@ -138,12 +147,46 @@ def knn_heat_graph(sqdist, allowed, k: int) -> sp.csr_array:
     return sp.csr_array((weights, cols, indptr), shape=(n, n))
 
 
-def _knn_pairs(Z, queries, refs, k: int, exclude_self: bool):
+class _Search:
+    """Exact k-NN searches over the samples of one domain X.
+
+    The tree searches a C-order copy of the samples, one per row, scaled
+    by an exact power of two so that its squared distances neither
+    overflow nor underflow; it is made once. Within a fit a domain's
+    samples never change, only the target's pseudo labels do, so one
+    state kept over the fit also keeps what the labels leave standing:
+    each class's pairs of each locality graph while the class's members
+    are unchanged (the penalty graph's refs are their complement), and the
+    last (S_w, S_b) of `locality_scatters` with the labels they came from.
+    `_heat_csr` sorts its pairs, so kept pairs give the graphs bit for bit.
+    """
+
+    def __init__(self, X):
+        self.Z = as_features(X).data
+        self.shift = -int(np.frexp(max(self.Z.max(initial=0.0), -self.Z.min(initial=0.0)))[1])
+        self.scaled = np.ldexp(self.Z.T, self.shift, order="C")
+        self._pairs = {}        # (k, same, label) -> (members, pairs)
+        self.scatters = None    # ((k_w, k_b), labels, (S_w, S_b))
+
+    def class_pairs(self, labels, label, k: int, same: bool):
+        """`_knn_pairs` of the class `label`'s members against its members
+        when `same`, else against all other samples."""
+        members = np.flatnonzero(labels == label)
+        kept = self._pairs.get((k, same, label))
+        if kept is not None and np.array_equal(kept[0], members):
+            return kept[1]
+        refs = members if same else np.flatnonzero(labels != label)
+        pairs = _knn_pairs(self, members, refs, k, exclude_self=same)
+        self._pairs[k, same, label] = members, pairs
+        return pairs
+
+
+def _knn_pairs(s: _Search, queries, refs, k: int, exclude_self: bool):
     """(rows, cols) pairing each sample of `queries` with its k nearest
     samples of `refs` (k clamped to those available), by an exact k-d tree
-    search.
+    search over the samples of `s`.
 
-    Both index the samples (columns) of Z, `refs` in ascending order; with
+    Both index the samples (columns) of s.Z, `refs` in ascending order; with
     `exclude_self`, `queries` is `refs` and no sample pairs with itself.
     Neighbors rank by (squared distance summed per feature in order, as
     `cdist` sums it, index). A query for k + 1 neighbors beyond self
@@ -159,16 +202,11 @@ def _knn_pairs(Z, queries, refs, k: int, exclude_self: bool):
     k = min(max(int(k), 0), refs.size - e)
     if k == 0:
         return np.empty(0, np.intp), np.empty(0, np.intp)
-    # the tree searches C-order copies scaled by an exact power of two, so
-    # that its squared distances neither overflow nor underflow
-    d, shift = Z.shape[0], -int(np.frexp(max(Z.max(), -Z.min()))[1])
-
-    def scaled(idx):
-        pts = Z.T[idx]
-        return np.ldexp(pts, shift, out=pts)
-
-    R = scaled(refs)
-    Q = R if exclude_self else scaled(queries)
+    Z, shift = s.Z, s.shift
+    d = Z.shape[0]
+    # refs ascend, so n of them are every sample in order
+    R = s.scaled if refs.size == s.scaled.shape[0] else s.scaled[refs]
+    Q = R if exclude_self else s.scaled[queries]
     tree = cKDTree(R)
     kq = min(k + e + 1, refs.size)
     dist, idx = (a.reshape(-1, kq) for a in tree.query(Q, k=kq))
@@ -220,39 +258,45 @@ def tree_knn_heat_graph(X, k: int) -> sp.csr_array:
     """`knn_heat_graph` over every pair of samples of X but self, bit for
     bit, with no n x n distances: each sample keeps its min(k, n - 1)
     nearest others found by `_knn_pairs`, ties to the lowest index."""
-    Z = as_features(X).data
-    everyone = np.arange(Z.shape[1])
-    return _heat_csr(Z, *_knn_pairs(Z, everyone, everyone, k, exclude_self=True))
+    s = _Search(X)
+    everyone = np.arange(s.Z.shape[1])
+    return _heat_csr(s.Z, *_knn_pairs(s, everyone, everyone, k, exclude_self=True))
 
 
-def _class_graph(X, labels, k: int, same: bool) -> WeightedGraph:
+def _class_graph(X, labels, k: int, same: bool, search) -> WeightedGraph:
     """The heat graph of each sample's k nearest samples of its own class
     but itself when `same`, else of the other classes, searched class by
-    class."""
+    class through `search` (a fresh `_Search` of X when None)."""
     Z = as_features(X).data
     labels = np.asarray(labels, dtype=np.int64).ravel()
     if labels.shape[0] != Z.shape[1]:
         raise ValueError("labels length must equal the sample count")
-    pairs = []
-    for label in np.unique(labels):
-        members = np.flatnonzero(labels == label)
-        refs = members if same else np.flatnonzero(labels != label)
-        pairs.append(_knn_pairs(Z, members, refs, k, exclude_self=same))
+    if search is None:
+        search = _Search(Z)
+    pairs = [search.class_pairs(labels, label, k, same) for label in np.unique(labels)]
     return WeightedGraph(_heat_csr(Z, *map(np.concatenate, zip(*pairs))))
 
 
-def build_intrinsic_graph(X, labels, k_w: int) -> WeightedGraph:
+def build_intrinsic_graph(X, labels, k_w: int, search=None) -> WeightedGraph:
     """Connect each sample of X to its k_w nearest same-label neighbors,
-    k_w clamped per class to the class size minus one."""
-    return _class_graph(X, labels, k_w, same=True)
+    k_w clamped per class to the class size minus one. `search`, a
+    `_Search` of X, reuses the pairs of classes whose members it has
+    searched before."""
+    return _class_graph(X, labels, k_w, True, search)
 
 
-def build_penalty_graph(X, labels, k_b: int) -> WeightedGraph:
-    """Connect each sample of X to its k_b nearest different-label neighbors;
-    with a single class present the graph is empty, with a warning."""
+def _warn_if_one_class(labels):
     if np.unique(labels).size == 1:
         warnings.warn("penalty graph is empty: only one class present")
-    return _class_graph(X, labels, k_b, same=False)
+
+
+def build_penalty_graph(X, labels, k_b: int, search=None) -> WeightedGraph:
+    """Connect each sample of X to its k_b nearest different-label neighbors;
+    with a single class present the graph is empty, with a warning.
+    `search`, a `_Search` of X, reuses the pairs of classes whose members
+    it has searched before."""
+    _warn_if_one_class(labels)
+    return _class_graph(X, labels, k_b, False, search)
 
 
 def _degrees(G: WeightedGraph) -> np.ndarray:
@@ -267,23 +311,39 @@ def _sandwich(X, G: WeightedGraph) -> np.ndarray:
     return (S + S.T) / 2.0
 
 
-def locality_scatters(X, labels, hyper: Hyperparams):
+def locality_scatters(X, labels, hyper: Hyperparams, search=None):
     """(S_w, S_b) of one domain's samples X: its intrinsic and penalty
-    graphs under `labels`, sandwiched."""
-    return (_sandwich(X, build_intrinsic_graph(X, labels, hyper.k_w)),
-            _sandwich(X, build_penalty_graph(X, labels, hyper.k_b)))
+    graphs under `labels`, sandwiched, both searched through `search`, a
+    `_Search` of X (a fresh one when None). The scatters are read-only:
+    labels equal to those of the state's last scatters return them again,
+    with the penalty graph's warning again."""
+    if search is None:
+        search = _Search(X)
+    key = (hyper.k_w, hyper.k_b)
+    last = search.scatters
+    if last is not None and last[0] == key and np.array_equal(last[1], labels):
+        _warn_if_one_class(labels)
+        return last[2]
+    scatters = (_sandwich(X, build_intrinsic_graph(X, labels, hyper.k_w, search)),
+                _sandwich(X, build_penalty_graph(X, labels, hyper.k_b, search)))
+    for S in scatters:
+        S.setflags(write=False)
+    search.scatters = key, np.array(labels, dtype=np.int64), scatters
+    return scatters
 
 
-def scatter_matrices(X_s, labels_s, X_u, pseudo_labels_u, hyper: Hyperparams) -> ScatterSet:
+def scatter_matrices(X_s, labels_s, X_u, pseudo_labels_u, hyper: Hyperparams,
+                     search_u=None) -> ScatterSet:
     """Build all four graph scatter matrices and the target covariance.
 
     Source graphs use the ground-truth labels, target graphs the current
-    pseudo labels; each is searched from the domain's samples.
+    pseudo labels; each is searched from the domain's samples, the
+    target's through `search_u` when given (see `locality_scatters`).
     S_h_u = X_u (I - 11^T/n_u) X_u^T.
     """
     X_u = as_features(X_u)
     S_w_s, S_b_s = locality_scatters(X_s, labels_s, hyper)
-    S_w_u, S_b_u = locality_scatters(X_u, pseudo_labels_u, hyper)
+    S_w_u, S_b_u = locality_scatters(X_u, pseudo_labels_u, hyper, search_u)
 
     centered = X_u.data - X_u.data.mean(axis=1, keepdims=True)
     S_h_u = centered @ centered.T

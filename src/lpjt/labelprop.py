@@ -53,8 +53,8 @@ def similarity_matrix(Z, k: int) -> sp.csr_array:
     n x n distance matrix, bit for bit `graph.knn_heat_graph` over every
     pair but self. S is returned as a
     `scipy.sparse` CSR array with W's sparsity pattern (at most 2k nonzeros
-    per row), exactly symmetric. Nodes whose incident weights underflow to
-    zero end up with zero rows rather than NaNs.
+    per row), exactly symmetric and finite. Nodes whose incident weights
+    underflow to zero end up with zero rows rather than NaNs.
     """
     Z = as_features(Z)
     n = Z.n
@@ -63,10 +63,19 @@ def similarity_matrix(Z, k: int) -> sp.csr_array:
     W = graph.tree_knn_heat_graph(Z, k)
     rows = np.repeat(np.arange(n), np.diff(W.indptr))
     deg = np.bincount(rows, weights=W.data, minlength=n)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         dinv = np.where(deg > 0.0, 1.0 / np.sqrt(deg), 0.0)
-    # dinv_i * dinv_j first, so that S is exactly symmetric
-    W.data *= dinv[rows] * dinv[W.indices]
+        # dinv_i * dinv_j first, so that S is exactly symmetric
+        scale = dinv[rows] * dinv[W.indices]
+    # two subnormal degrees overflow that product; there S_ij is formed as
+    # exp(log W_ij - (h_i + h_j)) with h = log(deg) / 2, symmetric as well
+    over = np.flatnonzero(np.isinf(scale))
+    if over.size:
+        with np.errstate(divide="ignore"):
+            h = np.log(deg) / 2.0
+            W.data[over] = np.exp(np.log(W.data[over]) - (h[rows[over]] + h[W.indices[over]]))
+        scale[over] = 1.0
+    W.data *= scale
     return W
 
 
@@ -111,7 +120,8 @@ def closed_form(S, Y0, sigma: float) -> np.ndarray:
     (b + 1) * n numbers for a bandwidth b. Cholesky fill stays inside a
     graph component, so the rows of a component without a seed are exactly 0.
     """
-    S = sp.csr_array(S, dtype=np.float64)
+    if type(S) is not sp.csr_array or S.dtype != np.float64:
+        S = sp.csr_array(S, dtype=np.float64)
     if not S.has_canonical_format:
         S = S.copy()
         S.sum_duplicates()

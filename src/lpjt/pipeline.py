@@ -146,13 +146,16 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
         raise ValueError(f"subspace dim {hyper.d} exceeds d_s + d_t = {d_s + d_t}")
 
     weights = landmark.uniform_weights(n_s, n_u, hyper.delta)
-    scat = graph.scatter_matrices(Xs, y_s, Xu, labels_cur, hyper)
+    # the target's samples are fixed over the fit, only its pseudo labels
+    # move: one search state keeps the graph work they leave standing
+    search_u = graph._Search(Xu)
+    scat = graph.scatter_matrices(Xs, y_s, Xu, labels_cur, hyper, search_u)
 
     objective_tr, mmd_tr, change_tr = [], [], []
     A = B = None
     for it in range(hyper.T):
         if it > 0:
-            S_w_u, S_b_u = graph.locality_scatters(Xu, labels_cur, hyper)
+            S_w_u, S_b_u = graph.locality_scatters(Xu, labels_cur, hyper, search_u)
             scat = dataclasses.replace(scat, S_w_u=S_w_u, S_b_u=S_b_u)
         coeffs = mmd.build_coeffs(weights.alpha, weights.beta, y_s, labels_cur,
                                   hyper.delta, C)

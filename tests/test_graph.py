@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -275,6 +276,31 @@ class TestWeightedGraph:
         with pytest.raises(ValueError):
             g.W.data[0] = 1.0
 
+    @staticmethod
+    def csr(entries, n=3):
+        rows, cols, vals = zip(*entries)
+        return sp.csr_array((vals, (rows, cols)), shape=(n, n))
+
+    def test_explicit_zeros_without_a_mirror_accepted(self):
+        # stored zeros at (0, 2) and (1, 2) but none at (2, 0) or (2, 1):
+        # the CSR and CSC arrays differ, the matrix is symmetric
+        W = self.csr([(0, 1, 0.5), (1, 0, 0.5), (0, 2, 0.0), (1, 2, 0.0)])
+        assert WeightedGraph(W).W.nnz == 4
+
+    @pytest.mark.parametrize("entries", [
+        [(0, 1, 0.5), (1, 0, 0.5), (0, 2, 0.3)],
+        [(0, 1, 0.5), (1, 0, 0.5), (0, 2, 0.3), (2, 0, 0.0)],
+        [(0, 1, 0.5), (1, 0, 0.5 + 2.0 ** -53)],
+    ])
+    def test_asymmetric_values_rejected(self, entries):
+        with pytest.raises(ValueError, match="symmetric"):
+            WeightedGraph(self.csr(entries))
+
+    def test_float64_csr_kept_without_a_copy(self):
+        W = self.csr([(0, 1, 0.5), (1, 0, 0.5)])
+        assert WeightedGraph(W).W is W
+        assert not W.data.flags.writeable
+
 
 class TestIntrinsicGraph:
     def test_two_samples_same_label(self):
@@ -396,6 +422,75 @@ class TestLocalityScatters:
             assert g.W.nnz > 0
             oracle = self.edge_sum(X, g.W)
             assert np.max(np.abs(S - oracle)) <= 1e-12 * np.abs(oracle).max()
+
+
+class TestSearchState:
+    """`locality_scatters` through one `_Search` kept over a sequence of
+    relabelings gives what a fresh search gives at every step, bit for bit,
+    with the same warnings."""
+
+    @staticmethod
+    def relabelings():
+        rng = np.random.default_rng(3)
+        first = rng.integers(0, 3, 40)
+        moved = first.copy()
+        moved[np.flatnonzero(first == 0)[0]] = 1
+        # two samples trade classes 1 and 2: every class keeps its size
+        swapped = moved.copy()
+        a, b = np.flatnonzero(moved == 1)[0], np.flatnonzero(moved == 2)[0]
+        swapped[[a, b]] = [2, 1]
+        emptied = np.where(swapped == 2, 0, swapped)
+        new_class = emptied.copy()
+        new_class[::7] = 4
+        one = np.full(40, 1)
+        return [("first", first), ("unchanged", first), ("moved", moved),
+                ("moved", moved.copy()), ("swapped", swapped), ("emptied", emptied),
+                ("new class", new_class), ("one class", one), ("one class", one),
+                ("first", first)]
+
+    @staticmethod
+    def scatters(*args):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            S = locality_scatters(*args)
+        return S, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("kind", ["random", "grid"])
+    def test_equal_to_a_fresh_search_at_every_step(self, kind, monkeypatch):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(3, 40)) if kind == "random" else \
+            rng.integers(0, 3, size=(2, 40)).astype(float)
+        hyper = Hyperparams(k_w=3, k_b=2)
+        searches = []
+        knn_pairs = graph._knn_pairs
+        monkeypatch.setattr(graph, "_knn_pairs",
+                            lambda *a, **kw: searches.append(1) or knn_pairs(*a, **kw))
+        search = graph._Search(X)
+        previous = None
+        for step, labels in self.relabelings():
+            searches.clear()
+            kept, kept_warned = self.scatters(X, labels, hyper, search)
+            kept_searches = len(searches)
+            searches.clear()
+            fresh, fresh_warned = self.scatters(X, labels, hyper)
+            for a, b in zip(kept, fresh):
+                assert a.tobytes() == b.tobytes(), step
+            assert kept_warned == fresh_warned, step
+            if step == "one class":
+                assert kept_warned == ["penalty graph is empty: only one class present"]
+            if previous is not None and np.array_equal(labels, previous[0]):
+                # unchanged labels: the last scatters, searched for nothing
+                assert kept_searches == 0 and kept is previous[1]
+            elif step in ("moved", "swapped"):
+                # two classes changed members: the third keeps its
+                # intrinsic and penalty pairs
+                assert (kept_searches, len(searches)) == (4, 6)
+            previous = labels, kept
+
+    def test_kept_scatters_are_read_only(self):
+        X = np.random.default_rng(5).normal(size=(2, 12))
+        for S in locality_scatters(X, np.arange(12) % 2, Hyperparams(), graph._Search(X)):
+            assert not S.flags.writeable
 
 
 class TestScatterMatrices:

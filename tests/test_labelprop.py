@@ -89,6 +89,35 @@ class TestSimilarityMatrix:
         S = similarity_matrix(Z, k=1).toarray()
         assert np.all(S == 0.0)
 
+    def test_subnormal_degrees_keep_s_finite(self):
+        # 0 and 1 pair with weight exp(-1/2); 2 and 3, sqrt(1450) apart, with
+        # the subnormal exp(-725), so 1 / sqrt(deg) squared overflows there
+        Z = np.array([[0.0, 1.0, 100.0, 100.0 + np.sqrt(1450.0)]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            S = similarity_matrix(Z, k=1)
+            label = classify(LabeledDataset(FeatureMatrix(Z[:, 2:3]), [1], 2), Z[:, 3:],
+                             Hyperparams(k_w=1))
+        S = S.toarray()
+        assert np.array_equal(S[2:, 2:], [[0.0, 1.0], [1.0, 0.0]])
+        # the other component keeps the plain product's entries, bit for bit
+        assert np.array_equal(S[:2, :2], dense_similarity(Z[:, :2], 1).toarray())
+        assert not S[:2, 2:].any() and not S[2:, :2].any()
+        assert label.tolist() == [1]
+
+    def test_zero_weight_edge_between_subnormal_degrees(self):
+        # at k=2 the outer samples, 2 * sqrt(1450) apart, pair with weight 0
+        # while their degrees are subnormal
+        r = np.sqrt(1450.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            S = similarity_matrix(np.array([[0.0, r, 2.0 * r]]), k=2)
+        assert S.nnz == 6
+        S = S.toarray()
+        assert np.array_equal(S, S.T) and S[0, 2] == 0.0
+        assert_allclose(S, [[0.0, 0.5 ** 0.5, 0.0], [0.5 ** 0.5, 0.0, 0.5 ** 0.5],
+                            [0.0, 0.5 ** 0.5, 0.0]], rtol=1e-12)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_spectral_radius_at_most_one(self, seed):
         rng = np.random.default_rng(seed)

@@ -235,12 +235,14 @@ class TestFitBasics:
         src = LabeledDataset(FeatureMatrix(Xs), ys, 3)
         for T in (1, 3, 6):
             calls.clear()
-            fit(src, Xt, None, FitConfig(hyper=Hyperparams(d=2, T=T)))
+            model = fit(src, Xt, None, FitConfig(hyper=Hyperparams(d=2, T=T)))
             assert calls["solve"] == T
-            # the MMD blocks and the target's graphs once per iteration, the
-            # source's graphs once
+            # the MMD blocks once per iteration; the source's graphs once, the
+            # target's in the first iteration and in each later one whose
+            # pseudo labels moved
             assert calls["build_coeffs"] == calls["assemble_M"] == calls["solve"]
-            assert calls["build_intrinsic_graph"] == calls["build_penalty_graph"] == T + 1
+            moved = np.count_nonzero(model.trace.label_changes[:-1])
+            assert calls["build_intrinsic_graph"] == calls["build_penalty_graph"] == 2 + moved
 
     def test_final_weights_feasible(self):
         Xs, ys, Xt, _ = synth_rotated(30, 3, 0)
@@ -281,6 +283,27 @@ class TestFitBasics:
                                          y_s, y_u, delta))
 
             assert energy(w) <= energy(init) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("synth", [synth_rotated, synth_hetero_map])
+    def test_kept_target_searches_change_no_bit(self, synth, monkeypatch):
+        Xs, ys, Xt, yt = synth(20, 3, 0)
+        tgt_l, cfg = None, FitConfig(hyper=Hyperparams(d=2, T=6))
+        if synth is synth_hetero_map:
+            Xt, tgt_l = labeled_split(Xt, yt)
+            cfg = dataclasses.replace(cfg, mode="semisupervised")
+        src = LabeledDataset(FeatureMatrix(Xs), ys, 3)
+        kept = fit(src, Xt, tgt_l, cfg)
+        # every target graph searched afresh
+        locality_scatters = graph.locality_scatters
+        monkeypatch.setattr(graph, "locality_scatters",
+                            lambda X, labels, hyper, search=None:
+                            locality_scatters(X, labels, hyper))
+        fresh = fit(src, Xt, tgt_l, cfg)
+        assert 0 in kept.trace.label_changes[:-1]
+        for part in (lambda m: m.A, lambda m: m.B, lambda m: m.pseudo_labels,
+                     lambda m: m.weights.alpha, lambda m: m.weights.beta,
+                     lambda m: m.trace.objective, lambda m: m.trace.mmd):
+            assert part(kept).tobytes() == part(fresh).tobytes()
 
     def test_deterministic_given_inputs(self):
         Xs, ys, Xt, _ = synth_rotated(30, 3, 1)
