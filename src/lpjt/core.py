@@ -5,7 +5,6 @@ feature. All types are immutable after construction (arrays are marked
 read-only), so they can be shared freely across threads.
 """
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,9 +132,6 @@ class Hyperparams:
         if min(self.d, self.T, self.k_w, self.k_b) < 1:
             raise ValueError("d, T, k_w and k_b must be positive integers")
 
-    def replace(self, **kwargs) -> "Hyperparams":
-        return dataclasses.replace(self, **kwargs)
-
 
 @dataclass(frozen=True)
 class TrainTrace:
@@ -164,9 +160,10 @@ NORMALIZE_MODES = ("none", "zscore", "unit", "unit+zscore")
 class FitConfig:
     """Training-run configuration on top of the hyperparameters.
 
-    `mode` picks where the initial pseudo labels come from: 'semisupervised'
-    propagates them from the labeled targets when `fit` gets some,
-    otherwise they come from the source, which needs equal feature counts.
+    `mode` has no effect: `fit` takes its initial pseudo labels from the
+    source when the domains have equal feature counts, otherwise from the
+    labeled targets. It is still validated, saved and loaded for the run
+    configs and model files that set it.
     `homogeneous` opts into the A~B coupling (requires equal source/target
     dimensionality and no sample-span map; `fit` warns and fits without
     it otherwise). `normalize` is applied per domain before fitting;

@@ -54,6 +54,25 @@ def write_dataset(path, X, labels=None):
             writer.writerow([repr(float(v)) for v in X[:, j]] + [int(labels[j])])
 
 
+def _read_rows(path, reader, width):
+    """(features, labels) of the non-empty rows after the header: floats in
+    all but the last of `width` columns, an integer label in the last. A
+    row of another width or an unparsable value raises ConfigError naming
+    path:line."""
+    feats, labels = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise ConfigError(f"{path}:{lineno}: got {len(row)} columns, the header has {width}")
+        try:
+            feats.append([float(v) for v in row[:-1]])
+            labels.append(int(row[-1]))
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    return feats, np.asarray(labels, dtype=np.int64)
+
+
 def read_dataset(path):
     """Read a dataset CSV; returns (FeatureMatrix, labels) with -1 allowed."""
     with open(path, newline="") as fh:
@@ -61,25 +80,14 @@ def read_dataset(path):
         header = next(reader, None)
         if not header or header[-1] != "label":
             raise ConfigError(f"{path}: expected header f0..f{{d-1}},label")
-        dim = len(header) - 1
-        feats, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != dim + 1:
-                raise ConfigError(f"{path}:{lineno}: expected {dim + 1} columns, got {len(row)}")
-            try:
-                feats.append([float(v) for v in row[:dim]])
-                labels.append(int(row[dim]))
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        feats, labels = _read_rows(path, reader, len(header))
     if not feats:
         raise ConfigError(f"{path}: no data rows")
     try:
         X = FeatureMatrix(np.asarray(feats, dtype=np.float64).T)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    return X, np.asarray(labels, dtype=np.int64)
+    return X, labels
 
 
 def load_labeled(path, num_classes=None) -> LabeledDataset:
@@ -113,7 +121,7 @@ def read_predictions(path):
         header = next(reader, None)
         if header != ["label"]:
             raise ConfigError(f"{path}: expected a single 'label' column")
-        return np.asarray([int(row[0]) for row in reader if row], dtype=np.int64)
+        return _read_rows(path, reader, 1)[1]
 
 
 def write_trace(path, trace: TrainTrace):

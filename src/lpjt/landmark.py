@@ -220,7 +220,8 @@ def build_qp(Z_s, Z_u, labels_s, pseudo_labels_u, delta, num_classes=None) -> Qp
     domains, zero outside that class's samples. A class's cross-domain
     pairs enter its mean difference and its pairwise spread, hence the
     cross weight 2 on its rows; the pairwise spread's per-sample terms
-    go to diag_s and diag_u.
+    go to diag_s and diag_u. A class in neither domain, such as one only
+    the labeled targets hold, adds no group and no rows.
     """
     Z_s = np.asarray(Z_s, dtype=np.float64)
     Z_u = np.asarray(Z_u, dtype=np.float64)
@@ -245,8 +246,6 @@ def build_qp(Z_s, Z_u, labels_s, pseudo_labels_u, delta, num_classes=None) -> Qp
     for c in range(num_classes):
         si = np.flatnonzero(labels_s == c)
         ui = np.flatnonzero(labels_u == c)
-        if si.size == 0 and ui.size == 0:
-            raise ValueError(f"class {c} is absent from both domains")
         both = si.size > 0 and ui.size > 0
         if both:
             for Z, idx, blocks, diag, sq_norms in ((Z_s, si, blocks_s, diag_s, sq_norms_s),
@@ -364,9 +363,8 @@ def _sweep_shift(x, meta):
 def project_feasible(qp: QpInstance, weights: LandmarkWeights) -> LandmarkWeights:
     """Project weights onto the instance's feasible polytope.
 
-    Used to warm-start a solve when the class grouping changed (pseudo
-    labels move between iterations, so a previously feasible point may
-    violate the new per-class means).
+    `solve_qp` starts here: pseudo labels move between iterations, so the
+    previous weights may violate the new per-class means.
     """
     z = _project(weights.stacked(), qp)
     return LandmarkWeights(z[: qp.n_s], z[qp.n_s:], qp.delta)
@@ -444,8 +442,10 @@ def solve_qp(qp: QpInstance, init: LandmarkWeights | None = None, full_output=Fa
     """Minimize E = 1/2 z^T Bq z over the feasible weight polytope, exactly.
 
     Primal-dual active-set steps (Hintermüller, Ito & Kunisch, SIAM J.
-    Optim. 2002) start from the bounds that `init` (default: the uniform
-    feasible point) touches. Each step minimizes E on the current face
+    Optim. 2002) start from the bounds that the projection of `init` onto
+    the polytope touches. `init` is any weights in [0, 1] (default: the
+    uniform feasible point), such as the previous solve's answer after the
+    pseudo labels moved. Each step minimizes E on the current face
     (`_face_min`), then holds at a bound every free weight that left [0, 1]
     and frees every held weight whose reduced gradient points inward. When
     a pair of active sets repeats, or a step would leave a group without a
@@ -456,23 +456,20 @@ def solve_qp(qp: QpInstance, init: LandmarkWeights | None = None, full_output=Fa
     most violates its sign.
 
     `converged` reports that the KKT conditions hold, within MAX_STEPS face
-    solves; `iterations` counts them, and `objective_trace` holds E at init
-    and at each feasible step point that did not raise it. Uses only the
-    instance's factored products. The returned point is the last of those
-    points, or the KKT point once converged, so it is always feasible and
-    its E never exceeds that of init. Deterministic given init.
+    solves; `iterations` counts them, and `objective_trace` holds E at the
+    projected init and at each feasible step point that did not raise it.
+    Uses only the instance's factored products. The returned point is the
+    last of those points, or the KKT point once converged, so it is always
+    feasible and its E never exceeds that of the projected init.
+    Deterministic given init.
     """
     if init is None:
         init = uniform_weights(qp.n_s, qp.n_u, qp.delta)
     if init.delta != qp.delta:
         raise ValueError(f"init has delta {init.delta} but the QP has delta {qp.delta}")
-    z = init.stacked()
-    if z.size != qp.n_s + qp.n_u:
+    if (init.alpha.size, init.beta.size) != (qp.n_s, qp.n_u):
         raise ValueError("init size does not match the QP")
-    feas = _project(z, qp)
-    if np.max(np.abs(feas - z)) > 1e-6:
-        raise ValueError("init is not feasible")
-    z = feas
+    z = project_feasible(qp, init).stacked()
     f = 0.5 * float(z @ qp.matvec(z))
     trace = [f]
     meta = qp._meta

@@ -29,7 +29,7 @@ from .core import as_features
 
 @dataclass(frozen=True)
 class MmdCoeffs:
-    """The landmark weights, labels and delta that define the MMD terms.
+    """The landmark weights, classes and delta that define the MMD terms.
 
     `classes` holds the (source, target) sample indices of each class
     present in both domains, the only classes the conditional term
@@ -40,10 +40,7 @@ class MmdCoeffs:
 
     alpha: np.ndarray
     beta: np.ndarray
-    labels_s: np.ndarray
-    labels_u: np.ndarray
     delta: float
-    num_classes: int
     classes: tuple
 
 
@@ -130,8 +127,7 @@ def build_coeffs(alpha, beta, labels_s, pseudo_labels_u, delta, num_classes) -> 
     """Validate and collect what defines both MMD terms; builds no matrix."""
     alpha, beta = _check_weights(alpha, beta, delta)
     labels_s, labels_u = _check_labels(alpha, beta, labels_s, pseudo_labels_u)
-    return MmdCoeffs(alpha=alpha, beta=beta, labels_s=labels_s, labels_u=labels_u,
-                     delta=delta, num_classes=num_classes,
+    return MmdCoeffs(alpha=alpha, beta=beta, delta=delta,
                      classes=_shared_classes(labels_s, labels_u, num_classes))
 
 

@@ -9,12 +9,13 @@ objective (the trace-ratio value), the subspace MMD distance and the
 number of changed pseudo labels are recorded.
 
 Pseudo labels only ever come from labeled samples in the target's feature
-space: the initial ones from the labeled targets or the source in the raw
-space, every refresh from one labeled set in the subspace, the source plus
-the labeled targets when given. `fit` and `predict` share `_prepare`
-(validation and normalization) and `_classify`, the one label-propagation
-step in the subspace, so a fit's last pseudo labels are what `predict`
-returns on the same inputs.
+space: the initial ones in the raw space from the source, or from the
+labeled targets when the feature counts differ, every refresh from one
+labeled set in the subspace, the source plus the labeled targets when
+given. `fit` and `predict` share `_prepare` (validation and
+normalization) and `_classify`, the one label-propagation step in the
+subspace, so a fit's last pseudo labels are what `predict` returns on the
+same inputs.
 """
 
 import dataclasses
@@ -94,12 +95,11 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
     """Train projections A, B plus landmark weights on a transfer problem.
 
     The initial pseudo labels propagate in the raw space from labeled
-    samples in the target's feature space: from the labeled targets when
-    `cfg.mode` is 'semisupervised' and `tgt_l` is given, otherwise from the
-    source when both domains have the same feature count. A heterogeneous
-    problem without them raises ValueError before any other work. Every
-    refresh propagates in the subspace from the source plus `tgt_l` (when
-    given, in either mode), embedded as `predict` embeds them, so the
+    samples in the target's feature space: from the source when both
+    domains have the same feature count, otherwise from `tgt_l`. A
+    heterogeneous problem without `tgt_l` raises ValueError before any
+    other work. Every refresh propagates in the subspace from the source
+    plus `tgt_l` (when given), embedded as `predict` embeds them, so the
     returned `pseudo_labels` equal `predict` on the same inputs.
     """
     if cfg is None:
@@ -110,14 +110,14 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
     y_s = src.labels
     y_l = None if tgt_l is None else tgt_l.labels
 
-    if cfg.mode == "semisupervised" and Xl is not None:
-        init = LabeledDataset(Xl, y_l, C)
-    elif Xs.dim == Xu.dim:
+    if Xs.dim == Xu.dim:
         init = LabeledDataset(Xs, y_s, C)
+    elif Xl is not None:
+        init = LabeledDataset(Xl, y_l, C)
     else:
         raise ValueError(
             f"the source has {Xs.dim} features and the target {Xu.dim}: heterogeneous "
-            "fits need labeled target samples (target_labeled with mode=semisupervised)"
+            "fits need labeled target samples (target_labeled)"
         )
     labels_cur = labelprop.classify(init, Xu, hyper)
 
@@ -182,7 +182,7 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
         )
 
         qp = landmark.build_qp(Z_s, Z_u, y_s, new_labels, hyper.delta, C)
-        weights = landmark.solve_qp(qp, landmark.project_feasible(qp, weights))
+        weights = landmark.solve_qp(qp, weights)
         labels_cur = new_labels
 
         objective_tr.append(obj)

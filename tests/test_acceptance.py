@@ -242,7 +242,7 @@ def test_06_heterogeneous_beats_pca_nn():
     # pseudo labels from, and is refused
     Xs, ys, Xt, _ = synth_hetero_map(20, 3, 99, d_s=10, d_t=3)
     with pytest.raises(ValueError, match=r"heterogeneous fits need labeled target samples "
-                                         r"\(target_labeled with mode=semisupervised\)"):
+                                         r"\(target_labeled\)"):
         fit(LabeledDataset(FeatureMatrix(Xs), ys, 3), Xt, None,
             FitConfig(hyper=Hyperparams(d=2, T=2)))
     median_gap = float(np.median(gaps))

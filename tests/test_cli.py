@@ -460,14 +460,18 @@ class TestEndToEnd:
         assert main(synth_args(data, kind="hetero_map", n=10, labeled=2)) == 0
         paths = {"source": data / "source.csv", "target_unlabeled": data / "target.csv",
                  "output_dir": tmp_path / "run", "d": 2, "T": 1}
-        for extra in ({}, {"mode": "semisupervised"},
-                      {"target_labeled": data / "target_labeled.csv"}):
+        for extra in ({}, {"mode": "semisupervised"}):
             cfg = write_config(tmp_path / "c.cfg", **paths, **extra)
             assert main(["fit", "--config", cfg]) == 2
             assert ("config error: the source has 10 features and the target 3: heterogeneous "
-                    "fits need labeled target samples (target_labeled with "
-                    "mode=semisupervised)") in capsys.readouterr().err
+                    "fits need labeled target samples (target_labeled)\n"
+                    ) in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+        # given labeled targets it fits, under the default mode too
+        cfg = write_config(tmp_path / "c.cfg", **paths,
+                           target_labeled=data / "target_labeled.csv")
+        assert main(["fit", "--config", cfg]) == 0
+        assert (tmp_path / "run" / "model.lpjt").exists()
 
     def test_numeric_failure_exits_3(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -509,6 +513,17 @@ class TestEndToEnd:
                            target_unlabeled=data / "target.csv", output_dir=tmp_path / "run")
         assert main(["fit", "--config", cfg]) == 3
         assert "numeric failure: Singular matrix" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row,message", [("x", "invalid literal for int() with base 10: 'x'"),
+                                             ("1,2", "got 2 columns, the header has 1")])
+    def test_bad_prediction_row_names_file_and_line(self, tmp_path, capsys, row, message):
+        _, run, cfg_path, _ = self._workflow(tmp_path, capsys)
+        path = run / "predictions.csv"
+        lines = path.read_text().splitlines()
+        lines[3] = row
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--config", cfg_path]) == 2
+        assert f"config error: {path}:4: {message}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [("mode", "bogus"), ("normalize", "l2")])
     def test_every_verb_validates_the_settings(self, tmp_path, capsys, key, value):

@@ -75,11 +75,19 @@ class TestBuildQp:
             eigs = np.linalg.eigvalsh(qp.Bq)
             assert eigs[0] >= -1e-12 * eigs[-1]
 
-    def test_class_absent_everywhere_rejected(self):
+    def test_class_absent_everywhere_adds_nothing(self):
+        # class 1 is in neither domain: the QP is the one of classes 0 and 2
+        # alone, relabeled 0 and 1
         rng = np.random.default_rng(3)
-        with pytest.raises(ValueError, match="absent"):
-            build_qp(rng.normal(size=(2, 3)), rng.normal(size=(2, 3)),
-                     [0, 0, 0], [0, 0, 0], 0.5, num_classes=2)
+        Z_s, Z_u = rng.normal(size=(2, 6)), rng.normal(size=(2, 5))
+        ys, yu = np.array([0, 2, 0, 2, 2, 0]), np.array([2, 0, 0, 2, 0])
+        got = build_qp(Z_s, Z_u, ys, yu, 0.5, num_classes=3)
+        ref = build_qp(Z_s, Z_u, ys // 2, yu // 2, 0.5, num_classes=2)
+        for name in ("F_s", "F_u", "cross", "diag_s", "diag_u"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+        assert [(idx.tolist(), free) for idx, free in got.groups] == \
+            [(idx.tolist(), free) for idx, free in ref.groups]
+        assert got.delta == ref.delta
 
     @pytest.mark.parametrize("seed", range(5))
     def test_alpha_gradient_matches_finite_differences(self, seed):
@@ -236,11 +244,22 @@ class TestSolveQp:
         with pytest.raises(ValueError, match=r"delta 0\.3 .*delta 0\.5"):
             solve_qp(qp, other)
 
-    def test_infeasible_init_rejected(self):
-        qp, *_ = random_qp(11)
-        bad = LandmarkWeights(np.ones(qp.n_s), np.zeros(qp.n_u), qp.delta)
-        with pytest.raises(ValueError, match="feasible"):
-            solve_qp(qp, bad)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_infeasible_init_starts_from_its_projection(self, seed):
+        qp, _, _, ys, yu, delta = mixed_instance(seed)
+        rng = np.random.default_rng(seed + 40)
+        inits = (LandmarkWeights(np.ones(qp.n_s), np.zeros(qp.n_u), delta),
+                 LandmarkWeights(rng.uniform(0, 1, qp.n_s), rng.uniform(0, 1, qp.n_u), delta))
+        for init in inits:
+            assert not check_feasible(init, ys, yu)
+            w, info = solve_qp(qp, init, full_output=True)
+            # the projection is feasible, but projecting it again can move it
+            # by rounding, which the KKT point does not see
+            ref, ref_info = solve_qp(qp, project_feasible(qp, init), full_output=True)
+            assert info["converged"] and ref_info["converged"]
+            assert w.stacked().tobytes() == ref.stacked().tobytes()
+            assert_allclose(info["objective_trace"][0], ref_info["objective_trace"][0],
+                            rtol=1e-12)
 
     def test_pinned_class_kept_at_delta(self):
         rng = np.random.default_rng(12)
@@ -706,8 +725,8 @@ class TestProjectSort:
 
 class TestWarmProjection:
     """`_project` of points at or near a feasible one: the warm starts that
-    `fit` carries between outer iterations, the feasibility check of a
-    solve's init and the start of the monotone phase. A projected point is
+    `fit` carries between outer iterations, which a solve projects once,
+    and the start of the monotone phase. A projected point is
     kept, the group means are exact, and the solve's answer is a fixed
     point of cold projected-gradient steps."""
 
@@ -767,8 +786,8 @@ class TestWarmProjection:
     @pytest.mark.parametrize("seed", range(5))
     def test_fit_sized_groups_skip_the_sweep(self, seed, monkeypatch):
         # classes of 100-200 samples per domain, as in the bench's fits: the
-        # active-set steps project nothing; only the check of init sweeps,
-        # and the start of a monotone phase would add one more
+        # active-set steps project nothing; only the projection of init
+        # sweeps, and the start of a monotone phase would add one more
         sweeps = self.count_sweeps(monkeypatch)
         rng = np.random.default_rng(seed + 400)
         C = int(rng.integers(2, 5))

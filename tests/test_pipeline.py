@@ -253,6 +253,8 @@ class TestFitBasics:
 
     @pytest.mark.parametrize("synth", [synth_rotated, synth_hetero_map])
     def test_weight_steps_never_raise_mmd_value(self, synth, monkeypatch):
+        # E of the previous weights can lie below the feasible minimum once
+        # the pseudo labels move: the solve starts from their projection
         steps = []
         build_qp, solve_qp = landmark.build_qp, landmark.solve_qp
 
@@ -261,7 +263,7 @@ class TestFitBasics:
             return build_qp(*args)
 
         def recording_solve(qp, init, **kwargs):
-            steps[-1] += [init, solve_qp(qp, init, **kwargs)]
+            steps[-1] += [landmark.project_feasible(qp, init), solve_qp(qp, init, **kwargs)]
             return steps[-1][-1]
 
         monkeypatch.setattr(landmark, "build_qp", recording_build)
@@ -275,14 +277,14 @@ class TestFitBasics:
             warnings.filterwarnings("error", "weight solver")
             fit(LabeledDataset(FeatureMatrix(Xs), ys, 3), Xt, tgt_l, cfg)
         assert len(steps) == 4
-        for (Z_s, Z_u, y_s, y_u, delta, _), init, w in steps:
+        for (Z_s, Z_u, y_s, y_u, delta, _), start, w in steps:
             eye = np.eye(Z_s.shape[0])
 
             def energy(weights):
                 return sum(mmd.mmd_value(Z_s, Z_u, eye, eye, weights.alpha, weights.beta,
                                          y_s, y_u, delta))
 
-            assert energy(w) <= energy(init) * (1 + 1e-12)
+            assert energy(w) <= energy(start) * (1 + 1e-12)
 
     @pytest.mark.parametrize("synth", [synth_rotated, synth_hetero_map])
     def test_kept_target_searches_change_no_bit(self, synth, monkeypatch):
@@ -375,15 +377,43 @@ class TestAdaptationQuality:
             raise AssertionError("work started before the refusal")
 
         monkeypatch.setattr(pipeline.labelprop, "classify", never)
-        Xs, ys, Xt, yt = synth_hetero_map(20, 3, 1)
+        Xs, ys, Xt, _ = synth_hetero_map(20, 3, 1)
         src = LabeledDataset(FeatureMatrix(Xs), ys, 3)
-        Xu, labeled = labeled_split(Xt, yt)
         message = (r"the source has 10 features and the target 3: heterogeneous fits need "
-                   r"labeled target samples \(target_labeled with mode=semisupervised\)")
-        for tgt_l, mode in ((None, "unsupervised"), (None, "semisupervised"),
-                            (labeled, "unsupervised")):
+                   r"labeled target samples \(target_labeled\)$")
+        for mode in ("unsupervised", "semisupervised"):
             with pytest.raises(ValueError, match=message):
-                fit(src, Xu, tgt_l, FitConfig(hyper=Hyperparams(d=2, T=2), mode=mode))
+                fit(src, Xt, None, FitConfig(hyper=Hyperparams(d=2, T=2), mode=mode))
+
+    @pytest.mark.parametrize("synth", [synth_rotated, synth_hetero_map])
+    def test_mode_changes_no_bit(self, synth):
+        # the init seeds from the source when the feature counts match, from
+        # the labeled targets otherwise, whatever the mode says
+        Xs, ys, Xt, yt = synth(20, 3, 5)
+        Xu, tgt_l = labeled_split(Xt, yt)
+        src = LabeledDataset(FeatureMatrix(Xs), ys, 3)
+        fits = [fit(src, Xu, tgt_l, FitConfig(hyper=Hyperparams(d=2, T=3), mode=mode))
+                for mode in ("unsupervised", "semisupervised")]
+        for part in (lambda m: m.A, lambda m: m.B, lambda m: m.pseudo_labels,
+                     lambda m: m.weights.alpha, lambda m: m.weights.beta,
+                     lambda m: m.trace.objective, lambda m: m.trace.mmd,
+                     lambda m: m.trace.label_changes):
+            assert part(fits[0]).tobytes() == part(fits[1]).tobytes()
+
+    def test_class_only_the_labeled_targets_hold(self):
+        # class 2's one labeled target lies between the source clusters of
+        # classes 0 and 1, and no target takes its pseudo label: the weight
+        # step has no sample of class 2 in either domain
+        rng = np.random.default_rng(0)
+        means = np.array([[0.0, 0.0], [6.0, 0.0], [3.0, 0.0]]).T
+        Xs = np.hstack([means[:, [c]] + rng.normal(size=(2, 20)) for c in (0, 1)])
+        ys = np.repeat([0, 1], 20)
+        src = LabeledDataset(FeatureMatrix(Xs), ys, 3)
+        tgt_l = LabeledDataset(FeatureMatrix(means), np.arange(3), 3)
+        model = fit(src, Xs, tgt_l, FitConfig(hyper=Hyperparams(d=2, T=3)))
+        assert not np.any(model.pseudo_labels == 2)
+        assert check_feasible(model.weights, ys, model.pseudo_labels)
+        assert np.array_equal(model.pseudo_labels, predict(model, src, Xs, tgt_l))
 
     def test_declared_class_without_labeled_sample_refused_first(self, monkeypatch):
         def never(*args):
