@@ -30,6 +30,27 @@ from scipy.spatial.distance import cdist
 from .core import Hyperparams, as_features
 
 
+def _check_graph(W: sp.csr_array, name: str) -> sp.csc_array:
+    """Raise ValueError unless the square CSR array W is finite, exactly
+    symmetric and zero on its diagonal, in that order; return W as CSC."""
+    bad = np.flatnonzero(~np.isfinite(W.data))
+    if bad.size:
+        rows = np.searchsorted(W.indptr, bad, side="right") - 1
+        shown = ", ".join(f"{W.data[b]} at ({r}, {W.indices[b]})"
+                          for r, b in zip(rows[:3], bad[:3]))
+        raise ValueError(f"{name} must be finite; {bad.size} entries are not: {shown}")
+    # W's CSC arrays are the CSR arrays of W.T, so equal arrays show
+    # symmetry; only when they differ (explicit zeros without a mirror,
+    # say) does the sparse comparison decide
+    C = W.tocsc()
+    if not all(map(np.array_equal, (W.indptr, W.indices, W.data),
+                   (C.indptr, C.indices, C.data))) and (W != W.T).nnz:
+        raise ValueError(f"{name} must be exactly symmetric")
+    if np.any(W.diagonal() != 0.0):
+        raise ValueError(f"{name} must have a zero diagonal")
+    return C
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """Symmetric nonnegative weight matrix with a zero diagonal, as CSR."""
@@ -42,15 +63,7 @@ class WeightedGraph:
             W = sp.csr_array(W, dtype=np.float64)
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise ValueError("weight matrix must be square")
-        # W's CSC arrays are the CSR arrays of W.T, so equal arrays show
-        # symmetry; only when they differ (explicit zeros without a mirror,
-        # say) does the sparse comparison decide
-        C = W.tocsc()
-        if not all(map(np.array_equal, (W.indptr, W.indices, W.data),
-                       (C.indptr, C.indices, C.data))) and (W != W.T).nnz:
-            raise ValueError("weight matrix must be exactly symmetric")
-        if np.any(W.diagonal() != 0.0):
-            raise ValueError("weight matrix must have a zero diagonal")
+        _check_graph(W, "weight matrix")
         if W.nnz and (W.data.min() < 0.0 or W.data.max() > 1.0):
             raise ValueError("weights must lie in [0, 1]")
         for part in (W.data, W.indices, W.indptr):
@@ -154,11 +167,11 @@ class _Search:
     by an exact power of two so that its squared distances neither
     overflow nor underflow; it is made once. Within a fit a domain's
     samples never change, only the target's pseudo labels do, so one
-    state kept over the fit also keeps what the labels leave standing:
-    each class's pairs of each locality graph while the class's members
-    are unchanged (the penalty graph's refs are their complement), and the
-    last (S_w, S_b) of `locality_scatters` with the labels they came from.
-    `_heat_csr` sorts its pairs, so kept pairs give the graphs bit for bit.
+    state kept over the fit also keeps each class's pairs of each locality
+    graph while the class's members are unchanged (the penalty graph's
+    refs are their complement); a refresh whose labels did not move
+    searches nothing. `_heat_csr` sorts its pairs, so kept pairs give the
+    graphs bit for bit.
     """
 
     def __init__(self, X):
@@ -166,7 +179,6 @@ class _Search:
         self.shift = -int(np.frexp(max(self.Z.max(initial=0.0), -self.Z.min(initial=0.0)))[1])
         self.scaled = np.ldexp(self.Z.T, self.shift, order="C")
         self._pairs = {}        # (k, same, label) -> (members, pairs)
-        self.scatters = None    # ((k_w, k_b), labels, (S_w, S_b))
 
     def class_pairs(self, labels, label, k: int, same: bool):
         """`_knn_pairs` of the class `label`'s members against its members
@@ -285,17 +297,13 @@ def build_intrinsic_graph(X, labels, k_w: int, search=None) -> WeightedGraph:
     return _class_graph(X, labels, k_w, True, search)
 
 
-def _warn_if_one_class(labels):
-    if np.unique(labels).size == 1:
-        warnings.warn("penalty graph is empty: only one class present")
-
-
 def build_penalty_graph(X, labels, k_b: int, search=None) -> WeightedGraph:
     """Connect each sample of X to its k_b nearest different-label neighbors;
-    with a single class present the graph is empty, with a warning.
-    `search`, a `_Search` of X, reuses the pairs of classes whose members
-    it has searched before."""
-    _warn_if_one_class(labels)
+    with a single class present the graph is empty, with a warning at
+    every build. `search`, a `_Search` of X, reuses the pairs of classes
+    whose members it has searched before."""
+    if np.unique(labels).size == 1:
+        warnings.warn("penalty graph is empty: only one class present")
     return _class_graph(X, labels, k_b, False, search)
 
 
@@ -314,22 +322,11 @@ def _sandwich(X, G: WeightedGraph) -> np.ndarray:
 def locality_scatters(X, labels, hyper: Hyperparams, search=None):
     """(S_w, S_b) of one domain's samples X: its intrinsic and penalty
     graphs under `labels`, sandwiched, both searched through `search`, a
-    `_Search` of X (a fresh one when None). The scatters are read-only:
-    labels equal to those of the state's last scatters return them again,
-    with the penalty graph's warning again."""
+    `_Search` of X (a fresh one when None)."""
     if search is None:
         search = _Search(X)
-    key = (hyper.k_w, hyper.k_b)
-    last = search.scatters
-    if last is not None and last[0] == key and np.array_equal(last[1], labels):
-        _warn_if_one_class(labels)
-        return last[2]
-    scatters = (_sandwich(X, build_intrinsic_graph(X, labels, hyper.k_w, search)),
-                _sandwich(X, build_penalty_graph(X, labels, hyper.k_b, search)))
-    for S in scatters:
-        S.setflags(write=False)
-    search.scatters = key, np.array(labels, dtype=np.int64), scatters
-    return scatters
+    return (_sandwich(X, build_intrinsic_graph(X, labels, hyper.k_w, search)),
+            _sandwich(X, build_penalty_graph(X, labels, hyper.k_b, search)))
 
 
 def scatter_matrices(X_s, labels_s, X_u, pseudo_labels_u, hyper: Hyperparams,

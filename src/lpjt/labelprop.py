@@ -109,8 +109,9 @@ def propagate(S, Y0, sigma: float, tol: float = 1e-9, max_iter: int = 1000) -> P
 def closed_form(S, Y0, sigma: float) -> np.ndarray:
     """Fixed point (1 - sigma) (I - sigma S)^{-1} Y0 by a banded Cholesky.
 
-    S may be dense or `scipy.sparse`, but must be exactly symmetric with a
-    zero diagonal, as every `similarity_matrix` is; otherwise ValueError.
+    S may be dense or `scipy.sparse`, but must be finite and exactly
+    symmetric with a zero diagonal, as every `similarity_matrix` is;
+    otherwise ValueError.
     For such an S with spectral radius at most 1, I - sigma S is symmetric
     positive definite (LAPACK raises if it is not). A reverse Cuthill-McKee
     order of the graph gathers its edges near the diagonal (George & Liu,
@@ -127,15 +128,10 @@ def closed_form(S, Y0, sigma: float) -> np.ndarray:
         S.sum_duplicates()
     Y0 = np.asarray(Y0, dtype=np.float64)
     n = S.shape[0]
-    # S's CSC arrays are the CSR arrays of its transpose, in the fresh
-    # C-contiguous index arrays that reverse_cuthill_mckee requires
-    C = S.tocsc()
-    if not all(map(np.array_equal, (S.indptr, S.indices, S.data),
-                   (C.indptr, C.indices, C.data))):
-        raise ValueError("S must be exactly symmetric")
+    # S's CSC form has the fresh C-contiguous index arrays that
+    # reverse_cuthill_mckee requires
+    C = graph._check_graph(S, "S")
     row = np.repeat(np.arange(n), np.diff(S.indptr))
-    if np.any(S.data[row == S.indices]):
-        raise ValueError("S must have a zero diagonal")
     order = reverse_cuthill_mckee(C, symmetric_mode=True)
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)

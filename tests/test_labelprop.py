@@ -265,6 +265,28 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             closed_form(S if dense else sp.csr_array(S), random_seeds(rng, 30), 0.9)
 
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, value, dense):
+        S = np.array([[0.0, value], [value, 0.0]])
+        with pytest.raises(ValueError, match=f"finite; 2 entries are not: {value} at"):
+            closed_form(S if dense else sp.csr_array(S), np.eye(2), 0.9)
+
+    def test_explicit_zeros_without_a_mirror_accepted(self):
+        # stored zeros with no stored mirror: the CSR and CSC arrays differ,
+        # but the matrix is symmetric and the zeros add nothing to the band
+        rng = np.random.default_rng(16)
+        S = random_similarity(rng, 30, k=3)
+        Y0 = random_seeds(rng, 30)
+        rows, cols = np.nonzero(np.triu(S.toarray() == 0.0, 1))
+        coo = S.tocoo()
+        with_zeros = sp.csr_array((np.concatenate([coo.data, np.zeros(6)]),
+                                   (np.concatenate([coo.row, rows[:6]]),
+                                    np.concatenate([coo.col, cols[:6]]))), shape=S.shape)
+        assert with_zeros.nnz == S.nnz + 6
+        assert_allclose(closed_form(with_zeros, Y0, 0.9), dense_closed_form(S, Y0, 0.9),
+                        rtol=0, atol=1e-12)
+
     def test_memory_of_a_1200_node_solve(self):
         rng = np.random.default_rng(15)
         S = random_similarity(rng, 1200, k=5)
