@@ -9,10 +9,12 @@ One exact k-d tree search (Friedman, Bentley & Finkel, ACM TOMS 1977),
 in O(n * k) memory; no n x n distance state is kept across refreshes.
 Over a fit, a `_Search` of the target keeps each class's pairs while the
 pseudo labels leave its members unchanged.
-`_heat_csr` OR-symmetrizes the pairs by one sort of packed integer keys
-and weighs each final edge once. `knn_heat_graph`, the rule over a dense
-distance matrix and mask, is the test oracle of all three builders. Every
-graph is a sparse CSR array. Sandwiching the graph Laplacian L = D - W
+`_edges` OR-symmetrizes the pairs into undirected edges i < j by one sort
+of packed integer keys and weighs each edge once; `_csr` mirrors the edges
+into a CSR array by one stable sort of their rows, and label propagation
+reads the edges themselves. `knn_heat_graph`, the rule over a dense
+distance matrix and mask, is the test oracle of all three builders.
+Sandwiching the graph Laplacian L = D - W
 between the data, S = X L X^T = 1/2 sum_ij W_ij (x_i - x_j)(x_i - x_j)^T,
 turns the graph objective into a quadratic form in feature space; it is
 formed from the edges in O(nnz * d) plus O(n * d^2), never as a dense
@@ -94,29 +96,32 @@ def pairwise_sqdist(X) -> np.ndarray:
     return cdist(P, P, "sqeuclidean")
 
 
-def _heat_csr(Z, rows, cols) -> sp.csr_array:
-    """OR-symmetrized CSR graph over the samples of Z of the chosen pairs
-    (rows[i], cols[i]), each edge weighted exp(-||z_r - z_c||^2 / 2).
+def _edges(Z, rows, cols):
+    """The undirected edges (i, j), i < j, of the pairs (rows[k], cols[k])
+    of distinct samples of Z, each weighted exp(-||z_i - z_j||^2 / 2).
 
-    The pairs and their mirrors are packed into keys row * n + col, sorted
-    once, and a pair chosen from both ends is stored once. `_pair_sqdist`
-    then gives the squared distances of the final edges (r, c) with r <= c,
-    and each mirror takes its edge's weight. Indices come out sorted.
+    Each pair is packed into the key min * n + max, the keys are sorted
+    once, and a pair chosen from both ends is kept once, so the edges
+    ascend by (i, j); `_pair_sqdist` then runs on exactly those edges.
     """
     n = Z.shape[1]
-    key = np.sort(np.concatenate([rows * n + cols, cols * n + rows]))
-    rows, cols = np.divmod(key[np.diff(key, prepend=-1) != 0], n)
-    upper = np.flatnonzero(rows <= cols)
-    sq = np.empty(rows.size)
-    sq[upper] = _pair_sqdist(Z, rows[upper], cols[upper])
-    # the pattern is symmetric, so the j-th edge by (column, row) is the
-    # mirror of the j-th by (row, column); a stable sort by column (a radix
-    # sort in 16 bits up to 65536 samples) orders them so
-    mirror = np.argsort(cols.astype(np.min_scalar_type(max(n - 1, 0))), kind="stable")
-    sq[mirror[upper]] = sq[upper]
-    weights = np.exp(-sq / 2.0)
+    key = np.sort(np.minimum(rows, cols) * n + np.maximum(rows, cols))
+    i, j = np.divmod(key[np.diff(key, prepend=-1) != 0], n)
+    return i, j, np.exp(-_pair_sqdist(Z, i, j) / 2.0)
+
+
+def _csr(i, j, w, n: int) -> sp.csr_array:
+    """The symmetric n x n CSR array that stores each edge (i, j) of
+    `_edges`, weighing w, at (i, j) and (j, i); indices come out sorted."""
+    rows = np.concatenate([j, i])
+    # the edges ascend by (i, j), so each row's mirrors (columns below the
+    # diagonal) come first and its edges after them, both ascending; a
+    # stable sort by row (a radix sort in 16 bits up to 65536 samples)
+    # keeps that order
+    order = np.argsort(rows.astype(np.min_scalar_type(max(n - 1, 0))), kind="stable")
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-    return sp.csr_array((weights, cols, indptr), shape=(n, n))
+    return sp.csr_array((np.concatenate([w, w])[order], np.concatenate([i, j])[order], indptr),
+                        shape=(n, n))
 
 
 def knn_heat_graph(sqdist, allowed, k: int) -> sp.csr_array:
@@ -170,7 +175,7 @@ class _Search:
     state kept over the fit also keeps each class's pairs of each locality
     graph while the class's members are unchanged (the penalty graph's
     refs are their complement); a refresh whose labels did not move
-    searches nothing. `_heat_csr` sorts its pairs, so kept pairs give the
+    searches nothing. `_edges` sorts its pairs, so kept pairs give the
     graphs bit for bit.
     """
 
@@ -266,13 +271,19 @@ def _pair_sqdist(Z, rows, cols) -> np.ndarray:
     return sq
 
 
-def tree_knn_heat_graph(X, k: int) -> sp.csr_array:
-    """`knn_heat_graph` over every pair of samples of X but self, bit for
-    bit, with no n x n distances: each sample keeps its min(k, n - 1)
-    nearest others found by `_knn_pairs`, ties to the lowest index."""
+def _knn_edges(X, k: int):
+    """`_edges` of each sample of X with its min(k, n - 1) nearest others
+    found by `_knn_pairs`, ties to the lowest index."""
     s = _Search(X)
     everyone = np.arange(s.Z.shape[1])
-    return _heat_csr(s.Z, *_knn_pairs(s, everyone, everyone, k, exclude_self=True))
+    return _edges(s.Z, *_knn_pairs(s, everyone, everyone, k, exclude_self=True))
+
+
+def tree_knn_heat_graph(X, k: int) -> sp.csr_array:
+    """`knn_heat_graph` over every pair of samples of X but self, bit for
+    bit, with no n x n distances: the CSR array of `_knn_edges`."""
+    X = as_features(X)
+    return _csr(*_knn_edges(X, k), X.n)
 
 
 def _class_graph(X, labels, k: int, same: bool, search) -> WeightedGraph:
@@ -286,7 +297,7 @@ def _class_graph(X, labels, k: int, same: bool, search) -> WeightedGraph:
     if search is None:
         search = _Search(Z)
     pairs = [search.class_pairs(labels, label, k, same) for label in np.unique(labels)]
-    return WeightedGraph(_heat_csr(Z, *map(np.concatenate, zip(*pairs))))
+    return WeightedGraph(_csr(*_edges(Z, *map(np.concatenate, zip(*pairs))), Z.shape[1]))
 
 
 def build_intrinsic_graph(X, labels, k_w: int, search=None) -> WeightedGraph:

@@ -10,7 +10,8 @@ from scipy.spatial.distance import cdist
 
 from lpjt.core import FeatureMatrix, Hyperparams, LabeledDataset
 from lpjt.graph import knn_heat_graph
-from lpjt.labelprop import classify, closed_form, propagate, similarity_matrix
+from lpjt.labelprop import (_band_solve, _similarity_edges, classify, closed_form, propagate,
+                            similarity_matrix)
 
 
 def brute_force_any_pair(Z, k):
@@ -287,6 +288,15 @@ class TestClosedForm:
         assert_allclose(closed_form(with_zeros, Y0, 0.9), dense_closed_form(S, Y0, 0.9),
                         rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n,d,kind,k", ORACLE_CASES)
+    def test_edge_path_equals_checked_pair(self, n, d, kind, k):
+        # classify's unchecked solve from the edge list against the public
+        # similarity_matrix and closed_form, which checks its input
+        Z = oracle_fixture(kind, n, d)
+        Y0 = random_seeds(np.random.default_rng([n, d, k]), n)
+        assert np.array_equal(_band_solve(*_similarity_edges(Z, k), Y0, 0.9),
+                              closed_form(similarity_matrix(Z, k), Y0, 0.9))
+
     def test_memory_of_a_1200_node_solve(self):
         rng = np.random.default_rng(15)
         S = random_similarity(rng, 1200, k=5)
@@ -452,6 +462,34 @@ class TestClassify:
         with pytest.warns(RuntimeWarning, match="2 of 2 test samples"):
             pred = classify(train, np.array([[100.0, 101.0]]), self._hyper())
         assert np.array_equal(pred, [0, 0])
+
+    def test_subnormal_degree_pairs_get_their_labels(self):
+        # two components: 0 and 1 joined with weight exp(-1/2), 2 and 3,
+        # sqrt(1450) apart, with the subnormal exp(-725), where 1 / sqrt(deg)
+        # squared overflows; each test sample takes its component's label
+        Z = np.array([[0.0, 1.0, 100.0, 100.0 + np.sqrt(1450.0)]])
+        train = LabeledDataset(FeatureMatrix(Z[:, [0, 2]]), [0, 1], 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pred = classify(train, Z[:, [1, 3]], self._hyper(k_w=1))
+        assert pred.tolist() == [0, 1]
+
+    def test_memory_well_below_one_dense_matrix(self):
+        # 1000 labeled and 1000 test samples: the graph, its edges and the
+        # band solve stay in O(n * k) memory
+        rng = np.random.default_rng(0)
+        train = LabeledDataset(FeatureMatrix(rng.normal(size=(2, 1000))),
+                               rng.integers(0, 3, 1000), 3)
+        test = rng.normal(size=(2, 1000))
+        classify(train, test, self._hyper())
+        tracemalloc.start()
+        try:
+            classify(train, test, self._hyper())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an eighth of one 2000 x 2000 float64 array (32 MB)
+        assert peak < 2000 * 2000 * 8 / 8
 
     def test_dimension_mismatch(self):
         train = LabeledDataset(FeatureMatrix(np.ones((3, 4))), [0, 1, 0, 1], 2)
