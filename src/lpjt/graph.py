@@ -10,15 +10,15 @@ in O(n * k) memory; no n x n distance state is kept across refreshes.
 Over a fit, a `_Search` of the target keeps each class's pairs while the
 pseudo labels leave its members unchanged.
 `_edges` OR-symmetrizes the pairs into undirected edges i < j by one sort
-of packed integer keys and weighs each edge once; `_csr` mirrors the edges
-into a CSR array by one stable sort of their rows, and label propagation
-reads the edges themselves. `knn_heat_graph`, the rule over a dense
-distance matrix and mask, is the test oracle of all three builders.
-Sandwiching the graph Laplacian L = D - W
+of packed integer keys and weighs each edge once; `_degrees` sums their
+weights per node and `_csr` mirrors them into a CSR array by one stable
+sort of their rows. Label propagation and the scatters read the edges;
+only the public builders wrap them in a `WeightedGraph`. `knn_heat_graph`,
+the rule over a dense distance matrix and mask, is the test oracle of all
+three graphs. `_scatter` sandwiches the graph Laplacian L = D - W
 between the data, S = X L X^T = 1/2 sum_ij W_ij (x_i - x_j)(x_i - x_j)^T,
-turns the graph objective into a quadratic form in feature space; it is
-formed from the edges in O(nnz * d) plus O(n * d^2), never as a dense
-n x n Laplacian.
+turning the graph objective into a quadratic form in feature space, from
+the edges in O(nnz * d) plus O(n * d^2), never as a dense n x n Laplacian.
 """
 
 import warnings
@@ -32,9 +32,9 @@ from scipy.spatial.distance import cdist
 from .core import Hyperparams, as_features
 
 
-def _check_graph(W: sp.csr_array, name: str) -> sp.csc_array:
+def _check_graph(W: sp.csr_array, name: str) -> None:
     """Raise ValueError unless the square CSR array W is finite, exactly
-    symmetric and zero on its diagonal, in that order; return W as CSC."""
+    symmetric and zero on its diagonal, in that order."""
     bad = np.flatnonzero(~np.isfinite(W.data))
     if bad.size:
         rows = np.searchsorted(W.indptr, bad, side="right") - 1
@@ -50,7 +50,6 @@ def _check_graph(W: sp.csr_array, name: str) -> sp.csc_array:
         raise ValueError(f"{name} must be exactly symmetric")
     if np.any(W.diagonal() != 0.0):
         raise ValueError(f"{name} must have a zero diagonal")
-    return C
 
 
 @dataclass(frozen=True)
@@ -133,8 +132,8 @@ def knn_heat_graph(sqdist, allowed, k: int) -> sp.csr_array:
     other), the diagonal is cleared and each edge weighted with
     exp(-sqdist / 2). Only the selected pairs are stored.
 
-    This is the test oracle of `build_intrinsic_graph`, `build_penalty_graph`
-    and `tree_knn_heat_graph`, with `pairwise_sqdist` as its input; `fit`
+    This is the test oracle of the locality graphs, their scatters and
+    `tree_knn_heat_graph`, with `pairwise_sqdist` as its input; `fit`
     does not call it.
     """
     sqdist = np.asarray(sqdist, dtype=np.float64)
@@ -286,58 +285,58 @@ def tree_knn_heat_graph(X, k: int) -> sp.csr_array:
     return _csr(*_knn_edges(X, k), X.n)
 
 
-def _class_graph(X, labels, k: int, same: bool, search) -> WeightedGraph:
-    """The heat graph of each sample's k nearest samples of its own class
-    but itself when `same`, else of the other classes, searched class by
-    class through `search` (a fresh `_Search` of X when None)."""
-    Z = as_features(X).data
+def _class_edges(Z, labels, k: int, same: bool, search):
+    """`_edges` of each sample of Z and its k nearest samples of its own
+    class but itself when `same`, else of the other classes (none, with a
+    warning at every call, when one class is present), searched class by
+    class through `search`, a `_Search` of Z."""
     labels = np.asarray(labels, dtype=np.int64).ravel()
     if labels.shape[0] != Z.shape[1]:
         raise ValueError("labels length must equal the sample count")
-    if search is None:
-        search = _Search(Z)
-    pairs = [search.class_pairs(labels, label, k, same) for label in np.unique(labels)]
-    return WeightedGraph(_csr(*_edges(Z, *map(np.concatenate, zip(*pairs))), Z.shape[1]))
+    classes = np.unique(labels)
+    if not same and classes.size == 1:
+        warnings.warn("penalty graph is empty: only one class present")
+    pairs = [search.class_pairs(labels, label, k, same) for label in classes]
+    return _edges(Z, *map(np.concatenate, zip(*pairs)))
 
 
-def build_intrinsic_graph(X, labels, k_w: int, search=None) -> WeightedGraph:
+def build_intrinsic_graph(X, labels, k_w: int) -> WeightedGraph:
     """Connect each sample of X to its k_w nearest same-label neighbors,
-    k_w clamped per class to the class size minus one. `search`, a
-    `_Search` of X, reuses the pairs of classes whose members it has
-    searched before."""
-    return _class_graph(X, labels, k_w, True, search)
+    k_w clamped per class to the class size minus one."""
+    Z = as_features(X).data
+    return WeightedGraph(_csr(*_class_edges(Z, labels, k_w, True, _Search(Z)), Z.shape[1]))
 
 
-def build_penalty_graph(X, labels, k_b: int, search=None) -> WeightedGraph:
+def build_penalty_graph(X, labels, k_b: int) -> WeightedGraph:
     """Connect each sample of X to its k_b nearest different-label neighbors;
     with a single class present the graph is empty, with a warning at
-    every build. `search`, a `_Search` of X, reuses the pairs of classes
-    whose members it has searched before."""
-    if np.unique(labels).size == 1:
-        warnings.warn("penalty graph is empty: only one class present")
-    return _class_graph(X, labels, k_b, False, search)
+    every build."""
+    Z = as_features(X).data
+    return WeightedGraph(_csr(*_class_edges(Z, labels, k_b, False, _Search(Z)), Z.shape[1]))
 
 
-def _degrees(G: WeightedGraph) -> np.ndarray:
-    # a column matrix on scipy < 1.11
-    return np.asarray(G.W.sum(axis=1)).ravel()
+def _degrees(i, j, w, n: int) -> np.ndarray:
+    """Degree of each of n nodes under the edges i < j weighing w: the sum
+    of its row of the symmetric matrix, added in `_csr`'s row order."""
+    return np.bincount(np.concatenate([j, i]), np.concatenate([w, w]), n)
 
 
-def _sandwich(X, G: WeightedGraph) -> np.ndarray:
-    """Scatter matrix X (D - W) X^T of graph G over samples X, symmetrized."""
-    X = as_features(X).data
-    S = (X * _degrees(G)) @ X.T - X @ (G.W @ X.T)
+def _scatter(Z, i, j, w) -> np.ndarray:
+    """Z (D - W) Z^T over the samples (columns) of Z for the graph whose
+    edges i < j weigh w, symmetrized."""
+    n = Z.shape[1]
+    S = (Z * _degrees(i, j, w, n)) @ Z.T - Z @ (_csr(i, j, w, n) @ Z.T)
     return (S + S.T) / 2.0
 
 
 def locality_scatters(X, labels, hyper: Hyperparams, search=None):
-    """(S_w, S_b) of one domain's samples X: its intrinsic and penalty
-    graphs under `labels`, sandwiched, both searched through `search`, a
+    """(S_w, S_b) of one domain's samples X: the scatters of its intrinsic
+    and penalty graphs under `labels`, both searched through `search`, a
     `_Search` of X (a fresh one when None)."""
-    if search is None:
-        search = _Search(X)
-    return (_sandwich(X, build_intrinsic_graph(X, labels, hyper.k_w, search)),
-            _sandwich(X, build_penalty_graph(X, labels, hyper.k_b, search)))
+    search = _Search(X) if search is None else search
+    Z = as_features(X).data
+    return (_scatter(Z, *_class_edges(Z, labels, hyper.k_w, True, search)),
+            _scatter(Z, *_class_edges(Z, labels, hyper.k_b, False, search)))
 
 
 def scatter_matrices(X_s, labels_s, X_u, pseudo_labels_u, hyper: Hyperparams,

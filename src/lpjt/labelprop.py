@@ -56,8 +56,7 @@ def _similarity_edges(Z, k: int):
     if n < 2:
         raise ValueError("need at least two samples to build a graph")
     i, j, w = graph._knn_edges(Z, k)
-    # each degree adds its row's weights in CSR order, mirrors first
-    deg = np.bincount(np.concatenate([j, i]), np.concatenate([w, w]), n)
+    deg = graph._degrees(i, j, w, n)
     with np.errstate(divide="ignore", over="ignore"):
         dinv = np.where(deg > 0.0, 1.0 / np.sqrt(deg), 0.0)
         scale = dinv[i] * dinv[j]

@@ -227,8 +227,8 @@ def build_qp(Z_s, Z_u, labels_s, pseudo_labels_u, delta, num_classes=None) -> Qp
     Z_u = np.asarray(Z_u, dtype=np.float64)
     labels_s = np.asarray(labels_s, dtype=np.int64).ravel()
     labels_u = np.asarray(pseudo_labels_u, dtype=np.int64).ravel()
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     n_s, n_u = Z_s.shape[1], Z_u.shape[1]
     if labels_s.size != n_s or labels_u.size != n_u:
         raise ValueError("label vectors must match the sample counts")

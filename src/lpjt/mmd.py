@@ -60,10 +60,11 @@ class MmdBlocks:
 def _check_weights(alpha, beta, delta):
     alpha = np.asarray(alpha, dtype=np.float64).ravel()
     beta = np.asarray(beta, dtype=np.float64).ravel()
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if alpha.size and alpha.min() < 0 or beta.size and beta.min() < 0:
-        raise ValueError("weights must be nonnegative")
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
+    for name, w in (("alpha", alpha), ("beta", beta)):
+        if not np.all((w >= 0.0) & (w < np.inf)):
+            raise ValueError(f"{name} entries must be finite and nonnegative")
     return alpha, beta
 
 
@@ -221,8 +222,8 @@ def mmd_distance(Z_s, Z_u, labels_s, labels_u, alpha=None, beta=None, delta=1.0)
     Zu = np.asarray(Z_u, dtype=np.float64)
     labels_s = np.asarray(labels_s, dtype=np.int64).ravel()
     labels_u = np.asarray(labels_u, dtype=np.int64).ravel()
-    alpha = np.ones(Zs.shape[1]) if alpha is None else np.asarray(alpha, dtype=np.float64)
-    beta = np.ones(Zu.shape[1]) if beta is None else np.asarray(beta, dtype=np.float64)
+    alpha, beta = _check_weights(np.ones(Zs.shape[1]) if alpha is None else alpha,
+                                 np.ones(Zu.shape[1]) if beta is None else beta, delta)
     Zs = Zs * alpha
     Zu = Zu * beta
     diff = Zs.sum(axis=1) / (delta * alpha.size) - Zu.sum(axis=1) / (delta * beta.size)

@@ -226,7 +226,9 @@ class TestOrderBuilders:
             with pytest.raises(ValueError, match="labels length"):
                 build(np.zeros((1, 3)), [0, 1], 1)
 
-    @pytest.mark.parametrize("build", [build_intrinsic_graph, build_penalty_graph])
+    @pytest.mark.parametrize("build", [
+        build_intrinsic_graph, build_penalty_graph,
+        lambda X, labels, k: locality_scatters(X, labels, Hyperparams(k_w=k, k_b=k))])
     def test_memory_below_an_eighth_of_a_dense_matrix(self, build):
         n = 2000
         rng = np.random.default_rng(0)
@@ -397,6 +399,10 @@ class TestPenaltyGraph:
 
 
 class TestLocalityScatters:
+    """`locality_scatters` against the explicit edge sum over the graphs
+    of the dense oracle `knn_heat_graph`, with the same-class (diagonal
+    cleared) and the other-class masks."""
+
     @staticmethod
     def edge_sum(X, W):
         """1/2 sum_ij W_ij (x_i - x_j)(x_i - x_j)^T, one pair at a time."""
@@ -408,6 +414,13 @@ class TestLocalityScatters:
                 S += 0.5 * W[i, j] * np.outer(diff, diff)
         return S
 
+    @staticmethod
+    def oracle_graphs(X, labels, hyper):
+        D = pairwise_sqdist(X)
+        same = labels[:, None] == labels[None, :]
+        return (knn_heat_graph(D, same & ~np.eye(labels.size, dtype=bool), hyper.k_w),
+                knn_heat_graph(D, ~same, hyper.k_b))
+
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("kind", ["random", "grid", "duplicates"])
     def test_equals_explicit_edge_sum(self, kind, seed):
@@ -415,15 +428,32 @@ class TestLocalityScatters:
             rng = np.random.default_rng(seed)
             X = rng.normal(size=(3, 20))
             labels = rng.integers(0, 3, 20)
+            labels[0] = 3
         else:
             X, labels = tie_heavy_instance(kind, seed)
         hyper = Hyperparams(k_w=3, k_b=2)
         S_w, S_b = locality_scatters(X, labels, hyper)
-        for S, g in ((S_w, build_intrinsic_graph(X, labels, hyper.k_w)),
-                     (S_b, build_penalty_graph(X, labels, hyper.k_b))):
-            assert g.W.nnz > 0
-            oracle = self.edge_sum(X, g.W)
+        W_w, W_b = self.oracle_graphs(X, labels, hyper)
+        # sample 0 is a class of its own: no intrinsic edge, penalty edges
+        assert np.diff(W_w.indptr)[0] == 0 and np.diff(W_b.indptr)[0] > 0
+        for S, W in ((S_w, W_w), (S_b, W_b)):
+            assert W.nnz > 0
+            oracle = self.edge_sum(X, W)
             assert np.max(np.abs(S - oracle)) <= 1e-12 * np.abs(oracle).max()
+
+    def test_single_class_has_no_penalty_scatter(self):
+        X = np.random.default_rng(5).normal(size=(3, 12))
+        labels = np.full(12, 4)
+        hyper = Hyperparams(k_w=3, k_b=2)
+        oracle = self.edge_sum(X, self.oracle_graphs(X, labels, hyper)[0])
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                S_w, S_b = locality_scatters(X, labels, hyper)
+            assert [str(w.message) for w in caught] == \
+                ["penalty graph is empty: only one class present"]
+            assert np.all(S_b == 0.0)
+            assert np.max(np.abs(S_w - oracle)) <= 1e-12 * np.abs(oracle).max()
 
 
 class TestSearchState:

@@ -630,6 +630,11 @@ class TestNonFiniteWeights:
         with pytest.raises(ValueError, match="beta entries must be finite"):
             LandmarkWeights(np.array([0.5, 0.5]), np.array([0.5, bad]), 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
+    def test_build_qp_rejects_delta(self, bad):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            random_qp(0, delta=bad)
+
     def test_check_feasible_rejects_nan(self):
         # NaN fails every comparison, so it would pass the bound and mean checks
         ok = SimpleNamespace(alpha=np.array([0.5, 0.5]), beta=np.array([0.5, 0.5]), delta=0.5)

@@ -77,6 +77,26 @@ class TestMarginalCoeffs:
         with pytest.raises(ValueError):
             marginal_coeffs([1.0], [1.0], 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_and_delta_rejected(self, bad):
+        # NaN passes a sign check: it fails both `< 0` and `<= 0`
+        labels, eye, X = [0, 0], np.eye(1), np.ones((1, 2))
+        calls = (
+            lambda a, b, delta: marginal_coeffs(a, b, delta),
+            lambda a, b, delta: conditional_coeffs(a, b, labels, labels, delta, 1),
+            lambda a, b, delta: build_coeffs(a, b, labels, labels, delta, 1),
+            lambda a, b, delta: mmd_value(X, X, eye, eye, a, b, labels, labels, delta),
+            lambda a, b, delta: mmd_distance(X, X, labels, labels, a, b, delta),
+        )
+        ok = [0.5, 0.5]
+        for call in calls:
+            with pytest.raises(ValueError, match="delta must be positive and finite"):
+                call(ok, ok, bad)
+            with pytest.raises(ValueError, match="alpha entries must be finite"):
+                call([bad, 0.5], ok, 0.5)
+            with pytest.raises(ValueError, match="beta entries must be finite"):
+                call(ok, [0.5, bad], 0.5)
+
 
 class TestConditionalCoeffs:
     def test_single_sample_class(self):

@@ -215,7 +215,8 @@ class TestFitBasics:
         assert peak < Xs.shape[1] ** 2 * 8
 
     def test_refresh_reaches_traced_module_attributes(self, monkeypatch):
-        # the bench's mmd.* and graph.* layers wrap these module attributes
+        # the bench's mmd.* and graph.* layers wrap these module attributes;
+        # it still wraps the two builders, which fit no longer calls
         calls = {}
 
         def counting(module, name):
@@ -228,7 +229,7 @@ class TestFitBasics:
             monkeypatch.setattr(module, name, wrapper)
 
         for module, name in ((mmd, "build_coeffs"), (mmd, "assemble_M"),
-                             (graph, "build_intrinsic_graph"),
+                             (graph, "locality_scatters"), (graph, "build_intrinsic_graph"),
                              (graph, "build_penalty_graph"), (eigsolve, "solve")):
             counting(module, name)
         Xs, ys, Xt, _ = synth_rotated(20, 3, 0)
@@ -237,10 +238,35 @@ class TestFitBasics:
             calls.clear()
             model = fit(src, Xt, None, FitConfig(hyper=Hyperparams(d=2, T=T)))
             assert calls["solve"] == T
-            # the MMD blocks once per iteration; the source's graphs once, the
-            # target's once per iteration, from kept pairs where labels held
+            # the MMD blocks once per iteration; the source's scatters once,
+            # the target's once per iteration, from kept pairs where labels
+            # held; the scatters are formed from the edges, with no graph built
             assert calls["build_coeffs"] == calls["assemble_M"] == calls["solve"]
-            assert calls["build_intrinsic_graph"] == calls["build_penalty_graph"] == T + 1
+            assert calls["locality_scatters"] == T + 1
+            assert "build_intrinsic_graph" not in calls and "build_penalty_graph" not in calls
+
+    def test_fit_builds_and_checks_no_weighted_graph(self, monkeypatch):
+        # the scatters' edges are symmetric by construction; only outside
+        # input (the public builders' graphs, closed_form's S) is checked
+        calls = {"check": 0, "construct": 0}
+        check, post_init = graph._check_graph, graph.WeightedGraph.__post_init__
+
+        def counting_check(*args):
+            calls["check"] += 1
+            return check(*args)
+
+        def counting_post_init(self):
+            calls["construct"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(graph, "_check_graph", counting_check)
+        monkeypatch.setattr(graph.WeightedGraph, "__post_init__", counting_post_init)
+        graph.WeightedGraph(np.zeros((2, 2)))
+        assert calls == {"check": 1, "construct": 1}
+        Xs, ys, Xt, _ = synth_rotated(20, 3, 0)
+        fit(LabeledDataset(FeatureMatrix(Xs), ys, 3), Xt, None,
+            FitConfig(hyper=Hyperparams(d=2, T=3)))
+        assert calls == {"check": 1, "construct": 1}
 
     def test_final_weights_feasible(self):
         Xs, ys, Xt, _ = synth_rotated(30, 3, 0)
