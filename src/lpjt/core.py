@@ -145,8 +145,12 @@ class TrainTrace:
         object.__setattr__(self, "objective", _freeze(self.objective).ravel())
         object.__setattr__(self, "mmd", _freeze(self.mmd).ravel())
         object.__setattr__(self, "label_changes", _freeze(self.label_changes, np.int64).ravel())
-        if np.any(self.mmd < 0):
-            raise ValueError("mmd trace entries must be nonnegative")
+        if not self.objective.size == self.mmd.size == self.label_changes.size:
+            raise ValueError("objective, mmd and label_changes traces must have equal lengths")
+        if not (np.isfinite(self.objective).all() and np.isfinite(self.mmd).all()):
+            raise ValueError("objective and mmd trace entries must be finite")
+        if np.any(self.mmd < 0) or np.any(self.label_changes < 0):
+            raise ValueError("mmd and label_changes trace entries must be nonnegative")
 
     def __len__(self):
         return self.objective.shape[0]

@@ -10,11 +10,9 @@ Grauman & Sha, ICML 2013). Classes present in a single domain keep their
 weights pinned at delta.
 
 Bq is kept in factored form: K_ss = F_s^T F_s + diag(diag_s),
-K_uu = F_u^T F_u + diag(diag_u) and K_su = F_s^T diag(cross) F_u, where the
-factors are scaled copies of the embedded data with r = d * (1 + shared
-classes) rows and `cross` is 1 on the marginal rows and 2 on the class rows.
-The weight step stores O(r * n) numbers and every product with Bq costs
-O(r * n).
+K_uu = F_u^T F_u + diag(diag_u) and K_su = F_s^T diag(cross) F_u, with
+r = d * (1 + shared classes) rows in F_s and F_u, so the weight step stores
+O(r * n) numbers and every product with Bq costs O(r * n).
 
 The solver is an exact active-set method. Each step minimizes E exactly on
 one face of the polytope: weights at 0 or 1 are held, and the free weights
@@ -34,6 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import _freeze
+from .mmd import _class_rule
 
 # solve_qp's cap on active-set steps
 MAX_STEPS = 500
@@ -94,14 +93,9 @@ class _FaceMeta(NamedTuple):
 
 @dataclass(frozen=True)
 class QpInstance:
-    """Quadratic program data in factored form, plus the per-class bookkeeping.
-
-    The blocks of Bq are never stored densely: K_ss = F_s^T F_s + diag(diag_s),
-    K_uu = F_u^T F_u + diag(diag_u) and K_su = F_s^T diag(cross) F_u, with
-    F_s (r x n_s) and F_u (r x n_u) for r = d * (1 + number of classes
-    present in both domains). A product with Bq costs O(r * n). The dense
-    `Bq`, `K_ss`, `K_uu` and `K_su` are built lazily for inspection and
-    tests; the solver never touches them.
+    """Quadratic program data in the module's factored form, plus the
+    per-class bookkeeping. The dense `Bq`, `K_ss`, `K_uu` and `K_su` are
+    built lazily for inspection and tests; the solver never touches them.
 
     The rows with cross weight 1 are the marginal rows and come first. The
     others hold d rows per class present in both domains, in class order,
@@ -215,13 +209,11 @@ def build_qp(Z_s, Z_u, labels_s, pseudo_labels_u, delta, num_classes=None) -> Qp
     """Factored coefficient matrices of the weight subproblem from embedded data.
 
     1/2 z^T Bq z equals `mmd.mmd_value`'s E_MG + E_CD at the same weights,
-    embeddings and labels. The factors are scaled copies of Z_s and Z_u:
-    one row block for the marginal term and one per class present in both
-    domains, zero outside that class's samples. A class's cross-domain
-    pairs enter its mean difference and its pairwise spread, hence the
-    cross weight 2 on its rows; the pairwise spread's per-sample terms
-    go to diag_s and diag_u. A class in neither domain, such as one only
-    the labeled targets hold, adds no group and no rows.
+    embeddings and labels, and Bq is E's Hessian: with the source's counts N
+    from `mmd._class_rule`, row block j of F_s is sqrt(2) Z_s / (delta N_j)
+    and diag_s holds 2 |z_i|^2 / (delta^2 n_c), by the constants the `mmd`
+    module docstring states; F_u and diag_u likewise. A class in neither
+    domain, such as one only the labeled targets hold, adds no group.
     """
     Z_s = np.asarray(Z_s, dtype=np.float64)
     Z_u = np.asarray(Z_u, dtype=np.float64)
@@ -232,39 +224,20 @@ def build_qp(Z_s, Z_u, labels_s, pseudo_labels_u, delta, num_classes=None) -> Qp
     n_s, n_u = Z_s.shape[1], Z_u.shape[1]
     if labels_s.size != n_s or labels_u.size != n_u:
         raise ValueError("label vectors must match the sample counts")
-    if num_classes is None:
-        num_classes = int(max(labels_s.max(), labels_u.max())) + 1
+    members, counts_s, counts_u = _class_rule(labels_s, labels_u, num_classes)
 
     scale = np.sqrt(2.0) / delta
-    blocks_s = [(scale / n_s) * Z_s]
-    blocks_u = [(scale / n_u) * Z_u]
-    diag_s = np.zeros(n_s)
-    diag_u = np.zeros(n_u)
-    sq_norms_s = np.einsum("ij,ij->j", Z_s, Z_s)
-    sq_norms_u = np.einsum("ij,ij->j", Z_u, Z_u)
-    groups = []
-    for c in range(num_classes):
-        si = np.flatnonzero(labels_s == c)
-        ui = np.flatnonzero(labels_u == c)
-        both = si.size > 0 and ui.size > 0
-        if both:
-            for Z, idx, blocks, diag, sq_norms in ((Z_s, si, blocks_s, diag_s, sq_norms_s),
-                                                   (Z_u, ui, blocks_u, diag_u, sq_norms_u)):
-                block = np.zeros_like(Z)
-                block[:, idx] = (scale / idx.size) * Z[:, idx]
-                blocks.append(block)
-                diag[idx] = 2.0 * sq_norms[idx] / (delta**2 * idx.size)
-        if si.size:
-            groups.append((si, both))
-        if ui.size:
-            groups.append((n_s + ui, both))
-    d = Z_s.shape[0]
-    cross = np.full(len(blocks_s) * d, 2.0)
-    cross[:d] = 1.0
-    return QpInstance(
-        F_s=np.vstack(blocks_s), F_u=np.vstack(blocks_u), cross=cross,
-        diag_s=diag_s, diag_u=diag_u, delta=delta, groups=tuple(groups),
-    )
+    F, diag = [], []
+    for Z, N in ((Z_s, counts_s), (Z_u, counts_u)):
+        # one row block per column of N, so rows of zeros off each class
+        F.append(((scale / N.T)[:, None, :] * Z).reshape(-1, Z.shape[1]))
+        spread = N[:, 1:].min(axis=1, initial=np.inf)
+        diag.append(2.0 * np.einsum("ij,ij->j", Z, Z) / (delta**2 * spread))
+    groups = tuple((offset + idx, bool(si.size and ui.size)) for si, ui in members
+                   for offset, idx in ((0, si), (n_s, ui)) if idx.size)
+    cross = np.where(np.arange(F[0].shape[0]) < Z_s.shape[0], 1.0, 2.0)
+    return QpInstance(F_s=F[0], F_u=F[1], cross=cross, diag_s=diag[0], diag_u=diag[1],
+                      delta=delta, groups=groups)
 
 
 def project_box_mean(x, delta):

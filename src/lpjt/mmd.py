@@ -14,9 +14,16 @@ sum of rank-one mean differences plus a per-sample diagonal, so
 (X diag(w)) X^T in O(d^2 n), never building an n x n matrix;
 `marginal_coeffs` and `conditional_coeffs` build the dense H as the
 reference. `mmd_value` evaluates the literal sums and is kept independent
-of both paths so each can check the other. Constants follow the convention
-that the cross-class block carries a built-in factor 2, paired with the -2
-coupling above; the explicit-sum equality pins every constant.
+of both paths so each can check the other.
+
+`_class_rule` decides, for `assemble_M`, `mmd_distance` and
+`landmark.build_qp` alike, which classes the conditional term compares
+(those with members in both domains) and what each sample's weight w is
+divided by. In a domain of n samples, n_c of them in class c, w enters the
+domain mean as w / (delta n), class c's mean as w / (delta n_c) and its
+spread as w^2 / (delta^2 n_c), on c's members only. Class means meet
+across domains with cross weight 2, paired with the -2 coupling above, and
+the domain means with 1; the equality with `mmd_value` pins every constant.
 """
 
 import warnings
@@ -31,7 +38,8 @@ from .core import as_features
 class MmdCoeffs:
     """The landmark weights, classes and delta that define the MMD terms.
 
-    `classes` holds the (source, target) sample indices of each class
+    `classes` holds the source's and the target's counts from
+    `_class_rule`: one column for the domain mean, then one per class
     present in both domains, the only classes the conditional term
     compares. No n x n coefficient matrix is kept: `assemble_M` forms the
     blocks from these directly, and `marginal_coeffs` /
@@ -86,20 +94,40 @@ def _check_labels(alpha, beta, labels_s, pseudo_labels_u):
     return labels_s, labels_u
 
 
-def _shared_classes(labels_s, labels_u, num_classes):
-    """(source, target) indices of each class present in both domains.
+def _class_rule(labels_s, labels_u, num_classes=None):
+    """The classes the MMD compares and each sample's counts.
 
-    A class present in one domain only is skipped with a warning.
+    Returns (members, counts_s, counts_u). members[c] holds the (source,
+    target) indices of class c < num_classes (default: one past the largest
+    label). counts_s is n_s x (1 + K) for the K classes in both domains, in
+    class order: column 0 holds n_s, column j + 1 holds n_c on the j-th
+    such class's members and inf elsewhere, so that a weight divided by it
+    vanishes off the class. counts_u likewise.
     """
-    shared = []
-    for c in range(num_classes):
-        si = np.flatnonzero(labels_s == c)
-        ui = np.flatnonzero(labels_u == c)
-        if si.size and ui.size:
-            shared.append((si, ui))
-        elif si.size != ui.size:
+    if num_classes is None:
+        num_classes = int(max(labels_s.max(), labels_u.max())) + 1
+    members = [(np.flatnonzero(labels_s == c), np.flatnonzero(labels_u == c))
+               for c in range(num_classes)]
+    shared = [pair for pair in members if pair[0].size and pair[1].size]
+    counts = []
+    for side, n in enumerate((labels_s.size, labels_u.size)):
+        N = np.full((n, 1 + len(shared)), np.inf)
+        N[:, 0] = n
+        for j, pair in enumerate(shared):
+            N[pair[side], j + 1] = pair[side].size
+        counts.append(N)
+    return members, counts[0], counts[1]
+
+
+def _shared_classes(labels_s, labels_u, num_classes):
+    """`_class_rule`'s (source, target) indices of each class present in both
+    domains, then its counts; a class in one domain only is skipped with a
+    warning."""
+    members, counts_s, counts_u = _class_rule(labels_s, labels_u, num_classes)
+    for c, (si, ui) in enumerate(members):
+        if bool(si.size) != bool(ui.size):
             warnings.warn(f"class {c} missing from one domain; skipped")
-    return tuple(shared)
+    return tuple((si, ui) for si, ui in members if si.size and ui.size), counts_s, counts_u
 
 
 def conditional_coeffs(alpha, beta, labels_s, pseudo_labels_u, delta, num_classes):
@@ -114,7 +142,7 @@ def conditional_coeffs(alpha, beta, labels_s, pseudo_labels_u, delta, num_classe
     H_sc = np.zeros((n_s, n_s))
     H_uc = np.zeros((n_u, n_u))
     H_suc = np.zeros((n_s, n_u))
-    for si, ui in _shared_classes(labels_s, labels_u, num_classes):
+    for si, ui in _shared_classes(labels_s, labels_u, num_classes)[0]:
         a, b = alpha[si], beta[ui]
         H_sc[np.ix_(si, si)] += np.outer(a, a) / (delta**2 * si.size**2)
         H_sc[si, si] += a * a / (delta**2 * si.size)
@@ -129,25 +157,19 @@ def build_coeffs(alpha, beta, labels_s, pseudo_labels_u, delta, num_classes) -> 
     alpha, beta = _check_weights(alpha, beta, delta)
     labels_s, labels_u = _check_labels(alpha, beta, labels_s, pseudo_labels_u)
     return MmdCoeffs(alpha=alpha, beta=beta, delta=delta,
-                     classes=_shared_classes(labels_s, labels_u, num_classes))
+                     classes=_shared_classes(labels_s, labels_u, num_classes)[1:])
 
 
-def _mean_factors(X, w, groups, delta):
-    """One domain's weighted-mean columns and per-sample diagonal weights.
+def _mean_factors(X, w, counts, delta):
+    """One domain's weighted-mean columns and per-sample spread weights.
 
-    Column 0 of the returned d x (1 + len(groups)) matrix is the mean of
-    the columns of X w / delta over the domain, column j + 1 their mean over
-    the samples in groups[j]. The returned vector holds w_i^2 / (delta^2 n_c)
-    for the samples of those groups and 0 elsewhere.
+    Column j of the returned d x counts.shape[1] matrix sums the columns of
+    X w / (delta counts[:, j]), the domain mean for j = 0 and a class mean
+    after it. The returned vector holds w^2 / (delta^2 n_c) on the
+    compared classes' samples and 0 elsewhere.
     """
-    n = w.size
-    E = np.zeros((n, 1 + len(groups)))
-    E[:, 0] = w / (delta * n)
-    diag = np.zeros(n)
-    for j, idx in enumerate(groups):
-        E[idx, j + 1] = w[idx] / (delta * idx.size)
-        diag[idx] = w[idx] ** 2 / (delta**2 * idx.size)
-    return X @ E, diag
+    spread = counts[:, 1:].min(axis=1, initial=np.inf)
+    return X @ (w[:, None] / (delta * counts)), w**2 / (delta**2 * spread)
 
 
 def assemble_M(X_s, X_u, coeffs: MmdCoeffs) -> MmdBlocks:
@@ -162,8 +184,9 @@ def assemble_M(X_s, X_u, coeffs: MmdCoeffs) -> MmdBlocks:
     Xu = as_features(X_u).data
     if coeffs.alpha.size != Xs.shape[1] or coeffs.beta.size != Xu.shape[1]:
         raise ValueError("coefficient shapes do not match sample counts")
-    S, w_s = _mean_factors(Xs, coeffs.alpha, [si for si, _ in coeffs.classes], coeffs.delta)
-    U, w_u = _mean_factors(Xu, coeffs.beta, [ui for _, ui in coeffs.classes], coeffs.delta)
+    counts_s, counts_u = coeffs.classes
+    S, w_s = _mean_factors(Xs, coeffs.alpha, counts_s, coeffs.delta)
+    U, w_u = _mean_factors(Xu, coeffs.beta, counts_u, coeffs.delta)
     M_ss = S @ S.T + (Xs * w_s) @ Xs.T
     M_uu = U @ U.T + (Xu * w_u) @ Xu.T
     cross = np.full(S.shape[1], 2.0)
@@ -220,18 +243,17 @@ def mmd_distance(Z_s, Z_u, labels_s, labels_u, alpha=None, beta=None, delta=1.0)
     """
     Zs = np.asarray(Z_s, dtype=np.float64)
     Zu = np.asarray(Z_u, dtype=np.float64)
-    labels_s = np.asarray(labels_s, dtype=np.int64).ravel()
-    labels_u = np.asarray(labels_u, dtype=np.int64).ravel()
     alpha, beta = _check_weights(np.ones(Zs.shape[1]) if alpha is None else alpha,
                                  np.ones(Zu.shape[1]) if beta is None else beta, delta)
-    Zs = Zs * alpha
-    Zu = Zu * beta
-    diff = Zs.sum(axis=1) / (delta * alpha.size) - Zu.sum(axis=1) / (delta * beta.size)
-    total = float(diff.dot(diff))
-    for c in np.intersect1d(np.unique(labels_s), np.unique(labels_u)):
-        si = labels_s == c
-        ui = labels_u == c
-        diff_c = Zs[:, si].sum(axis=1) / (delta * si.sum()) - Zu[:, ui].sum(axis=1) / (delta * ui.sum())
-        total += float(diff_c.dot(diff_c))
-    return total
+    labels_s, labels_u = _check_labels(alpha, beta, labels_s, labels_u)
+    if (alpha.size, beta.size) != (Zs.shape[1], Zu.shape[1]):
+        raise ValueError("weight vectors must match the sample counts")
+    _, counts_s, counts_u = _class_rule(labels_s, labels_u)
 
+    def means(Zw, counts):
+        # a boolean-masked copy is column-major, so only Zw itself sums pairwise
+        sums = [Zw.sum(axis=1)] + [Zw[:, col < np.inf].sum(axis=1) for col in counts.T[1:]]
+        return np.stack(sums) / (delta * counts.min(axis=0))[:, None]
+
+    diff = means(Zs * alpha, counts_s) - means(Zu * beta, counts_u)
+    return sum(float(row.dot(row)) for row in diff)

@@ -270,6 +270,26 @@ class TestRoundTrips:
         assert main(["predict", "--config", cfg]) == 2
         assert "model.lpjt: bad model metadata: alpha entries" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trace,message", [
+        ({"objective": [2.0, 1.0], "mmd": [0.5], "label_changes": [1, 0]}, "equal lengths"),
+        ({"objective": [2.0], "mmd": [float("nan")], "label_changes": [1]}, "must be finite"),
+        ({"objective": [2.0], "mmd": [0.5], "label_changes": [-1]}, "must be nonnegative"),
+    ], ids=["unequal-lengths", "nan-mmd", "negative-changes"])
+    def test_inconsistent_trace_exits_2(self, tmp_path, capsys, trace, message):
+        run = tmp_path / "run"
+        run.mkdir()
+        meta = {**self.v1_metadata(2), "trace": trace}
+        path = run / "model.lpjt"
+        rng = np.random.default_rng(10)
+        self.write_v1(path, rng.normal(size=(2, 2)), rng.normal(size=(2, 2)),
+                      json.dumps(meta).encode("utf-8"))
+        with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: bad model metadata: "
+                                              f".*{message}"):
+            load_model(path)
+        cfg = write_config(tmp_path / "c.cfg", output_dir=run)
+        assert main(["trace", "--config", cfg]) == 2
+        assert "model.lpjt: bad model metadata" in capsys.readouterr().err
+
     def test_model_magic_checked(self, tmp_path):
         path = tmp_path / "junk.lpjt"
         path.write_bytes(b"NOPE" + b"\x00" * 64)

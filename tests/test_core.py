@@ -43,7 +43,8 @@ STORED = {
     "FeatureMatrix": (lambda a: FeatureMatrix(a).data, lambda: np.ones((2, 3))),
     "LabeledDataset": (lambda a: LabeledDataset(FeatureMatrix(np.ones((1, 3))), a, 3).labels,
                        lambda: np.array([1, 2, 0])),
-    "TrainTrace": (lambda a: TrainTrace(objective=a).objective, lambda: np.ones(3)),
+    "TrainTrace": (lambda a: TrainTrace(objective=a, mmd=np.ones(3), label_changes=[0, 1, 2])
+                   .objective, lambda: np.ones(3)),
     "SubspaceModel.A": (lambda a: SubspaceModel(A=a, B=np.ones((2, 3)), cfg=None).A,
                         lambda: np.ones((2, 3))),
     "SubspaceModel.B": (lambda a: SubspaceModel(A=np.ones((2, 3)), B=a, cfg=None).B,
@@ -199,3 +200,27 @@ class TestHyperparams:
     def test_defaults_valid(self):
         h = Hyperparams()
         assert h.delta == 0.5 and h.T == 5 and h.k_w == 5
+
+
+class TestTrainTrace:
+    GOOD = {"objective": [3.0, 2.0], "mmd": [0.5, 0.25], "label_changes": [4, 1]}
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("objective", [3.0], "must have equal lengths"),
+        ("mmd", [0.5, 0.25, 0.1], "must have equal lengths"),
+        ("label_changes", [], "must have equal lengths"),
+        ("objective", [3.0, np.nan], "objective and mmd trace entries must be finite"),
+        ("objective", [np.inf, 2.0], "objective and mmd trace entries must be finite"),
+        ("mmd", [np.nan, 0.25], "objective and mmd trace entries must be finite"),
+        ("mmd", [0.5, np.inf], "objective and mmd trace entries must be finite"),
+        ("mmd", [0.5, -0.25], "must be nonnegative"),
+        ("label_changes", [4, -1], "must be nonnegative"),
+    ], ids=["short-objective", "long-mmd", "no-label-changes", "nan-objective",
+            "inf-objective", "nan-mmd", "inf-mmd", "negative-mmd", "negative-changes"])
+    def test_inconsistent_trace_rejected(self, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            TrainTrace(**{**self.GOOD, key: value})
+
+    def test_valid_and_empty_traces_accepted(self):
+        assert len(TrainTrace(**self.GOOD)) == 2
+        assert len(TrainTrace()) == 0

@@ -63,8 +63,8 @@ class TestBuildQp:
 
     def test_half_quadratic_form_equals_mmd_value(self):
         # classes present in one domain only stay out of E_CD and are pinned
-        for seed in range(25):
-            qp, Z_s, Z_u, ys, yu, delta = mixed_instance(seed)
+        for seed, make in itertools.product(range(25), (mixed_instance, rule_instance)):
+            qp, Z_s, Z_u, ys, yu, delta = make(seed)
             rng = np.random.default_rng(seed + 500)
             a, b = rng.uniform(0, 1, qp.n_s), rng.uniform(0, 1, qp.n_u)
             z = np.concatenate([a, b])
@@ -74,6 +74,14 @@ class TestBuildQp:
             assert abs(0.5 * z @ qp.Bq @ z - e) <= 1e-12 * e
             eigs = np.linalg.eigvalsh(qp.Bq)
             assert eigs[0] >= -1e-12 * eigs[-1]
+            # one group per class and domain with members, in class order,
+            # free where the class is in both domains
+            shared = set(ys) & set(yu)
+            want = [(np.flatnonzero(y == c) + offset, c in shared)
+                    for c in range(int(max(ys.max(), yu.max())) + 1)
+                    for y, offset in ((ys, 0), (yu, qp.n_s)) if (y == c).any()]
+            assert [(idx.tolist(), free) for idx, free in qp.groups] == \
+                [(idx.tolist(), free) for idx, free in want]
 
     def test_class_absent_everywhere_adds_nothing(self):
         # class 1 is in neither domain: the QP is the one of classes 0 and 2
@@ -131,6 +139,19 @@ def dense_blocks(Z_s, Z_u, ys, yu, delta, C):
             K_uu[ui, ui] += 2.0 * Gu[ui, ui] / (delta**2 * ui.size)
             K_su[np.ix_(si, ui)] += 4.0 * Gsu[np.ix_(si, ui)] / (delta**2 * si.size * ui.size)
     return K_ss, K_uu, K_su
+
+
+def rule_instance(seed):
+    """A random instance with every kind of class the MMD's class rule
+    tells apart: classes 0 and 1 shared, 2 in the source only, 3 in the
+    target only, 4 in neither domain (as a class only the labeled targets
+    hold) and 5 shared with a single member per domain."""
+    rng = np.random.default_rng(seed)
+    d, delta = int(rng.integers(1, 5)), float(rng.choice([0.3, 0.5, 0.8]))
+    ys = rng.permutation(np.append(rng.integers(0, 2, rng.integers(0, 30)), [0, 1, 2, 2, 5]))
+    yu = rng.permutation(np.append(rng.integers(0, 2, rng.integers(0, 30)), [0, 1, 3, 3, 5]))
+    Z_s, Z_u = rng.normal(size=(d, ys.size)), rng.normal(size=(d, yu.size))
+    return build_qp(Z_s, Z_u, ys, yu, delta, 6), Z_s, Z_u, ys, yu, delta
 
 
 def mixed_instance(seed):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,21 @@ def random_instance(seed, n_s_max=30, n_u_max=30, d_max=8, c_max=4):
     A = rng.normal(size=(d_s, d))
     B = rng.normal(size=(d_t, d))
     return X_s, X_u, A, B, alpha, beta, ys, yu, delta, C
+
+
+def rule_instance(seed):
+    """A random instance with every kind of class the MMD's class rule
+    tells apart: C shared classes, class C in the source only, C + 1 in
+    the target only, C + 2 in neither domain (as a class only the labeled
+    targets hold) and C + 3 shared with a single member per domain."""
+    X_s, X_u, A, B, alpha, beta, ys, yu, delta, C = random_instance(seed)
+    rng = np.random.default_rng(seed + 200)
+    extra_s, extra_u = [C, C, C + 3], [C + 1, C + 1, C + 3]
+    X_s = np.hstack([X_s, rng.normal(size=(X_s.shape[0], 3))])
+    X_u = np.hstack([X_u, rng.normal(size=(X_u.shape[0], 3))])
+    alpha = np.append(alpha, rng.uniform(0.05, 1.0, 3))
+    beta = np.append(beta, rng.uniform(0.05, 1.0, 3))
+    return X_s, X_u, A, B, alpha, beta, np.append(ys, extra_s), np.append(yu, extra_u), delta, C + 4
 
 
 def dense_sandwich(X_s, X_u, H_s, H_u, H_su):
@@ -218,14 +235,24 @@ class TestMmdValue:
         assert_allclose(e_cd, 2.0)
         assert_allclose(e_mg, 1.0)
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_matches_trace_form(self, seed):
-        X_s, X_u, A, B, alpha, beta, ys, yu, delta, C = random_instance(seed)
+    @pytest.mark.parametrize("make,seed", [
+        *(pytest.param(random_instance, seed, id=str(seed)) for seed in range(10)),
+        *(pytest.param(rule_instance, seed, id=f"rule-{seed}") for seed in range(10)),
+    ])
+    def test_matches_trace_form(self, make, seed):
+        # and so does the trace form of assemble_M's blocks
+        X_s, X_u, A, B, alpha, beta, ys, yu, delta, C = make(seed)
         e_mg, e_cd = mmd_value(X_s, X_u, A, B, alpha, beta, ys, yu, delta)
         H_sm, H_um, H_sum = marginal_coeffs(alpha, beta, delta)
-        H_sc, H_uc, H_suc = conditional_coeffs(alpha, beta, ys, yu, delta, C)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)    # one-domain classes
+            H_sc, H_uc, H_suc = conditional_coeffs(alpha, beta, ys, yu, delta, C)
+            M = assemble_M(X_s, X_u, build_coeffs(alpha, beta, ys, yu, delta, C))
         assert abs(e_mg - trace_form(X_s, X_u, A, B, H_sm, H_um, H_sum)) <= 1e-8
         assert abs(e_cd - trace_form(X_s, X_u, A, B, H_sc, H_uc, H_suc)) <= 1e-8
+        got = (np.trace(A.T @ M.M_ss @ A) + np.trace(B.T @ M.M_uu @ B)
+               - 2.0 * np.trace(A.T @ M.M_su @ B))
+        assert abs(got - (e_mg + e_cd)) <= 1e-12 * (e_mg + e_cd)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_nonnegative(self, seed):
@@ -268,4 +295,28 @@ class TestMmdDistance:
         Z = rng.normal(size=(2, 10))
         y = rng.integers(0, 2, 10)
         assert mmd_distance(Z, Z, y, y) == 0.0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_class_loop(self, seed):
+        X_s, X_u, A, B, alpha, beta, ys, yu, delta, C = rule_instance(seed)
+        Z_s, Z_u = A.T @ X_s, B.T @ X_u
+        for a, b, dl in ((alpha, beta, delta), (None, None, 1.0)):
+            a_, b_ = (np.ones(ys.size), np.ones(yu.size)) if a is None else (a, b)
+            ref = 0.0
+            for si, ui in [(ys >= 0, yu >= 0)] + [(ys == c, yu == c) for c in range(C)]:
+                if si.any() and ui.any():
+                    diff = ((Z_s[:, si] * a_[si]).sum(axis=1) / (dl * si.sum())
+                            - (Z_u[:, ui] * b_[ui]).sum(axis=1) / (dl * ui.sum()))
+                    ref += float(diff @ diff)
+            got = mmd_distance(Z_s, Z_u, ys, yu, a, b, dl)
+            assert abs(got - ref) <= 1e-12 * ref
+
+    def test_length_mismatch_rejected(self):
+        Z, y, w = np.ones((2, 4)), [0, 0, 1, 1], np.full(4, 0.5)
+        with pytest.raises(ValueError, match="label vectors must match weight vectors"):
+            mmd_distance(Z, Z, y[:3], y)
+        with pytest.raises(ValueError, match="label vectors must match weight vectors"):
+            mmd_distance(Z, Z, y, y, w, w[:3], 0.5)
+        with pytest.raises(ValueError, match="weight vectors must match the sample counts"):
+            mmd_distance(Z, Z, y[:3], y, w[:3], w, 0.5)
 
