@@ -57,6 +57,15 @@ def _fresh_features(data) -> FeatureMatrix:
     return FeatureMatrix(data)
 
 
+def _check_count(name: str, value) -> None:
+    """Raise ValueError naming `name` unless value is a positive integer (a
+    Python or numpy integer, not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """Feature matrix plus integer class labels in [0, num_classes)."""
@@ -71,8 +80,7 @@ class LabeledDataset:
             raise ValueError(
                 f"got {labels.shape[0]} labels for {self.features.n} samples"
             )
-        if self.num_classes < 1:
-            raise ValueError("num_classes must be positive")
+        _check_count("num_classes", self.num_classes)
         if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
             raise ValueError(
                 f"labels must lie in [0, {self.num_classes}), "
@@ -129,8 +137,8 @@ class Hyperparams:
             raise ValueError("lambda_couple must be nonnegative")
         if self.eps_reg is not None and self.eps_reg <= 0:
             raise ValueError("eps_reg must be positive")
-        if min(self.d, self.T, self.k_w, self.k_b) < 1:
-            raise ValueError("d, T, k_w and k_b must be positive integers")
+        for name in ("d", "T", "k_w", "k_b"):
+            _check_count(name, getattr(self, name))
 
 
 @dataclass(frozen=True)

@@ -133,8 +133,8 @@ def knn_heat_graph(sqdist, allowed, k: int) -> sp.csr_array:
     exp(-sqdist / 2). Only the selected pairs are stored.
 
     This is the test oracle of the locality graphs, their scatters and
-    `tree_knn_heat_graph`, with `pairwise_sqdist` as its input; `fit`
-    does not call it.
+    `_knn_edges`, with `pairwise_sqdist` as its input; `fit` does not call
+    it.
     """
     sqdist = np.asarray(sqdist, dtype=np.float64)
     n = sqdist.shape[0]
@@ -276,13 +276,6 @@ def _knn_edges(X, k: int):
     s = _Search(X)
     everyone = np.arange(s.Z.shape[1])
     return _edges(s.Z, *_knn_pairs(s, everyone, everyone, k, exclude_self=True))
-
-
-def tree_knn_heat_graph(X, k: int) -> sp.csr_array:
-    """`knn_heat_graph` over every pair of samples of X but self, bit for
-    bit, with no n x n distances: the CSR array of `_knn_edges`."""
-    X = as_features(X)
-    return _csr(*_knn_edges(X, k), X.n)
 
 
 def _class_edges(Z, labels, k: int, same: bool, search):

@@ -8,9 +8,9 @@ The k-NN graph is found by an exact k-d tree search in O(n * k) memory
 and kept as its list of undirected edges, each weighing S_ij. The
 fixed-point solve orders the nodes by reverse Cuthill-McKee, fills the band
 of I - sigma S from the edges in that order and factors it by a banded
-Cholesky; `similarity_matrix` and `closed_form` are the same path through
-a CSR array of S. Scores within a few ulps of their row's maximum tie, and
-the lowest class among them wins.
+Cholesky; `similarity_matrix` is the CSR array of the same edges, the S
+that `propagate` iterates with. Scores within a few ulps of their row's
+maximum tie, and the lowest class among them wins.
 """
 
 import warnings
@@ -74,14 +74,13 @@ def _similarity_edges(Z, k: int):
 def similarity_matrix(Z, k: int) -> sp.csr_array:
     """Normalized similarity S = D^{-1/2} W D^{-1/2} of a k-NN heat graph.
 
-    W is `graph.tree_knn_heat_graph`: OR-symmetrized k-NN edges weighted
-    with exp(-||z_i - z_j||^2 / 2), found by an exact tree search with no
-    n x n distance matrix, bit for bit `graph.knn_heat_graph` over every
-    pair but self. S is returned as a
-    `scipy.sparse` CSR array with W's sparsity pattern (at most 2k nonzeros
-    per row), exactly symmetric and finite: the CSR array of the edges
-    `classify` solves over. Nodes whose incident weights underflow to zero
-    end up with zero rows rather than NaNs.
+    W holds `graph._knn_edges`: OR-symmetrized k-NN edges weighted with
+    exp(-||z_i - z_j||^2 / 2), found by an exact tree search with no n x n
+    distance matrix, bit for bit `graph.knn_heat_graph` over every pair but
+    self. S is returned as a `scipy.sparse` CSR array with W's sparsity
+    pattern (at most 2k nonzeros per row), exactly symmetric and finite:
+    the CSR array of the edges `classify` solves over. Nodes whose incident
+    weights underflow to zero end up with zero rows rather than NaNs.
     """
     n, i, j, s = _similarity_edges(Z, k)
     return graph._csr(i, j, s, n)
@@ -142,29 +141,6 @@ def _band_solve(n: int, i, j, s, Y0, sigma: float) -> np.ndarray:
     return X[rank]
 
 
-def closed_form(S, Y0, sigma: float) -> np.ndarray:
-    """Fixed point (1 - sigma) (I - sigma S)^{-1} Y0 by a banded Cholesky.
-
-    S may be dense or `scipy.sparse`, but must be finite and exactly
-    symmetric with a zero diagonal, as every `similarity_matrix` is;
-    otherwise ValueError. For such an S with spectral radius at most 1,
-    I - sigma S is symmetric positive definite (LAPACK raises if it is
-    not). Its edges above the diagonal go to the band solve `classify`
-    uses.
-    """
-    if type(S) is not sp.csr_array or S.dtype != np.float64:
-        S = sp.csr_array(S, dtype=np.float64)
-    if not S.has_canonical_format:
-        S = S.copy()
-        S.sum_duplicates()
-    Y0 = np.asarray(Y0, dtype=np.float64)
-    graph._check_graph(S, "S")
-    n = S.shape[0]
-    row = np.repeat(np.arange(n), np.diff(S.indptr))
-    upper = row < S.indices
-    return _band_solve(n, row[upper], S.indices[upper], S.data[upper], Y0, sigma)
-
-
 def classify(train: LabeledDataset, test, hyper: Hyperparams) -> np.ndarray:
     """Propagate training labels to test samples over a joint graph.
 
@@ -182,9 +158,7 @@ def classify(train: LabeledDataset, test, hyper: Hyperparams) -> np.ndarray:
     n_train = train.n
     Y0 = np.zeros((joint.n, train.num_classes))
     Y0[np.arange(n_train), train.labels] = 1.0
-    # the diffusion fixed point, evaluated directly; identical to iterating,
-    # and bit for bit closed_form(similarity_matrix(joint, k_w), Y0, sigma),
-    # whose checks the edges, built symmetric, need not pass
+    # the diffusion fixed point, evaluated directly; identical to iterating
     Y = _band_solve(*_similarity_edges(joint, hyper.k_w), Y0, hyper.sigma_lp)[n_train:]
     unreached = np.count_nonzero(~Y.any(axis=1))
     if unreached:

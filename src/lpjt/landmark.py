@@ -40,13 +40,17 @@ MAX_STEPS = 500
 
 @dataclass(frozen=True)
 class LandmarkWeights:
-    """Per-sample weights for both domains, finite entries in [0, 1]."""
+    """Per-sample weights for both domains, finite entries in [0, 1], and
+    their per-class mean delta in (0, 1]."""
 
     alpha: np.ndarray
     beta: np.ndarray
     delta: float
 
     def __post_init__(self):
+        # NaN fails the comparison, so it is rejected too
+        if not 0.0 < self.delta <= 1.0:
+            raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
         alpha, beta = _freeze(self.alpha).ravel(), _freeze(self.beta).ravel()
         for name, w in (("alpha", alpha), ("beta", beta)):
             if not np.isfinite(w).all():
@@ -547,10 +551,13 @@ def _finalize(qp, z, trace, converged, iters, full_output=False):
 
 
 def check_feasible(weights: LandmarkWeights, labels_s, labels_u, atol=1e-8) -> bool:
-    """True when every weight is finite and in [0, 1] and every per-class mean
-    matches delta for classes in both domains."""
+    """True when delta lies in (0, 1], every weight is finite and in [0, 1]
+    and every per-class mean matches delta for classes in both domains."""
     labels_s = np.asarray(labels_s).ravel()
     labels_u = np.asarray(labels_u).ravel()
+    # a NaN delta fails this comparison; below it would pass every mean check
+    if not 0.0 < weights.delta <= 1.0:
+        return False
     for w in (weights.alpha, weights.beta):
         # NaN fails every comparison, so it would pass the bound checks
         if not np.isfinite(w).all():

@@ -119,22 +119,13 @@ def _class_rule(labels_s, labels_u, num_classes=None):
     return members, counts[0], counts[1]
 
 
-def _shared_classes(labels_s, labels_u, num_classes):
-    """`_class_rule`'s (source, target) indices of each class present in both
-    domains, then its counts; a class in one domain only is skipped with a
-    warning."""
-    members, counts_s, counts_u = _class_rule(labels_s, labels_u, num_classes)
-    for c, (si, ui) in enumerate(members):
-        if bool(si.size) != bool(ui.size):
-            warnings.warn(f"class {c} missing from one domain; skipped")
-    return tuple((si, ui) for si, ui in members if si.size and ui.size), counts_s, counts_u
-
-
 def conditional_coeffs(alpha, beta, labels_s, pseudo_labels_u, delta, num_classes):
     """Per-class coefficient matrices scattered to global sample positions.
 
-    A class contributes only when it has members in both domains; empty
-    classes are skipped with a warning and leave zero blocks behind.
+    A class contributes only when it has members in both domains; a class
+    in one domain only is skipped with a warning and leaves zero blocks
+    behind. The classes are found here, not by `_class_rule`, so that
+    these dense matrices stay a reference for `assemble_M`.
     """
     alpha, beta = _check_weights(alpha, beta, delta)
     labels_s, labels_u = _check_labels(alpha, beta, labels_s, pseudo_labels_u)
@@ -142,7 +133,12 @@ def conditional_coeffs(alpha, beta, labels_s, pseudo_labels_u, delta, num_classe
     H_sc = np.zeros((n_s, n_s))
     H_uc = np.zeros((n_u, n_u))
     H_suc = np.zeros((n_s, n_u))
-    for si, ui in _shared_classes(labels_s, labels_u, num_classes)[0]:
+    for c in range(num_classes):
+        si, ui = np.flatnonzero(labels_s == c), np.flatnonzero(labels_u == c)
+        if not (si.size and ui.size):
+            if si.size or ui.size:
+                warnings.warn(f"class {c} missing from one domain; skipped")
+            continue
         a, b = alpha[si], beta[ui]
         H_sc[np.ix_(si, si)] += np.outer(a, a) / (delta**2 * si.size**2)
         H_sc[si, si] += a * a / (delta**2 * si.size)
@@ -153,11 +149,15 @@ def conditional_coeffs(alpha, beta, labels_s, pseudo_labels_u, delta, num_classe
 
 
 def build_coeffs(alpha, beta, labels_s, pseudo_labels_u, delta, num_classes) -> MmdCoeffs:
-    """Validate and collect what defines both MMD terms; builds no matrix."""
+    """Validate and collect what defines both MMD terms; builds no matrix.
+    A class in one domain only is skipped with a warning."""
     alpha, beta = _check_weights(alpha, beta, delta)
     labels_s, labels_u = _check_labels(alpha, beta, labels_s, pseudo_labels_u)
-    return MmdCoeffs(alpha=alpha, beta=beta, delta=delta,
-                     classes=_shared_classes(labels_s, labels_u, num_classes)[1:])
+    members, counts_s, counts_u = _class_rule(labels_s, labels_u, num_classes)
+    for c, (si, ui) in enumerate(members):
+        if bool(si.size) != bool(ui.size):
+            warnings.warn(f"class {c} missing from one domain; skipped")
+    return MmdCoeffs(alpha=alpha, beta=beta, delta=delta, classes=(counts_s, counts_u))
 
 
 def _mean_factors(X, w, counts, delta):

@@ -119,6 +119,10 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
             f"the source has {Xs.dim} features and the target {Xu.dim}: heterogeneous "
             "fits need labeled target samples (target_labeled)"
         )
+    # the sample span below leaves each domain min(features, samples) dims
+    d_s, d_t = min(Xs.dim, Xs.n), min(Xu.dim, Xu.n)
+    if hyper.d > d_s + d_t:
+        raise ValueError(f"subspace dim {hyper.d} exceeds d_s + d_t = {d_s + d_t}")
     labels_cur = labelprop.classify(init, Xu, hyper)
 
     # when features outnumber samples, work in the sample span: distances,
@@ -141,11 +145,8 @@ def fit(src: LabeledDataset, tgt_u, tgt_l: LabeledDataset | None = None,
         # B maps back as Q_u @ B, which sees only this part of Xl
         if Xl is not None:
             Xl = FeatureMatrix(Q_u.T @ Xl.data)
-    d_s, d_t, n_s, n_u = Xs.dim, Xu.dim, Xs.n, Xu.n
-    if hyper.d > d_s + d_t:
-        raise ValueError(f"subspace dim {hyper.d} exceeds d_s + d_t = {d_s + d_t}")
 
-    weights = landmark.uniform_weights(n_s, n_u, hyper.delta)
+    weights = landmark.uniform_weights(Xs.n, Xu.n, hyper.delta)
     # the target's samples are fixed over the fit, only its pseudo labels
     # move: one search state keeps the graph work they leave standing
     search_u = graph._Search(Xu)

@@ -270,6 +270,29 @@ class TestRoundTrips:
         assert main(["predict", "--config", cfg]) == 2
         assert "model.lpjt: bad model metadata: alpha entries" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("hyper,weights,message", [
+        ({"d": 2.5}, None, "d must be an integer, got 2.5"),
+        ({"T": 2.0}, None, "T must be an integer, got 2.0"),
+        ({}, {"alpha": [0.5, 0.5], "beta": [0.5, 0.5], "delta": float("nan")},
+         r"delta must lie in \(0, 1\], got nan"),
+    ], ids=["fractional-d", "float-T", "nan-delta"])
+    def test_invalid_settings_exit_2(self, tmp_path, capsys, hyper, weights, message):
+        run = tmp_path / "run"
+        run.mkdir()
+        meta = self.v1_metadata(2)
+        meta["hyper"].update(hyper)
+        meta["weights"] = weights
+        path = run / "model.lpjt"
+        rng = np.random.default_rng(11)
+        self.write_v1(path, rng.normal(size=(2, 2)), rng.normal(size=(2, 2)),
+                      json.dumps(meta).encode("utf-8"))
+        with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: bad model metadata: "
+                                              f"{message}"):
+            load_model(path)
+        cfg = write_config(tmp_path / "c.cfg", output_dir=run)
+        assert main(["trace", "--config", cfg]) == 2
+        assert "model.lpjt: bad model metadata" in capsys.readouterr().err
+
     @pytest.mark.parametrize("trace,message", [
         ({"objective": [2.0, 1.0], "mmd": [0.5], "label_changes": [1, 0]}, "equal lengths"),
         ({"objective": [2.0], "mmd": [float("nan")], "label_changes": [1]}, "must be finite"),

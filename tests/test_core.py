@@ -201,6 +201,34 @@ class TestHyperparams:
         h = Hyperparams()
         assert h.delta == 0.5 and h.T == 5 and h.k_w == 5
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None])
+    @pytest.mark.parametrize("name", ["d", "T", "k_w", "k_b"])
+    def test_non_integer_counts_rejected_by_name(self, name, value):
+        # d=2.5 would fit a 3-column A, k_w=2.5 would run as 2 and T=2.0
+        # would fail in range()
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            Hyperparams(**{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        h = Hyperparams(d=np.int64(3), T=np.int32(2), k_w=np.uint8(4), k_b=np.int16(1))
+        assert (h.d, h.T, h.k_w, h.k_b) == (3, 2, 4, 1)
+
+
+class TestLabeledDataset:
+    @pytest.mark.parametrize("num_classes", [3.0, True, "3", None])
+    def test_non_integer_class_count_rejected(self, num_classes):
+        with pytest.raises(ValueError, match="num_classes must be an integer"):
+            LabeledDataset(FeatureMatrix(np.ones((1, 3))), [0, 0, 0], num_classes)
+
+    @pytest.mark.parametrize("num_classes", [0, -1])
+    def test_non_positive_class_count_rejected(self, num_classes):
+        with pytest.raises(ValueError, match="num_classes must be positive"):
+            LabeledDataset(FeatureMatrix(np.ones((1, 3))), [0, 0, 0], num_classes)
+
+    def test_numpy_integer_class_count_accepted(self):
+        data = LabeledDataset(FeatureMatrix(np.ones((1, 3))), [0, 1, 2], np.int64(3))
+        assert data.num_classes == 3
+
 
 class TestTrainTrace:
     GOOD = {"objective": [3.0, 2.0], "mmd": [0.5, 0.25], "label_changes": [4, 1]}

@@ -20,7 +20,6 @@ from lpjt.graph import (
     locality_scatters,
     pairwise_sqdist,
     scatter_matrices,
-    tree_knn_heat_graph,
 )
 
 
@@ -98,8 +97,13 @@ class TestKnnHeatGraph:
 
 
 class TestTreeKnnHeatGraph:
-    """The tree search against its dense oracle, `knn_heat_graph` over
-    `pairwise_sqdist`; test_labelprop.py covers it on many more inputs."""
+    """The tree search's edges, as label propagation reads them, against
+    their dense oracle, `knn_heat_graph` over `pairwise_sqdist`;
+    test_labelprop.py covers them on many more inputs."""
+
+    @staticmethod
+    def tree(X, k):
+        return graph._csr(*graph._knn_edges(X, k), X.shape[1])
 
     @staticmethod
     def dense(X, k):
@@ -112,7 +116,7 @@ class TestTreeKnnHeatGraph:
                       elements=st.floats(-4.0, 4.0, width=16)),
            st.integers(0, 33))
     def test_matches_dense_builder_bit_for_bit(self, X, k):
-        W, expected = tree_knn_heat_graph(X, k), self.dense(X, k)
+        W, expected = self.tree(X, k), self.dense(X, k)
         assert isinstance(W, sp.csr_array) and W.has_canonical_format
         assert np.array_equal(W.indptr, expected.indptr)
         assert np.array_equal(W.indices, expected.indices)
@@ -123,7 +127,7 @@ class TestTreeKnnHeatGraph:
         # dense rule then ties them all and keeps the lowest index, the tree
         # keeps each sample's true nearest
         X = np.array([[0.0, 1.0, 2.0, 10.0]]) * 1e160
-        W, expected = tree_knn_heat_graph(X, 1), self.dense(X, 1)
+        W, expected = self.tree(X, 1), self.dense(X, 1)
         assert np.all(W.data == 0.0) and np.all(expected.data == 0.0)
         assert np.array_equal(W.toarray(), expected.toarray())
 

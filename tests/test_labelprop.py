@@ -10,8 +10,7 @@ from scipy.spatial.distance import cdist
 
 from lpjt.core import FeatureMatrix, Hyperparams, LabeledDataset
 from lpjt.graph import knn_heat_graph
-from lpjt.labelprop import (_band_solve, _similarity_edges, classify, closed_form, propagate,
-                            similarity_matrix)
+from lpjt.labelprop import _band_solve, _similarity_edges, classify, propagate, similarity_matrix
 
 
 def brute_force_any_pair(Z, k):
@@ -70,6 +69,11 @@ def dense_closed_form(S, Y0, sigma):
     A *= -sigma
     A.flat[::A.shape[0] + 1] += 1.0
     return (1.0 - sigma) * np.linalg.solve(A, Y0)
+
+
+def edge_solve(Z, k, Y0, sigma):
+    """`classify`'s solve: the band solve over the k-NN edges of Z."""
+    return _band_solve(*_similarity_edges(Z, k), Y0, sigma)
 
 
 def random_seeds(rng, n, C=3):
@@ -195,11 +199,14 @@ class TestSimilarityMatrix:
 def assert_label_free_rows_zero(S, Y0, Y):
     """Every node of a graph component that holds no labeled node scores
     exactly 0.0."""
-    _, comp = connected_components(S, directed=False)
+    _, comp = connected_components(S.toarray(), directed=False)
     assert np.all(Y[~np.isin(comp, comp[Y0.any(axis=1)])] == 0.0)
 
 
 class TestClosedForm:
+    """`classify`'s band solve over the k-NN edges against `dense_closed_form`
+    on the dense builder's graph."""
+
     @pytest.mark.parametrize("sigma", [0.5, 0.9, 0.99])
     @pytest.mark.parametrize("seed,n", [
         *(pytest.param(seed, None, id=str(seed)) for seed in range(6)),
@@ -208,9 +215,10 @@ class TestClosedForm:
         # 5 to 79 nodes, or the 600 and 1200 of the bench workloads' graphs
         rng = np.random.default_rng(seed)
         n = n or int(rng.integers(5, 80))
-        S = random_similarity(rng, n, k=int(rng.integers(1, 6)))
-        Y0 = random_seeds(rng, n)
-        Y = closed_form(S, Y0, sigma)
+        k = int(rng.integers(1, 6))
+        Z = rng.normal(size=(2, n))
+        S, Y0 = dense_similarity(Z, k), random_seeds(rng, n)
+        Y = edge_solve(Z, k, Y0, sigma)
         assert_allclose(Y, dense_closed_form(S, Y0, sigma), rtol=0, atol=1e-12)
         assert_label_free_rows_zero(S, Y0, Y)
 
@@ -220,91 +228,27 @@ class TestClosedForm:
         rng = np.random.default_rng(11)
         Z = rng.normal(size=(40, 2000))
         Z /= np.linalg.norm(Z, axis=0)
-        S = similarity_matrix(Z, 5)
         Y0 = random_seeds(rng, 2000)
-        assert_allclose(closed_form(S, Y0, 0.9), dense_closed_form(S, Y0, 0.9),
-                        rtol=0, atol=1e-12)
-
-    def test_matches_dense_solve_on_the_dense_builders_graph(self):
-        # knn_heat_graph's CSR takes its indices from np.nonzero; where scipy
-        # keeps int64 indices as given, they stay a strided view, which
-        # reverse_cuthill_mckee rejects
-        rng = np.random.default_rng(12)
-        Z = rng.normal(size=(3, 300))
-        S = dense_similarity(Z, 5)
-        Y0 = random_seeds(rng, 300)
-        assert_allclose(closed_form(S, Y0, 0.9), dense_closed_form(S, Y0, 0.9),
-                        rtol=0, atol=1e-12)
-
-    def test_unsorted_duplicated_csr_and_dense_input(self):
-        # S as a dense array, and as a CSR whose rows run backwards with
-        # every weight split into two equal halves
-        rng = np.random.default_rng(13)
-        S = random_similarity(rng, 50, k=4)
-        Y0 = random_seeds(rng, 50)
-        rows = np.repeat(np.arange(50), np.diff(S.indptr))
-        back = np.lexsort((-S.indices, rows))
-        split = sp.csr_array((np.repeat(S.data[back] / 2.0, 2), np.repeat(S.indices[back], 2),
-                              2 * S.indptr), shape=S.shape)
-        assert not split.has_canonical_format
-        expected = closed_form(S, Y0, 0.9)
-        for same in (S.toarray(), split):
-            assert np.array_equal(closed_form(same, Y0, 0.9), expected)
-
-    @pytest.mark.parametrize("dense", [False, True])
-    @pytest.mark.parametrize("defect", ["value", "pattern", "diagonal"])
-    def test_asymmetric_or_nonzero_diagonal_rejected(self, defect, dense):
-        rng = np.random.default_rng(14)
-        S = random_similarity(rng, 30, k=3).toarray()
-        i, j = np.argwhere(S > 0)[0]
-        if defect == "value":
-            S[i, j] *= 1.0 + 2.0 ** -52
-        elif defect == "pattern":
-            S[i, j] = 0.0
-        else:
-            S[i, i] = 0.1
-        with pytest.raises(ValueError):
-            closed_form(S if dense else sp.csr_array(S), random_seeds(rng, 30), 0.9)
-
-    @pytest.mark.parametrize("dense", [False, True])
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_weights_rejected(self, value, dense):
-        S = np.array([[0.0, value], [value, 0.0]])
-        with pytest.raises(ValueError, match=f"finite; 2 entries are not: {value} at"):
-            closed_form(S if dense else sp.csr_array(S), np.eye(2), 0.9)
-
-    def test_explicit_zeros_without_a_mirror_accepted(self):
-        # stored zeros with no stored mirror: the CSR and CSC arrays differ,
-        # but the matrix is symmetric and the zeros add nothing to the band
-        rng = np.random.default_rng(16)
-        S = random_similarity(rng, 30, k=3)
-        Y0 = random_seeds(rng, 30)
-        rows, cols = np.nonzero(np.triu(S.toarray() == 0.0, 1))
-        coo = S.tocoo()
-        with_zeros = sp.csr_array((np.concatenate([coo.data, np.zeros(6)]),
-                                   (np.concatenate([coo.row, rows[:6]]),
-                                    np.concatenate([coo.col, cols[:6]]))), shape=S.shape)
-        assert with_zeros.nnz == S.nnz + 6
-        assert_allclose(closed_form(with_zeros, Y0, 0.9), dense_closed_form(S, Y0, 0.9),
-                        rtol=0, atol=1e-12)
+        assert_allclose(edge_solve(Z, 5, Y0, 0.9),
+                        dense_closed_form(dense_similarity(Z, 5), Y0, 0.9), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n,d,kind,k", ORACLE_CASES)
     def test_edge_path_equals_checked_pair(self, n, d, kind, k):
-        # classify's unchecked solve from the edge list against the public
-        # similarity_matrix and closed_form, which checks its input
+        # classify's solve from the edge list against a dense LU on the dense
+        # builder's graph, which shares no code with it
         Z = oracle_fixture(kind, n, d)
         Y0 = random_seeds(np.random.default_rng([n, d, k]), n)
-        assert np.array_equal(_band_solve(*_similarity_edges(Z, k), Y0, 0.9),
-                              closed_form(similarity_matrix(Z, k), Y0, 0.9))
+        assert_allclose(edge_solve(Z, k, Y0, 0.9),
+                        dense_closed_form(dense_similarity(Z, k), Y0, 0.9), rtol=0, atol=1e-12)
 
     def test_memory_of_a_1200_node_solve(self):
         rng = np.random.default_rng(15)
-        S = random_similarity(rng, 1200, k=5)
+        edges = _similarity_edges(rng.normal(size=(2, 1200)), 5)
         Y0 = random_seeds(rng, 1200)
-        closed_form(S, Y0, 0.9)
+        _band_solve(*edges, Y0, 0.9)
         tracemalloc.start()
         try:
-            closed_form(S, Y0, 0.9)
+            _band_solve(*edges, Y0, 0.9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -316,10 +260,10 @@ class TestClosedForm:
         for size in (6, 200):
             rng = np.random.default_rng(8)
             Z = np.hstack([rng.normal(size=(2, size)) + 100.0 * c for c in range(3)])
-            S = similarity_matrix(Z, k=2)
+            S = dense_similarity(Z, 2)
             Y0 = np.zeros((3 * size, 2))
             Y0[0, 0] = Y0[size, 1] = 1.0
-            Y = closed_form(S, Y0, 0.9)
+            Y = edge_solve(Z, 2, Y0, 0.9)
             assert_allclose(Y, dense_closed_form(S, Y0, 0.9), rtol=0, atol=1e-12)
             assert np.all(Y[2 * size:] == 0.0)
             assert np.all(Y[:size, 1] == 0.0) and np.all(Y[size:2 * size, 0] == 0.0)
@@ -328,11 +272,10 @@ class TestClosedForm:
     def test_underflowed_graph_returns_scaled_seeds(self):
         # every heat weight underflows: S has all-zero rows
         Z = np.array([[0.0, 60.0, 120.0, 180.0]])
-        S = similarity_matrix(Z, k=1)
         Y0 = np.zeros((4, 2))
         Y0[0, 1] = Y0[2, 0] = 1.0
-        Y = closed_form(S, Y0, 0.9)
-        assert_allclose(Y, dense_closed_form(S, Y0, 0.9), rtol=0, atol=1e-12)
+        Y = edge_solve(Z, 1, Y0, 0.9)
+        assert_allclose(Y, dense_closed_form(dense_similarity(Z, 1), Y0, 0.9), rtol=0, atol=1e-12)
         assert_allclose(Y, 0.1 * Y0, rtol=0, atol=1e-12)
 
 
@@ -359,12 +302,13 @@ class TestPropagate:
     @pytest.mark.parametrize("sigma", [0.5, 0.9])
     @pytest.mark.parametrize("seed", range(5))
     def test_iterate_matches_closed_form(self, sigma, seed):
+        # and so does classify's band solve over the same edges
         rng = np.random.default_rng(seed)
-        S = random_similarity(rng, 8)
+        Z = rng.normal(size=(2, 8))
         Y0 = np.zeros((8, 3))
         Y0[np.arange(4), rng.integers(0, 3, 4)] = 1.0
-        res = propagate(S, Y0, sigma=sigma)
-        assert np.max(np.abs(res.soft_labels - closed_form(S, Y0, sigma))) <= 1e-6
+        res = propagate(similarity_matrix(Z, 3), Y0, sigma=sigma)
+        assert np.max(np.abs(res.soft_labels - edge_solve(Z, 3, Y0, sigma))) <= 1e-6
 
     def test_labeled_argmax_stable_on_coherent_graph(self):
         # clustered data: every labeled node's heaviest edge stays in-class
@@ -385,7 +329,7 @@ class TestPropagate:
         Y0 = np.zeros((10, 2))
         Y0[:5, 0] = 1.0
         Y0[5:, 1] = 1.0
-        Y_star = closed_form(S, Y0, sigma)
+        Y_star = dense_closed_form(S, Y0, sigma)
         Y = Y0.copy()
         for _ in range(30):
             Y_next = sigma * (S @ Y) + (1 - sigma) * Y0

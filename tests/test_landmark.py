@@ -666,6 +666,16 @@ class TestNonFiniteWeights:
             assert not check_feasible(bad, [0, 0], [0, 0])
             assert not check_feasible(bad, [0, 1], [2, 3])    # no shared class
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.5, 1.5])
+    def test_delta_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\]"):
+            LandmarkWeights(np.array([0.5, 0.5]), np.array([0.5, 0.5]), bad)
+        # class means 0.2 and 0.8, which no delta matches, pass every mean
+        # check against a NaN delta
+        weights = SimpleNamespace(alpha=np.array([0.2, 0.8]), beta=np.array([0.5, 0.5]),
+                                  delta=bad)
+        assert not check_feasible(weights, [0, 1], [0, 1])
+
 
 def lexsort_project(z, qp):
     """`_project` with one np.lexsort over (group, breakpoint), ties kept in

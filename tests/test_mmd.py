@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from lpjt import mmd
 from lpjt.mmd import (
     MmdBlocks,
     assemble_M,
@@ -202,6 +203,28 @@ class TestAssemble:
         for name in ("M_ss", "M_uu", "M_su"):
             ref = getattr(dense, name)
             assert np.max(np.abs(getattr(M, name) - ref)) <= 1e-12 * np.abs(ref).max()
+
+    def test_dense_views_catch_a_broken_class_rule(self, monkeypatch):
+        # a rule that drops the first shared class from its members and
+        # counts: assemble_M follows it, conditional_coeffs finds its classes
+        # itself, so the two must disagree
+        rule = mmd._class_rule
+
+        def broken(labels_s, labels_u, num_classes=None):
+            members, counts_s, counts_u = rule(labels_s, labels_u, num_classes)
+            c = next(c for c, (si, ui) in enumerate(members) if si.size and ui.size)
+            members[c] = (np.empty(0, np.intp), np.empty(0, np.intp))
+            return members, np.delete(counts_s, 1, axis=1), np.delete(counts_u, 1, axis=1)
+
+        X_s, X_u, _, _, alpha, beta, ys, yu, delta, C = random_instance(3)
+        monkeypatch.setattr(mmd, "_class_rule", broken)
+        M = assemble_M(X_s, X_u, build_coeffs(alpha, beta, ys, yu, delta, C))
+        H_sm, H_um, H_sum = marginal_coeffs(alpha, beta, delta)
+        H_sc, H_uc, H_suc = conditional_coeffs(alpha, beta, ys, yu, delta, C)
+        dense = dense_sandwich(X_s, X_u, H_sm + H_sc, H_um + H_uc, H_sum + H_suc)
+        gap = max(np.abs(getattr(M, name) - getattr(dense, name)).max()
+                  for name in ("M_ss", "M_uu", "M_su"))
+        assert gap > 1e-6 * np.abs(dense.M_ss).max()
 
     def test_block_matrix_psd(self):
         X_s, X_u, A, B, alpha, beta, ys, yu, delta, C = random_instance(5)

@@ -246,8 +246,8 @@ class TestFitBasics:
             assert "build_intrinsic_graph" not in calls and "build_penalty_graph" not in calls
 
     def test_fit_builds_and_checks_no_weighted_graph(self, monkeypatch):
-        # the scatters' edges are symmetric by construction; only outside
-        # input (the public builders' graphs, closed_form's S) is checked
+        # the scatters' edges are symmetric by construction; only the
+        # public builders' graphs are checked
         calls = {"check": 0, "construct": 0}
         check, post_init = graph._check_graph, graph.WeightedGraph.__post_init__
 
@@ -358,6 +358,20 @@ class TestFitBasics:
         src = LabeledDataset(FeatureMatrix(X), y, 3)
         with pytest.raises(ValueError, match="subspace dim"):
             fit(src, X, None, FitConfig(hyper=Hyperparams(d=10)))
+
+    @pytest.mark.parametrize("dim,limit", [(2, 4), (12, 18)], ids=["features", "sample-span"])
+    def test_oversized_subspace_rejected_before_propagation(self, monkeypatch, dim, limit):
+        # the raw-space propagation and the span QRs are the costly first
+        # steps; with more features than its 9 samples a domain keeps 9 dims
+        def never(*args):
+            raise AssertionError("fit propagated labels before checking d")
+
+        monkeypatch.setattr(pipeline.labelprop, "classify", never)
+        X = np.random.default_rng(0).normal(size=(dim, 9))
+        src = LabeledDataset(FeatureMatrix(X), np.repeat([0, 1, 2], 3), 3)
+        message = f"subspace dim {limit + 1} exceeds d_s \\+ d_t = {limit}$"
+        with pytest.raises(ValueError, match=message):
+            fit(src, X + 0.1, None, FitConfig(hyper=Hyperparams(d=limit + 1)))
 
     def test_degenerate_objective_aborts(self):
         X, y = separated_blobs(n=5)
