@@ -15,15 +15,9 @@ from .core import (
     zscore_normalize,
 )
 from .eigsolve import EigProblem, EigSolution, SolverError, assemble_problem, solve
-from .graph import (
-    WeightedGraph,
-    build_intrinsic_graph,
-    build_penalty_graph,
-    pairwise_sqdist,
-)
 from .landmark import LandmarkWeights, QpInstance, build_qp, solve_qp
-from .labelprop import PropagationResult, classify, propagate, similarity_matrix
-from .mmd import MmdBlocks, MmdCoeffs, assemble_M, mmd_value
+from .labelprop import classify
+from .mmd import MmdBlocks, MmdCoeffs, assemble_M
 from .pipeline import evaluate, fit, predict, transform
 
 __version__ = "0.1.0"
@@ -42,22 +36,14 @@ __all__ = [
     "SolverError",
     "assemble_problem",
     "solve",
-    "WeightedGraph",
-    "build_intrinsic_graph",
-    "build_penalty_graph",
-    "pairwise_sqdist",
     "LandmarkWeights",
     "QpInstance",
     "build_qp",
     "solve_qp",
-    "PropagationResult",
     "classify",
-    "propagate",
-    "similarity_matrix",
     "MmdBlocks",
     "MmdCoeffs",
     "assemble_M",
-    "mmd_value",
     "FitConfig",
     "evaluate",
     "fit",

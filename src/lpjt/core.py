@@ -201,17 +201,19 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class SubspaceModel:
-    """Fitted projections A (d_s x d) and B (d_t x d), their FitConfig and training state."""
+    """Fitted projections A (d_s x d) and B (d_t x d), their FitConfig, the
+    positive class count they label with and the training state."""
 
     A: np.ndarray
     B: np.ndarray
     cfg: FitConfig
+    num_classes: int
     weights: "object" = None     # landmark.LandmarkWeights
     trace: TrainTrace = field(default_factory=TrainTrace)
-    num_classes: int = 0
     pseudo_labels: np.ndarray | None = None
 
     def __post_init__(self):
+        _check_count("num_classes", self.num_classes)
         A, B = _freeze(self.A), _freeze(self.B)
         if A.ndim != 2 or B.ndim != 2:
             raise ValueError("A and B must be 2-D")

@@ -13,9 +13,10 @@ pseudo labels leave its members unchanged.
 of packed integer keys and weighs each edge once; `_degrees` sums their
 weights per node and `_csr` mirrors them into a CSR array by one stable
 sort of their rows. Label propagation and the scatters read the edges;
-only the public builders wrap them in a `WeightedGraph`. `knn_heat_graph`,
-the rule over a dense distance matrix and mask, is the test oracle of all
-three graphs. `_scatter` sandwiches the graph Laplacian L = D - W
+only the public builders wrap them in a `WeightedGraph`, and `fit` calls
+neither builder. The test oracle of all three graphs is
+`tests/oracles.py`'s `knn_heat_graph`, the rule over a dense distance
+matrix and mask. `_scatter` sandwiches the graph Laplacian L = D - W
 between the data, S = X L X^T = 1/2 sum_ij W_ij (x_i - x_j)(x_i - x_j)^T,
 turning the graph objective into a quadratic form in feature space, from
 the edges in O(nnz * d) plus O(n * d^2), never as a dense n x n Laplacian.
@@ -27,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
+# unused here; bench/tracer.py wraps graph.cdist by name
+from scipy.spatial.distance import cdist  # noqa: F401
 
 from .core import Hyperparams, as_features
 
@@ -87,14 +89,6 @@ class ScatterSet:
     S_h_u: np.ndarray
 
 
-def pairwise_sqdist(X) -> np.ndarray:
-    """Squared Euclidean distances between all pairs of samples of X."""
-    # a C-order copy of the samples: on the transposed view scipy's cdist
-    # takes a strided path, several times slower at the same result
-    P = np.ascontiguousarray(as_features(X).data.T)
-    return cdist(P, P, "sqeuclidean")
-
-
 def _edges(Z, rows, cols):
     """The undirected edges (i, j), i < j, of the pairs (rows[k], cols[k])
     of distinct samples of Z, each weighted exp(-||z_i - z_j||^2 / 2).
@@ -121,47 +115,6 @@ def _csr(i, j, w, n: int) -> sp.csr_array:
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
     return sp.csr_array((np.concatenate([w, w])[order], np.concatenate([i, j])[order], indptr),
                         shape=(n, n))
-
-
-def knn_heat_graph(sqdist, allowed, k: int) -> sp.csr_array:
-    """Heat-kernel weights of a masked k-nearest-neighbor graph, as CSR.
-
-    Row i keeps its min(k, number of allowed pairs) nearest allowed columns,
-    ties to the lowest index as a stable sort would order them. The edges
-    are OR-symmetrized (an edge exists if either endpoint selected the
-    other), the diagonal is cleared and each edge weighted with
-    exp(-sqdist / 2). Only the selected pairs are stored.
-
-    This is the test oracle of the locality graphs, their scatters and
-    `_knn_edges`, with `pairwise_sqdist` as its input; `fit` does not call
-    it.
-    """
-    sqdist = np.asarray(sqdist, dtype=np.float64)
-    n = sqdist.shape[0]
-    k = min(max(int(k), 0), n)
-    adj = np.zeros((n, n), dtype=bool)
-    if k > 0:
-        # the one private copy is partitioned in place, so the comparisons
-        # below read the distances themselves
-        masked = np.where(allowed, sqdist, np.inf)
-        masked.partition(k - 1, axis=1)
-        kth = masked[:, [k - 1]]
-        adj = allowed & (sqdist < kth)
-        tied = allowed & (sqdist == kth)
-        # rows with more ties at the k-th value than places left keep the
-        # lowest-index ones
-        take = k - adj.sum(axis=1)
-        over = np.flatnonzero(tied.sum(axis=1) > take)
-        tied[over] &= np.cumsum(tied[over], axis=1) <= take[over, None]
-        adj |= tied
-    adj |= adj.T
-    np.fill_diagonal(adj, False)
-    rows, cols = np.nonzero(adj)
-    # exact symmetry: sqdist may differ across the diagonal by rounding
-    weights = np.minimum(np.exp(-sqdist[rows, cols] / 2.0),
-                         np.exp(-sqdist[cols, rows] / 2.0))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-    return sp.csr_array((weights, cols, indptr), shape=(n, n))
 
 
 class _Search:
@@ -210,7 +163,7 @@ def _knn_pairs(s: _Search, queries, refs, k: int, exclude_self: bool):
     distance (widened for rounding), and it keeps all k. Only the rest,
     tied at that distance, gather every candidate inside it by a ball
     query and rank them. Memory is O(n * k) plus those ties. Where squared
-    distances overflow to inf, `knn_heat_graph` keeps the lowest-index
+    distances overflow to inf, the dense oracle keeps the lowest-index
     samples and this search the nearest, so only the pattern of edges that
     weigh 0 either way can differ.
     """

@@ -8,16 +8,15 @@ The k-NN graph is found by an exact k-d tree search in O(n * k) memory
 and kept as its list of undirected edges, each weighing S_ij. The
 fixed-point solve orders the nodes by reverse Cuthill-McKee, fills the band
 of I - sigma S from the edges in that order and factors it by a banded
-Cholesky; `similarity_matrix` is the CSR array of the same edges, the S
-that `propagate` iterates with. Scores within a few ulps of their row's
-maximum tie, and the lowest class among them wins.
+Cholesky. Scores within a few ulps of their row's maximum tie, and the
+lowest class among them wins. The tests check the solve against the
+references in `tests/oracles.py`: the iteration itself (`propagate`) and a
+dense LU over the dense k-NN builder's graph.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import solveh_banded
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 # unused here; bench/tracer.py wraps labelprop.cdist by name
@@ -25,13 +24,6 @@ from scipy.spatial.distance import cdist  # noqa: F401
 
 from . import graph
 from .core import Hyperparams, LabeledDataset, _fresh_features, as_features
-
-
-@dataclass(frozen=True)
-class PropagationResult:
-    soft_labels: np.ndarray     # (n, C) diffusion scores
-    hard_labels: np.ndarray     # row argmax, near ties to the lowest class
-    iterations_used: int
 
 
 # scores this close to their row's maximum, relative to it, tie: a few ulps,
@@ -69,48 +61,6 @@ def _similarity_edges(Z, k: int):
             w[over] = np.exp(np.log(w[over]) - (h[i[over]] + h[j[over]]))
         scale[over] = 1.0
     return n, i, j, w * scale
-
-
-def similarity_matrix(Z, k: int) -> sp.csr_array:
-    """Normalized similarity S = D^{-1/2} W D^{-1/2} of a k-NN heat graph.
-
-    W holds `graph._knn_edges`: OR-symmetrized k-NN edges weighted with
-    exp(-||z_i - z_j||^2 / 2), found by an exact tree search with no n x n
-    distance matrix, bit for bit `graph.knn_heat_graph` over every pair but
-    self. S is returned as a `scipy.sparse` CSR array with W's sparsity
-    pattern (at most 2k nonzeros per row), exactly symmetric and finite:
-    the CSR array of the edges `classify` solves over. Nodes whose incident
-    weights underflow to zero end up with zero rows rather than NaNs.
-    """
-    n, i, j, s = _similarity_edges(Z, k)
-    return graph._csr(i, j, s, n)
-
-
-def propagate(S, Y0, sigma: float, tol: float = 1e-9, max_iter: int = 1000) -> PropagationResult:
-    """Iterate the diffusion to its fixed point.
-
-    Stops when the max-norm update falls below `tol` or after `max_iter`
-    sweeps. Y0 holds one-hot rows for labeled samples and zero rows for
-    unlabeled ones. S may be dense or `scipy.sparse`.
-    """
-    if not 0.0 < sigma < 1.0:
-        raise ValueError("sigma must lie in (0, 1)")
-    S = sp.csr_array(S, dtype=np.float64)
-    Y0 = np.asarray(Y0, dtype=np.float64)
-    Y = Y0.copy()
-    base = (1.0 - sigma) * Y0
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        Y_next = sigma * (S @ Y) + base
-        delta = np.max(np.abs(Y_next - Y))
-        Y = Y_next
-        if delta < tol:
-            break
-    return PropagationResult(
-        soft_labels=Y,
-        hard_labels=_hard_labels(Y),
-        iterations_used=iterations,
-    )
 
 
 def _band_solve(n: int, i, j, s, Y0, sigma: float) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Sample-weight optimization: pick landmarks by solving a convex QP.
 
-With the projections held fixed, the landmark-weighted MMD of
-`mmd.mmd_value`, E = E_MG + E_CD, is the quadratic E = 1/2 z^T Bq z over
-z = (alpha; beta) with Bq = [[K_ss, -K_su], [-K_su^T, K_uu]]. Every term of
-E is a sum of squares, so Bq is positive semidefinite and the QP convex.
+With the projections held fixed, the landmark-weighted MMD E = E_MG + E_CD
+(whose explicit sums `tests/oracles.py`'s `mmd_value` evaluates) is the
+quadratic E = 1/2 z^T Bq z over z = (alpha; beta) with
+Bq = [[K_ss, -K_su], [-K_su^T, K_uu]]. Every term of E is a sum of
+squares, so Bq is positive semidefinite and the QP convex.
 The weights minimize E subject to box bounds [0, 1] and per-class mean
 constraints mean(w) = delta in each domain, as in landmark selection (Gong,
 Grauman & Sha, ICML 2013). Classes present in a single domain keep their
@@ -98,8 +99,9 @@ class _FaceMeta(NamedTuple):
 @dataclass(frozen=True)
 class QpInstance:
     """Quadratic program data in the module's factored form, plus the
-    per-class bookkeeping. The dense `Bq`, `K_ss`, `K_uu` and `K_su` are
-    built lazily for inspection and tests; the solver never touches them.
+    per-class bookkeeping. No dense block is formed: the tests build `Bq`,
+    `K_ss`, `K_uu` and `K_su` from an instance with the functions of the
+    same names in `tests/oracles.py`.
 
     The rows with cross weight 1 are the marginal rows and come first. The
     others hold d rows per class present in both domains, in class order,
@@ -134,22 +136,6 @@ class QpInstance:
         top = self.F_s.T @ (p - self.cross * q) + self.diag_s * a
         bottom = self.F_u.T @ (q - self.cross * p) + self.diag_u * b
         return np.concatenate([top, bottom])
-
-    @cached_property
-    def K_ss(self):
-        return self.F_s.T @ self.F_s + np.diag(self.diag_s)
-
-    @cached_property
-    def K_uu(self):
-        return self.F_u.T @ self.F_u + np.diag(self.diag_u)
-
-    @cached_property
-    def K_su(self):
-        return (self.F_s * self.cross[:, None]).T @ self.F_u
-
-    @cached_property
-    def Bq(self):
-        return np.block([[self.K_ss, -self.K_su], [-self.K_su.T, self.K_uu]])
 
     @cached_property
     def _meta(self):
@@ -212,7 +198,7 @@ class QpInstance:
 def build_qp(Z_s, Z_u, labels_s, pseudo_labels_u, delta, num_classes=None) -> QpInstance:
     """Factored coefficient matrices of the weight subproblem from embedded data.
 
-    1/2 z^T Bq z equals `mmd.mmd_value`'s E_MG + E_CD at the same weights,
+    1/2 z^T Bq z equals the MMD E_MG + E_CD at the same weights,
     embeddings and labels, and Bq is E's Hessian: with the source's counts N
     from `mmd._class_rule`, row block j of F_s is sqrt(2) Z_s / (delta N_j)
     and diag_s holds 2 |z_i|^2 / (delta^2 n_c), by the constants the `mmd`
@@ -244,36 +230,6 @@ def build_qp(Z_s, Z_u, labels_s, pseudo_labels_u, delta, num_classes=None) -> Qp
                       delta=delta, groups=groups)
 
 
-def project_box_mean(x, delta):
-    """Euclidean projection of x onto {v in [0,1]^m : mean(v) = delta}.
-
-    Shifts every coordinate by a common offset found by bisection, then
-    clips; a final correction on the interior coordinates makes the mean
-    exact to machine precision.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    m = x.size
-    if delta <= 0.0:
-        return np.zeros(m)
-    if delta >= 1.0:
-        return np.ones(m)
-    target = delta * m
-    lo = -float(x.max()) - 1.0
-    hi = 1.0 - float(x.min()) + 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if np.clip(x + mid, 0.0, 1.0).sum() < target:
-            lo = mid
-        else:
-            hi = mid
-    v = np.clip(x + 0.5 * (lo + hi), 0.0, 1.0)
-    free = (v > 0.0) & (v < 1.0)
-    if free.any():
-        v[free] += (target - v.sum()) / free.sum()
-        v = np.clip(v, 0.0, 1.0)
-    return v
-
-
 def _project(z, qp: QpInstance):
     """Project onto the feasible polytope, every group in one pass.
 
@@ -281,7 +237,8 @@ def _project(z, qp: QpInstance):
     tau, with breakpoints at -x_i (a coordinate starts rising) and 1 - x_i
     (it saturates). One segmented sorted sweep over the breakpoints locates
     the crossing segment of every group, so the result is that of per-group
-    bisection without the iteration loop.
+    bisection (`tests/oracles.py`'s `project_box_mean`) without the
+    iteration loop.
     """
     meta = qp._meta
     act, gid, targets = meta.act, meta.gid, meta.targets

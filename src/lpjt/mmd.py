@@ -11,10 +11,10 @@ quadratic form
 with M = X H X^T for sample-indexed coefficient matrices H. Every H is a
 sum of rank-one mean differences plus a per-sample diagonal, so
 `assemble_M` forms the blocks from weighted domain and class sums and
-(X diag(w)) X^T in O(d^2 n), never building an n x n matrix;
-`marginal_coeffs` and `conditional_coeffs` build the dense H as the
-reference. `mmd_value` evaluates the literal sums and is kept independent
-of both paths so each can check the other.
+(X diag(w)) X^T in O(d^2 n), never building an n x n matrix. The
+references live in `tests/oracles.py`: `marginal_coeffs` and
+`conditional_coeffs` build the dense H, and `mmd_value` evaluates the
+literal sums, independent of both paths so each can check the other.
 
 `_class_rule` decides, for `assemble_M`, `mmd_distance` and
 `landmark.build_qp` alike, which classes the conditional term compares
@@ -23,7 +23,8 @@ divided by. In a domain of n samples, n_c of them in class c, w enters the
 domain mean as w / (delta n), class c's mean as w / (delta n_c) and its
 spread as w^2 / (delta^2 n_c), on c's members only. Class means meet
 across domains with cross weight 2, paired with the -2 coupling above, and
-the domain means with 1; the equality with `mmd_value` pins every constant.
+the domain means with 1; the equality with the oracles' `mmd_value` pins
+every constant.
 """
 
 import warnings
@@ -42,8 +43,7 @@ class MmdCoeffs:
     `_class_rule`: one column for the domain mean, then one per class
     present in both domains, the only classes the conditional term
     compares. No n x n coefficient matrix is kept: `assemble_M` forms the
-    blocks from these directly, and `marginal_coeffs` /
-    `conditional_coeffs` rebuild the dense matrices for reference.
+    blocks from these directly.
     """
 
     alpha: np.ndarray
@@ -74,16 +74,6 @@ def _check_weights(alpha, beta, delta):
         if not np.all((w >= 0.0) & (w < np.inf)):
             raise ValueError(f"{name} entries must be finite and nonnegative")
     return alpha, beta
-
-
-def marginal_coeffs(alpha, beta, delta):
-    """Coefficient matrices of the weighted marginal mean discrepancy."""
-    alpha, beta = _check_weights(alpha, beta, delta)
-    n_s, n_u = alpha.size, beta.size
-    H_sm = np.outer(alpha, alpha) / (delta**2 * n_s**2)
-    H_um = np.outer(beta, beta) / (delta**2 * n_u**2)
-    H_sum = np.outer(alpha, beta) / (delta**2 * n_s * n_u)
-    return H_sm, H_um, H_sum
 
 
 def _check_labels(alpha, beta, labels_s, pseudo_labels_u):
@@ -117,35 +107,6 @@ def _class_rule(labels_s, labels_u, num_classes=None):
             N[pair[side], j + 1] = pair[side].size
         counts.append(N)
     return members, counts[0], counts[1]
-
-
-def conditional_coeffs(alpha, beta, labels_s, pseudo_labels_u, delta, num_classes):
-    """Per-class coefficient matrices scattered to global sample positions.
-
-    A class contributes only when it has members in both domains; a class
-    in one domain only is skipped with a warning and leaves zero blocks
-    behind. The classes are found here, not by `_class_rule`, so that
-    these dense matrices stay a reference for `assemble_M`.
-    """
-    alpha, beta = _check_weights(alpha, beta, delta)
-    labels_s, labels_u = _check_labels(alpha, beta, labels_s, pseudo_labels_u)
-    n_s, n_u = alpha.size, beta.size
-    H_sc = np.zeros((n_s, n_s))
-    H_uc = np.zeros((n_u, n_u))
-    H_suc = np.zeros((n_s, n_u))
-    for c in range(num_classes):
-        si, ui = np.flatnonzero(labels_s == c), np.flatnonzero(labels_u == c)
-        if not (si.size and ui.size):
-            if si.size or ui.size:
-                warnings.warn(f"class {c} missing from one domain; skipped")
-            continue
-        a, b = alpha[si], beta[ui]
-        H_sc[np.ix_(si, si)] += np.outer(a, a) / (delta**2 * si.size**2)
-        H_sc[si, si] += a * a / (delta**2 * si.size)
-        H_uc[np.ix_(ui, ui)] += np.outer(b, b) / (delta**2 * ui.size**2)
-        H_uc[ui, ui] += b * b / (delta**2 * ui.size)
-        H_suc[np.ix_(si, ui)] += 2.0 * np.outer(a, b) / (delta**2 * si.size * ui.size)
-    return H_sc, H_uc, H_suc
 
 
 def build_coeffs(alpha, beta, labels_s, pseudo_labels_u, delta, num_classes) -> MmdCoeffs:
@@ -196,40 +157,6 @@ def assemble_M(X_s, X_u, coeffs: MmdCoeffs) -> MmdBlocks:
         M_uu=(M_uu + M_uu.T) / 2.0,
         M_su=(S * cross) @ U.T,
     )
-
-
-def mmd_value(X_s, X_u, A, B, alpha, beta, labels_s, pseudo_labels_u, delta):
-    """Evaluate the weighted marginal and conditional MMD by explicit sums.
-
-    Returns (E_MG, E_CD). This is the reference path: it never touches the
-    coefficient matrices, so it can serve as an oracle for them.
-    """
-    Xs = as_features(X_s).data
-    Xu = as_features(X_u).data
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    alpha, beta = _check_weights(alpha, beta, delta)
-    labels_s = np.asarray(labels_s, dtype=np.int64).ravel()
-    labels_u = np.asarray(pseudo_labels_u, dtype=np.int64).ravel()
-    n_s, n_u = Xs.shape[1], Xu.shape[1]
-
-    Zs = A.T @ Xs    # (d, n_s) embedded source
-    Zu = B.T @ Xu
-
-    diff = (Zs * alpha).sum(axis=1) / (delta * n_s) - (Zu * beta).sum(axis=1) / (delta * n_u)
-    e_mg = float(diff.dot(diff))
-
-    e_cd = 0.0
-    for c in np.intersect1d(np.unique(labels_s), np.unique(labels_u)):
-        si = np.flatnonzero(labels_s == c)
-        ui = np.flatnonzero(labels_u == c)
-        Zsc = Zs[:, si] * alpha[si]
-        Zuc = Zu[:, ui] * beta[ui]
-        diff_c = Zsc.sum(axis=1) / (delta * si.size) - Zuc.sum(axis=1) / (delta * ui.size)
-        e_cd += float(diff_c.dot(diff_c))
-        pair = Zsc[:, :, None] - Zuc[:, None, :]
-        e_cd += float((pair**2).sum()) / (delta**2 * si.size * ui.size)
-    return e_mg, e_cd
 
 
 def mmd_distance(Z_s, Z_u, labels_s, labels_u, alpha=None, beta=None, delta=1.0):

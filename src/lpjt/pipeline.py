@@ -231,7 +231,7 @@ def predict(model: SubspaceModel, src: LabeledDataset, tgt_u,
         Z_l, y_l = transform(model, Xl, "target").data, tgt_l.labels
     return _classify(transform(model, Xs, "source").data, src.labels, Z_l, y_l,
                      transform(model, Xu, "target").data,
-                     model.num_classes or src.num_classes, cfg)
+                     model.num_classes, cfg)
 
 
 def evaluate(pred, truth) -> float:

@@ -12,17 +12,21 @@ from scipy.spatial.distance import cdist
 from lpjt.core import FeatureMatrix, Hyperparams, LabeledDataset, zscore_normalize
 from lpjt.dataio import load_labeled, synth_hetero_map, synth_rotated
 from lpjt.eigsolve import EigProblem, assemble_problem, solve
-from lpjt.graph import scatter_matrices
-from lpjt.labelprop import _band_solve, _similarity_edges, propagate, similarity_matrix
+from lpjt.graph import _csr, scatter_matrices
+from lpjt.labelprop import _band_solve, _similarity_edges
 from lpjt.landmark import build_qp, check_feasible, solve_qp
-from lpjt.mmd import (
-    assemble_M,
-    build_coeffs,
+from lpjt.mmd import assemble_M, build_coeffs
+from lpjt.pipeline import FitConfig, _span_basis, evaluate, fit, predict
+from oracles import (
+    Bq,
+    K_ss,
+    K_su,
+    K_uu,
     conditional_coeffs,
     marginal_coeffs,
     mmd_value,
+    propagate,
 )
-from lpjt.pipeline import FitConfig, _span_basis, evaluate, fit, predict
 
 
 def _passline(num, text):
@@ -131,12 +135,12 @@ def test_03_qp_feasibility_and_grid_oracle():
         w = solve_qp(qp)
         assert check_feasible(w, ys, yu, atol=1e-8)
         z = w.stacked()
-        solver_obj = 0.5 * z @ qp.Bq @ z
+        solver_obj = 0.5 * z @ Bq(qp) @ z
         A_grid = _stack([_lattice(m, 0.5) for m in sizes_s])
         B_grid = _stack([_lattice(m, 0.5) for m in sizes_u])
-        quad_s = 0.5 * np.einsum("ij,jk,ik->i", A_grid, qp.K_ss, A_grid)
-        quad_u = 0.5 * np.einsum("ij,jk,ik->i", B_grid, qp.K_uu, B_grid)
-        cross = A_grid @ qp.K_su @ B_grid.T
+        quad_s = 0.5 * np.einsum("ij,jk,ik->i", A_grid, K_ss(qp), A_grid)
+        quad_u = 0.5 * np.einsum("ij,jk,ik->i", B_grid, K_uu(qp), B_grid)
+        cross = A_grid @ K_su(qp) @ B_grid.T
         best = float((quad_s[:, None] + quad_u[None, :] - cross).min())
         worst_gap = max(worst_gap, solver_obj - best)
         assert solver_obj <= best + 1e-4
@@ -160,7 +164,8 @@ def test_04_label_propagation_closed_form():
         rng = np.random.default_rng(seed)
         n = int(rng.integers(5, 25))
         Z = rng.normal(size=(2, n))
-        S = similarity_matrix(Z, k=3)
+        edges = _similarity_edges(Z, 3)
+        S = _csr(*edges[1:], n)
         C = int(rng.integers(2, 5))
         Y0 = np.zeros((n, C))
         labeled = rng.choice(n, size=max(1, n // 3), replace=False)
@@ -168,7 +173,7 @@ def test_04_label_propagation_closed_form():
         for sigma in (0.5, 0.9):
             # the iteration against classify's solve over the same edges
             res = propagate(S, Y0, sigma=sigma)
-            gap = np.max(np.abs(res.soft_labels - _band_solve(*_similarity_edges(Z, 3), Y0, sigma)))
+            gap = np.max(np.abs(res.soft_labels - _band_solve(*edges, Y0, sigma)))
             worst = max(worst, gap)
             assert gap <= 1e-6
     _passline(4, f"30 graphs x sigma {{0.5, 0.9}}, max fixed-point gap {worst:.2e}")

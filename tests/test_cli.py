@@ -160,7 +160,7 @@ class TestRoundTrips:
         """Save a small model; return its bytes and (part, start, end) spans."""
         rng = np.random.default_rng(3)
         model = SubspaceModel(A=rng.normal(size=(5, 3)), B=rng.normal(size=(4, 3)),
-                              cfg=FitConfig(hyper=Hyperparams(d=3)),
+                              cfg=FitConfig(hyper=Hyperparams(d=3)), num_classes=2,
                               trace=TrainTrace(objective=[1.0], mmd=[0.5], label_changes=[0]))
         save_model(path, model)
         data = path.read_bytes()
@@ -292,6 +292,28 @@ class TestRoundTrips:
         cfg = write_config(tmp_path / "c.cfg", output_dir=run)
         assert main(["trace", "--config", cfg]) == 2
         assert "model.lpjt: bad model metadata" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("num_classes,message", [
+        (0, "num_classes must be positive, got 0"),
+        (2.5, "num_classes must be an integer, got 2.5"),
+        (-1, "num_classes must be positive, got -1"),
+    ], ids=["zero", "fractional", "negative"])
+    def test_invalid_num_classes_names_file(self, tmp_path, capsys, num_classes, message):
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert main(synth_args(data, n=5)) == 0
+        run.mkdir()
+        meta = {**self.v1_metadata(2), "num_classes": num_classes}
+        path = run / "model.lpjt"
+        rng = np.random.default_rng(12)
+        self.write_v1(path, rng.normal(size=(2, 2)), rng.normal(size=(2, 2)),
+                      json.dumps(meta).encode("utf-8"))
+        with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: bad model metadata: "
+                                              f"{message}"):
+            load_model(path)
+        cfg = write_config(tmp_path / "c.cfg", source=data / "source.csv",
+                           target_unlabeled=data / "target.csv", output_dir=run)
+        assert main(["predict", "--config", cfg]) == 2
+        assert f"model.lpjt: bad model metadata: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("trace,message", [
         ({"objective": [2.0, 1.0], "mmd": [0.5], "label_changes": [1, 0]}, "equal lengths"),

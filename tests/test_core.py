@@ -45,9 +45,9 @@ STORED = {
                        lambda: np.array([1, 2, 0])),
     "TrainTrace": (lambda a: TrainTrace(objective=a, mmd=np.ones(3), label_changes=[0, 1, 2])
                    .objective, lambda: np.ones(3)),
-    "SubspaceModel.A": (lambda a: SubspaceModel(A=a, B=np.ones((2, 3)), cfg=None).A,
+    "SubspaceModel.A": (lambda a: SubspaceModel(A=a, B=np.ones((2, 3)), cfg=None, num_classes=1).A,
                         lambda: np.ones((2, 3))),
-    "SubspaceModel.B": (lambda a: SubspaceModel(A=np.ones((2, 3)), B=a, cfg=None).B,
+    "SubspaceModel.B": (lambda a: SubspaceModel(A=np.ones((2, 3)), B=a, cfg=None, num_classes=1).B,
                         lambda: np.ones((2, 3))),
     "LandmarkWeights": (lambda a: LandmarkWeights(a, np.ones(2), 0.5).alpha,
                         lambda: np.ones(3)),

@@ -11,7 +11,8 @@ from lpjt.eigsolve import (
     split_projection,
 )
 from lpjt.graph import ScatterSet, scatter_matrices
-from lpjt.mmd import MmdBlocks, assemble_M, build_coeffs, mmd_value
+from lpjt.mmd import MmdBlocks, assemble_M, build_coeffs
+from oracles import mmd_value
 
 
 def random_spd(rng, n, scale=1.0):

@@ -8,9 +8,10 @@ from numpy.testing import assert_allclose
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
+from lpjt import graph
 from lpjt.core import FeatureMatrix, Hyperparams, LabeledDataset
-from lpjt.graph import knn_heat_graph
-from lpjt.labelprop import _band_solve, _similarity_edges, classify, propagate, similarity_matrix
+from lpjt.labelprop import _band_solve, _similarity_edges, classify
+from oracles import knn_heat_graph, propagate
 
 
 def brute_force_any_pair(Z, k):
@@ -24,6 +25,13 @@ def brute_force_any_pair(Z, k):
         for j in cand[:k]:
             adj[i, j] = adj[j, i] = True
     return adj
+
+
+def similarity_matrix(Z, k):
+    """The normalized similarity S = D^{-1/2} W D^{-1/2} that `classify`
+    solves over, as the CSR array of its k-NN edges."""
+    n, i, j, s = _similarity_edges(Z, k)
+    return graph._csr(i, j, s, n)
 
 
 def dense_similarity(Z, k):
@@ -339,8 +347,10 @@ class TestPropagate:
             Y = Y_next
 
     def test_sigma_bounds(self):
-        with pytest.raises(ValueError):
-            propagate(np.eye(2), np.eye(2), sigma=1.0)
+        # the oracle checks no input; classify reads sigma from Hyperparams
+        for sigma in (0.0, 1.0, np.nan):
+            with pytest.raises(ValueError, match="sigma_lp must lie in"):
+                Hyperparams(sigma_lp=sigma)
 
 
 class TestClassify:

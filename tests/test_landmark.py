@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import warnings
 from types import SimpleNamespace
@@ -13,13 +14,12 @@ from lpjt.landmark import (
     QpInstance,
     build_qp,
     check_feasible,
-    project_box_mean,
     project_feasible,
     solve_qp,
     uniform_weights,
 )
-from lpjt.mmd import mmd_value
 from lpjt.pipeline import fit
+from oracles import Bq, K_ss, K_su, K_uu, mmd_value, project_box_mean
 
 
 def random_qp(seed, n_s=8, n_u=6, C=2, d=2, delta=0.5):
@@ -59,7 +59,7 @@ class TestBuildQp:
         Z_s = np.array([[1.0, 1.0], [0.0, 0.0]])
         Z_u = np.array([[0.0, 0.0], [1.0, 1.0]])
         qp = build_qp(Z_s, Z_u, [0, 1], [0, 1], 0.5, 2)
-        assert np.all(qp.Bq[:2, 2:] == 0.0)
+        assert np.all(Bq(qp)[:2, 2:] == 0.0)
 
     def test_half_quadratic_form_equals_mmd_value(self):
         # classes present in one domain only stay out of E_CD and are pinned
@@ -71,8 +71,8 @@ class TestBuildQp:
             eye = np.eye(Z_s.shape[0])
             e = sum(mmd_value(Z_s, Z_u, eye, eye, a, b, ys, yu, delta))
             assert abs(0.5 * z @ qp.matvec(z) - e) <= 1e-12 * e
-            assert abs(0.5 * z @ qp.Bq @ z - e) <= 1e-12 * e
-            eigs = np.linalg.eigvalsh(qp.Bq)
+            assert abs(0.5 * z @ Bq(qp) @ z - e) <= 1e-12 * e
+            eigs = np.linalg.eigvalsh(Bq(qp))
             assert eigs[0] >= -1e-12 * eigs[-1]
             # one group per class and domain with members, in class order,
             # free where the class is in both domains
@@ -180,8 +180,9 @@ class TestFactoredOperators:
         got = qp.matvec(np.concatenate([a, b]))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+        # the solver caches its own constants and forms no dense block
         solve_qp(qp, full_output=True)
-        assert not {"Bq", "K_ss", "K_uu", "K_su"} & set(vars(qp))
+        assert set(vars(qp)) == {f.name for f in dataclasses.fields(qp)} | {"_meta", "_face"}
 
 
 def fit_sized_instance(seed):
@@ -230,8 +231,8 @@ class TestSolveQp:
         qp, *_ = random_qp(7)
         init = uniform_weights(qp.n_s, qp.n_u, qp.delta)
         w, info = solve_qp(qp, init, full_output=True)
-        f0 = 0.5 * init.stacked() @ qp.Bq @ init.stacked()
-        f1 = 0.5 * w.stacked() @ qp.Bq @ w.stacked()
+        f0 = 0.5 * init.stacked() @ Bq(qp) @ init.stacked()
+        f1 = 0.5 * w.stacked() @ Bq(qp) @ w.stacked()
         assert f1 <= f0 + 1e-10
 
     def test_trace_monotone_nonincreasing(self):
@@ -331,7 +332,7 @@ def assert_kkt(qp, weights, rtol=1e-9):
     at 0. Group means and pinned weights must equal delta.
     """
     z = weights.stacked()
-    g = qp.Bq @ z
+    g = Bq(qp) @ z
     tol = rtol * np.abs(g).max()
     for idx, free in qp.groups:
         w, gi = z[idx], g[idx]
@@ -409,8 +410,9 @@ def dense_face_min(qp, low, high):
     held[meta.act] = high
     F = meta.act[free]
     E = (meta.gid[free][None, :] == np.arange(meta.first.size)[:, None]).astype(float)
-    K = np.block([[qp.Bq[np.ix_(F, F)], -E.T], [E, np.zeros((E.shape[0],) * 2)]])
-    rhs = np.concatenate([-qp.Bq[F] @ held,
+    H = Bq(qp)
+    K = np.block([[H[np.ix_(F, F)], -E.T], [E, np.zeros((E.shape[0],) * 2)]])
+    rhs = np.concatenate([-H[F] @ held,
                           meta.targets - np.bincount(meta.gid, held[meta.act], meta.first.size)])
     sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
     held[F] = sol[:F.size]
@@ -421,13 +423,13 @@ def pdas_pairs(qp, steps):
     """The active-set pairs of the primal-dual steps from the uniform start,
     each step's update read off the dense Bq; stops once a pair repeats or
     the sets settle."""
-    meta = qp._meta
+    meta, H = qp._meta, Bq(qp)
     low = np.zeros(meta.act.size, dtype=bool)
     high = low.copy()
     pairs = [(low, high)]
     for _ in range(steps):
         z, mu = landmark._face_min(qp, low, high)
-        x, lam = z[meta.act], (qp.Bq @ z)[meta.act] - mu[meta.gid]
+        x, lam = z[meta.act], (H @ z)[meta.act] - mu[meta.gid]
         free = ~(low | high)
         low = np.where(free, x < 0, low & (lam >= 0))
         high = np.where(free, x > 1, high & (lam <= 0))
@@ -457,7 +459,7 @@ class TestSolverEdgeCases:
         # weights of the uniform start is singular
         qp, *_ = random_qp(13, d=1)
         free = qp._meta.act
-        eigs = np.linalg.eigvalsh(qp.Bq[np.ix_(free, free)])
+        eigs = np.linalg.eigvalsh(Bq(qp)[np.ix_(free, free)])
         assert eigs[0] <= 1e-12 * eigs[-1]
         w, info = solve_qp(qp, full_output=True)
         assert info["converged"]
@@ -469,7 +471,7 @@ class TestSolverEdgeCases:
         Z_s, Z_u = np.array([[1.0, -1.0, 2.0, -2.0]]), np.array([[1.0, -1.0]])
         qp = build_qp(Z_s, Z_u, [0, 0, 0, 0], [0, 0], 0.5, 1)
         v = 1.0 / np.concatenate([Z_s[0], Z_u[0]])
-        assert np.max(np.abs(qp.Bq @ v)) <= 1e-12 and v[:4].sum() == v[4:].sum() == 0.0
+        assert np.max(np.abs(Bq(qp) @ v)) <= 1e-12 and v[:4].sum() == v[4:].sum() == 0.0
         w, info = solve_qp(qp, full_output=True)
         assert info["converged"]
         assert_kkt(qp, w)
@@ -498,7 +500,7 @@ class TestSolverEdgeCases:
         ys, yu = np.arange(9) % 2, np.arange(7) % 2
         qp = build_qp(Z_s, Z_u, ys, yu, 0.5, 2)
         assert qp.diag_s[0] == qp.diag_s[4] == qp.diag_u[1] == 0.0
-        assert not qp.Bq[[0, 4, 10]].any()
+        assert not Bq(qp)[[0, 4, 10]].any()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             w, info = solve_qp(qp, full_output=True)
@@ -596,13 +598,13 @@ class TestGridSearchOracle:
         delta = qp.delta
         w = solve_qp(qp)
         z = w.stacked()
-        solver_obj = 0.5 * z @ qp.Bq @ z
+        solver_obj = 0.5 * z @ Bq(qp) @ z
 
         A_grid = self._stack_grids([self.lattice(m, delta) for m in sizes_s])
         B_grid = self._stack_grids([self.lattice(m, delta) for m in sizes_u])
-        quad_s = 0.5 * np.einsum("ij,jk,ik->i", A_grid, qp.K_ss, A_grid)
-        quad_u = 0.5 * np.einsum("ij,jk,ik->i", B_grid, qp.K_uu, B_grid)
-        cross = A_grid @ qp.K_su @ B_grid.T
+        quad_s = 0.5 * np.einsum("ij,jk,ik->i", A_grid, K_ss(qp), A_grid)
+        quad_u = 0.5 * np.einsum("ij,jk,ik->i", B_grid, K_uu(qp), B_grid)
+        cross = A_grid @ K_su(qp) @ B_grid.T
         best = float((quad_s[:, None] + quad_u[None, :] - cross).min())
         assert solver_obj <= best + 1e-4
 
@@ -862,13 +864,13 @@ class TestWarmProjection:
         qp = fit_sized_instance(seed) if family == "fit_sized" else grid_instance(seed)[0]
         w, info = solve_qp(qp, full_output=True)
         assert info["converged"]
-        z = w.stacked()
-        g = qp.Bq @ z
-        L = np.linalg.norm(qp.Bq, 2)
+        z, H = w.stacked(), Bq(qp)
+        g = H @ z
+        L = np.linalg.norm(H, 2)
         for t in (1.0 / L, 10.0 / L):
             assert np.max(np.abs(landmark._project(z - t * g, qp) - z)) <= 1e-12
         # the uniform start, where it is not the answer, is not such a point
         u = uniform_weights(qp.n_s, qp.n_u, qp.delta).stacked()
         if np.max(np.abs(z - u)) > 1e-6:
-            gu = qp.Bq @ u
+            gu = H @ u
             assert np.max(np.abs(landmark._project(u - gu / L, qp) - u)) > 1e-6

@@ -7,15 +7,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from lpjt import mmd
-from lpjt.mmd import (
-    MmdBlocks,
-    assemble_M,
-    build_coeffs,
-    conditional_coeffs,
-    marginal_coeffs,
-    mmd_distance,
-    mmd_value,
-)
+from lpjt.mmd import MmdBlocks, assemble_M, build_coeffs, mmd_distance
+from oracles import conditional_coeffs, marginal_coeffs, mmd_value
 
 
 def random_instance(seed, n_s_max=30, n_u_max=30, d_max=8, c_max=4):
@@ -92,18 +85,20 @@ class TestMarginalCoeffs:
         assert s[1] <= 1e-10
 
     def test_zero_delta_rejected(self):
-        with pytest.raises(ValueError):
-            marginal_coeffs([1.0], [1.0], 0.0)
+        # the oracles check no input; the MMD entry points of fit do
+        # (build_qp's delta: tests/test_landmark.py::TestNonFiniteWeights)
+        X = np.ones((1, 1))
+        for call in (lambda: build_coeffs([1.0], [1.0], [0], [0], 0.0, 1),
+                     lambda: mmd_distance(X, X, [0], [0], [1.0], [1.0], 0.0)):
+            with pytest.raises(ValueError, match="delta must be positive and finite"):
+                call()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weights_and_delta_rejected(self, bad):
         # NaN passes a sign check: it fails both `< 0` and `<= 0`
-        labels, eye, X = [0, 0], np.eye(1), np.ones((1, 2))
+        labels, X = [0, 0], np.ones((1, 2))
         calls = (
-            lambda a, b, delta: marginal_coeffs(a, b, delta),
-            lambda a, b, delta: conditional_coeffs(a, b, labels, labels, delta, 1),
             lambda a, b, delta: build_coeffs(a, b, labels, labels, delta, 1),
-            lambda a, b, delta: mmd_value(X, X, eye, eye, a, b, labels, labels, delta),
             lambda a, b, delta: mmd_distance(X, X, labels, labels, a, b, delta),
         )
         ok = [0.5, 0.5]
