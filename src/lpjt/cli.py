@@ -119,7 +119,11 @@ def cmd_predict(args) -> int:
     cfg = _load_run(args)
     _require(cfg, "source", "target_unlabeled", "output_dir")
     src, tgt_u, tgt_l = _load_problem(cfg)
-    model = dataio.load_model(os.path.join(cfg.output_dir, "model.lpjt"))
+    path = os.path.join(cfg.output_dir, "model.lpjt")
+    model = dataio.load_model(path)
+    if model.num_classes != src.num_classes:
+        raise ConfigError(f"{path}: fitted for {model.num_classes} classes, "
+                          f"but {cfg.source} has {src.num_classes}")
     labels = pipeline.predict(model, src, tgt_u, tgt_l)
     out = cfg.predictions or os.path.join(cfg.output_dir, "predictions.csv")
     dataio.write_predictions(out, labels)

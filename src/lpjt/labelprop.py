@@ -53,7 +53,9 @@ def _similarity_edges(Z, k: int):
         dinv = np.where(deg > 0.0, 1.0 / np.sqrt(deg), 0.0)
         scale = dinv[i] * dinv[j]
     # two subnormal degrees overflow that product; there S_ij is formed as
-    # exp(log W_ij - (h_i + h_j)) with h = log(deg) / 2
+    # exp(log W_ij - (h_i + h_j)) with h = log(deg) / 2. The branch keeps
+    # precision too: W_ij / (sqrt(d_i) sqrt(d_j)) rounds on the subnormal
+    # grid, and W_ij * dinv_i * dinv_j gives a lone pair 1 - 2^-52, not 1
     over = np.flatnonzero(np.isinf(scale))
     if over.size:
         with np.errstate(divide="ignore"):

@@ -211,6 +211,9 @@ def build_qp(Z_s, Z_u, labels_s, pseudo_labels_u, delta, num_classes=None) -> Qp
     labels_u = np.asarray(pseudo_labels_u, dtype=np.int64).ravel()
     if not 0.0 < delta < np.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
+    if delta > 1.0:
+        raise ValueError(f"delta must be at most 1, got {delta}: "
+                         "no weights in [0, 1] have a class mean above 1")
     n_s, n_u = Z_s.shape[1], Z_u.shape[1]
     if labels_s.size != n_s or labels_u.size != n_u:
         raise ValueError("label vectors must match the sample counts")

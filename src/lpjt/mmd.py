@@ -24,7 +24,9 @@ domain mean as w / (delta n), class c's mean as w / (delta n_c) and its
 spread as w^2 / (delta^2 n_c), on c's members only. Class means meet
 across domains with cross weight 2, paired with the -2 coupling above, and
 the domain means with 1; the equality with the oracles' `mmd_value` pins
-every constant.
+every constant. `_mean_factors` turns those counts and weights into the
+weighted mean columns, read by `assemble_M` for the blocks and by
+`mmd_distance` for the trace value.
 """
 
 import warnings
@@ -162,7 +164,8 @@ def assemble_M(X_s, X_u, coeffs: MmdCoeffs) -> MmdBlocks:
 def mmd_distance(Z_s, Z_u, labels_s, labels_u, alpha=None, beta=None, delta=1.0):
     """Divergence between embedded domains: squared distance of the
     (landmark-weighted) domain means plus the class-wise mean distances
-    over classes present on both sides.
+    over classes present on both sides, the squared Frobenius norm of the
+    difference of the two domains' `_mean_factors` columns.
 
     With the default uniform weights this is the plain mean discrepancy.
     Zero when the embedded domains coincide; recorded per iteration as the
@@ -176,11 +179,6 @@ def mmd_distance(Z_s, Z_u, labels_s, labels_u, alpha=None, beta=None, delta=1.0)
     if (alpha.size, beta.size) != (Zs.shape[1], Zu.shape[1]):
         raise ValueError("weight vectors must match the sample counts")
     _, counts_s, counts_u = _class_rule(labels_s, labels_u)
-
-    def means(Zw, counts):
-        # a boolean-masked copy is column-major, so only Zw itself sums pairwise
-        sums = [Zw.sum(axis=1)] + [Zw[:, col < np.inf].sum(axis=1) for col in counts.T[1:]]
-        return np.stack(sums) / (delta * counts.min(axis=0))[:, None]
-
-    diff = means(Zs * alpha, counts_s) - means(Zu * beta, counts_u)
-    return sum(float(row.dot(row)) for row in diff)
+    diff = (_mean_factors(Zs, alpha, counts_s, delta)[0]
+            - _mean_factors(Zu, beta, counts_u, delta)[0])
+    return float(np.vdot(diff, diff))

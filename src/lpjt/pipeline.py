@@ -222,8 +222,12 @@ def predict(model: SubspaceModel, src: LabeledDataset, tgt_u,
 
     The training-time normalization is reproduced from the same raw inputs,
     both domains are embedded, and label propagation runs with the source
-    (plus the labeled target subset, when given) as labeled data.
+    (plus the labeled target subset, when given) as labeled data. A source
+    whose class count is not the model's is a `ValueError`.
     """
+    if src.num_classes != model.num_classes:
+        raise ValueError(f"the model has {model.num_classes} classes, "
+                         f"the source {src.num_classes}")
     cfg = model.cfg
     Xs, Xu, Xl = _prepare(src, tgt_u, tgt_l, cfg.normalize)
     Z_l = y_l = None

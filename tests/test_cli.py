@@ -485,6 +485,23 @@ class TestEndToEnd:
         out = capsys.readouterr().out
         assert out.startswith("iter,objective,mmd,label_changes")
 
+    def test_model_of_other_class_count_exits_2(self, tmp_path, capsys):
+        data, five = tmp_path / "data", tmp_path / "five"
+        assert main(synth_args(data, n=10)) == 0
+        assert main(["synth", "--kind", "gauss_shift", "--n-per-class", "10",
+                     "--classes", "5", "--seed", "3", "--out", str(five)]) == 0
+        run = tmp_path / "run"
+        fit_cfg = write_config(tmp_path / "fit.cfg", source=five / "source.csv",
+                               target_unlabeled=five / "target.csv", output_dir=run,
+                               d=2, T=1)
+        assert main(["fit", "--config", fit_cfg]) == 0
+        cfg = write_config(tmp_path / "c.cfg", source=data / "source.csv",
+                           target_unlabeled=data / "target.csv", output_dir=run)
+        assert main(["predict", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"{run / 'model.lpjt'}: fitted for 5 classes" in err
+        assert not (run / "predictions.csv").exists()
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         bad = write_config(tmp_path / "bad.cfg", bogus=1)
         assert main(["fit", "--config", bad]) == 2

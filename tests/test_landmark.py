@@ -658,6 +658,11 @@ class TestNonFiniteWeights:
         with pytest.raises(ValueError, match="delta must be positive and finite"):
             random_qp(0, delta=bad)
 
+    def test_build_qp_rejects_delta_above_one(self):
+        with pytest.raises(ValueError, match=r"delta must be at most 1, got 1\.5: "
+                                             r"no weights in \[0, 1\]"):
+            random_qp(0, delta=1.5)
+
     def test_check_feasible_rejects_nan(self):
         # NaN fails every comparison, so it would pass the bound and mean checks
         ok = SimpleNamespace(alpha=np.array([0.5, 0.5]), beta=np.array([0.5, 0.5]), delta=0.5)

@@ -522,6 +522,18 @@ class TestPredict:
         model = fit(src, Xt, None, FitConfig(hyper=Hyperparams(d=2, T=2)))
         assert predict(model, src, Xt).shape == (Xt.shape[1],)
 
+    @pytest.mark.parametrize("model_classes,source_classes", [(3, 4), (5, 3)],
+                             ids=["source-has-more", "model-has-more"])
+    def test_class_count_mismatch_rejected(self, model_classes, source_classes):
+        Xs, ys, Xt, _ = synth_gauss_shift(8, source_classes, 0)
+        src = LabeledDataset(FeatureMatrix(Xs), ys, source_classes)
+        model = SubspaceModel(A=np.eye(2), B=np.eye(2),
+                              cfg=FitConfig(hyper=Hyperparams(d=2), normalize="none"),
+                              num_classes=model_classes)
+        with pytest.raises(ValueError, match=f"the model has {model_classes} classes, "
+                                             f"the source {source_classes}"):
+            predict(model, src, Xt)
+
     def test_well_separated_blobs_fully_recovered(self):
         Xs, ys = separated_blobs(seed=4, n=25, gap=10.0)
         Xt, yt = separated_blobs(seed=5, n=25, gap=10.0)
